@@ -8,8 +8,8 @@ from .codebook import (
     DEFAULT_CHUNK_SIZE,
     DISTANCE_KINDS,
     Codebook,
+    assign,
     gather_quantized,
-    group_concat,
     group_split,
     nearest_code,
     normalize_rows,
@@ -62,7 +62,6 @@ from .vqlayer import (
     VQConfig,
     VQOutput,
     affine_update_ema,
-    affine_update_learnable,
     commitment_codebook_grads,
     commitment_loss,
     ema_update,

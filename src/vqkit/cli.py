@@ -40,10 +40,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_effective_config(cfg: dict, out: Path) -> None:
-    _write_json(out / "config.json", cfg)
-
-
 def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
     toy = cfg["toy"]
     summary = {}
@@ -120,7 +116,14 @@ def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(mtr.METRICS_HEADER):
                 raise ConfigError(f"unexpected metrics header {reader.fieldnames}")
-            rows = [{k: float(v) for k, v in row.items()} for row in reader]
+            rows = []
+            for row in reader:
+                try:
+                    rows.append({k: float(v) for k, v in row.items()})
+                except (TypeError, ValueError) as exc:
+                    # a short row leaves None values, a long one a None key
+                    raise ConfigError(
+                        f"metrics CSV line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read metrics CSV: {exc}") from exc
     if not rows:
@@ -160,7 +163,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _emit_effective_config(cfg, out)
+        _write_json(out / "config.json", cfg)
         if args.command == "toy-trajectory":
             cmd_toy_trajectory(cfg, out)
         elif args.command == "affine-toy":

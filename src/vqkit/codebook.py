@@ -1,5 +1,5 @@
-"""Codebook storage and query layer: distances, nearest-code search, stochastic
-sampling, grouped views, and binary serialization."""
+"""Codebook storage and query layer: distances, code assignment (nearest or
+stochastic), grouped views, and binary serialization."""
 from __future__ import annotations
 
 import json
@@ -159,9 +159,34 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
     for start in range(0, n, chunk_size):
         chunk = queries[start:start + chunk_size]
         q_sq = (chunk * chunk).sum(axis=1)
-        dist = 0.5 * (q_sq[:, None] - 2.0 * chunk @ codes.T + code_sq[None, :])
-        out[start:start + chunk.shape[0]] = np.maximum(dist, 0.0)
+        # 0.5 * (q_sq - 2 q.c + c_sq), evaluated in place in the output rows so
+        # no chunk x m temporaries are allocated
+        block = out[start:start + chunk.shape[0]]
+        np.matmul(2.0 * chunk, codes.T, out=block)
+        np.subtract(q_sq[:, None], block, out=block)
+        block += code_sq[None, :]
+        block *= 0.5
+        np.maximum(block, 0.0, out=block)
     return out
+
+
+def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
+           rng: np.random.Generator | None = None,
+           chunk_size: int = DEFAULT_CHUNK_SIZE):
+    """Per-query (code index, half squared distance to that code).
+
+    With tau None the index is the nearest code, ties breaking toward the
+    lowest index; otherwise it is drawn by `sample_code_stochastic`, which
+    consumes one uniform draw of `rng` per query."""
+    queries = np.asarray(queries, dtype=np.float64)
+    dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
+    if tau is None:
+        indices = dists.argmin(axis=1)
+    elif rng is None:
+        raise ContractViolation("stochastic sampling requires an rng")
+    else:
+        indices = sample_code_stochastic(queries, codes, kind, tau, rng, chunk_size)
+    return indices, dists[np.arange(queries.shape[0]), indices]
 
 
 def nearest_code(queries, codes, kind: str = "euclidean",
@@ -172,10 +197,8 @@ def nearest_code(queries, codes, kind: str = "euclidean",
     rescaled to the query norm; under cosine_unit_norm it has unit norm."""
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
-    dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
-    indices = dists.argmin(axis=1)
-    z_q = gather_quantized(queries, codes, indices, kind)
-    return indices, z_q, dists[np.arange(queries.shape[0]), indices]
+    indices, row_dists = assign(queries, codes, kind, chunk_size=chunk_size)
+    return indices, gather_quantized(queries, codes, indices, kind), row_dists
 
 
 def gather_quantized(queries, codes, indices, kind: str = "euclidean") -> np.ndarray:
@@ -234,12 +257,3 @@ def group_split(z, n_group: int) -> np.ndarray:
     if n_group < 1 or d % n_group != 0:
         raise ContractViolation(f"n_group={n_group} must divide d={d}")
     return z.reshape(n * n_group, d // n_group).copy()
-
-
-def group_concat(rows, n_group: int) -> np.ndarray:
-    """Inverse of group_split with the 1/sqrt(n_group) normalization applied."""
-    rows = np.asarray(rows, dtype=np.float64)
-    total, sub = rows.shape
-    if n_group < 1 or total % n_group != 0:
-        raise ContractViolation(f"n_group={n_group} must divide the row count {total}")
-    return rows.reshape(total // n_group, sub * n_group) / np.sqrt(n_group)

@@ -78,7 +78,6 @@ _DEFAULTS = {
     "train_mode": "joint",
     "inner_k": 1,
     "outer_k": 1,
-    "fused": False,
     "track_grad_gap": True,
     "smooth_gamma": 0.0,
     "vq": {},
@@ -112,13 +111,17 @@ def _strict(raw: dict, allowed: set, ctx: str) -> None:
         raise ConfigError(f"unknown {ctx} keys: {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in defaults. Unknown keys anywhere
     are rejected; seed and scenario are mandatory."""
     _strict(raw, _TOP_LEVEL_KEYS, "config")
     if "scenario" not in raw or raw["scenario"] not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
+    if "seed" not in raw or not _is_int(raw["seed"]):
         raise ConfigError("an integer seed is mandatory")
 
     cfg = copy.deepcopy(_DEFAULTS)
@@ -141,6 +144,12 @@ def resolve_config(raw: dict) -> dict:
     bad = set(cfg["grid"]) - _GRID_FIELDS
     if bad:
         raise ConfigError(f"unknown grid fields: {sorted(bad)}")
+    for field, values in cfg["grid"].items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid field {field!r} must be a non-empty list")
+    for key in ("steps", "batch_size", "seeds_per_cell"):
+        if not _is_int(cfg[key]) or cfg[key] < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:
@@ -201,7 +210,7 @@ def run_training(cfg: dict, seed: int | None = None) -> TrainResult:
                   schedule=schedule, seed=seed, track_grad_gap=cfg["track_grad_gap"])
     if cfg["train_mode"] == "alternating":
         return train_alternating(model, cb, vq, data, inner_k=cfg["inner_k"],
-                                 outer_k=cfg["outer_k"], fused=cfg["fused"], **common)
+                                 outer_k=cfg["outer_k"], **common)
     if cfg["train_mode"] != "joint":
         raise ConfigError(f"unknown train_mode {cfg['train_mode']!r}")
     return train_joint(model, cb, vq, data, smooth_gamma=cfg["smooth_gamma"], **common)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codebook import assign, pairwise_distances_chunked
 from .errors import ContractViolation
 
 LLOYD_TOL = 1e-9
@@ -21,10 +22,9 @@ def lloyd_step(centers: np.ndarray, sample: np.ndarray):
     if centers.shape[0] < 1:
         raise ContractViolation("lloyd_step requires at least one center")
 
-    d2 = _sq_dists(sample, centers)
-    assignment = d2.argmin(axis=1)
-    min_d2 = d2[np.arange(sample.shape[0]), assignment]
-    inertia = float(min_d2.mean())
+    # half squared distances; doubling them is exact, so argmin and order agree
+    assignment, min_half = assign(sample, centers, "euclidean")
+    inertia = float((2.0 * min_half).mean())
 
     new_centers = centers.copy()
     empty = []
@@ -36,7 +36,7 @@ def lloyd_step(centers: np.ndarray, sample: np.ndarray):
             empty.append(j)
     if empty:
         # re-seed empty centers to successive farthest points
-        order = np.argsort(min_d2)[::-1]
+        order = np.argsort(min_half)[::-1]
         for j, point_idx in zip(empty, order):
             new_centers[j] = sample[point_idx]
     return new_centers, assignment, inertia
@@ -48,7 +48,8 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
     centers = np.empty((m, sample.shape[1]))
     first = int(rng.integers(n))
     centers[0] = sample[first]
-    closest = _sq_dists(sample, centers[:1]).ravel()
+    # half squared distances: the sampling probabilities are ratios, unchanged by the 0.5
+    closest = pairwise_distances_chunked(sample, centers[:1]).ravel()
     for j in range(1, m):
         total = closest.sum()
         if total <= 0.0:
@@ -57,7 +58,8 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
             probs = closest / total
             idx = int(rng.choice(n, p=probs))
         centers[j] = sample[idx]
-        closest = np.minimum(closest, _sq_dists(sample, centers[j:j + 1]).ravel())
+        closest = np.minimum(closest,
+                             pairwise_distances_chunked(sample, centers[j:j + 1]).ravel())
     return centers
 
 
@@ -70,7 +72,12 @@ def kmeans(sample: np.ndarray, m: int, rng: np.random.Generator,
     sample = np.asarray(sample, dtype=np.float64)
     if sample.shape[0] < m:
         raise ContractViolation(f"kmeans needs a sample with >= {m} rows")
-    centers = kmeans_pp_seed(sample, m, rng)
+    return lloyd(kmeans_pp_seed(sample, m, rng), sample, iters)
+
+
+def lloyd(centers: np.ndarray, sample: np.ndarray, iters: int) -> np.ndarray:
+    """Lloyd iterations from the given centers until the max center
+    displacement drops below LLOYD_TOL or `iters` iterations have run."""
     for _ in range(iters):
         new_centers, _, _ = lloyd_step(centers, sample)
         shift = np.abs(new_centers - centers).max()
@@ -116,9 +123,3 @@ def _require_sample(sample, min_rows: int, method: str) -> np.ndarray:
         raise ContractViolation(
             f"init method {method!r} needs a sample with >= {min_rows} rows")
     return sample
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a_sq = (a * a).sum(axis=1)
-    b_sq = (b * b).sum(axis=1)
-    return np.maximum(a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :], 0.0)

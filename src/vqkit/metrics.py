@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import codebook as cbk
 from .autodiff import Tape
@@ -94,7 +93,10 @@ def activation_probability(h: int, w: int, b: int, m_codes: int, n_pool: int,
     linear = min(n_trials / m_codes, 1.0)
     if k == 0:
         return ActivationProbability(binomial=1.0, linear=linear)
-    # log-space binomial survival function, safe for N ~ 1e6
+    # log-space binomial survival function, safe for N ~ 1e6; scipy is
+    # imported here so that `import vqkit` does not pay for it
+    from scipy import stats
+
     binom = float(stats.binom.sf(k - 1, n_trials, 1.0 / m_codes))
     return ActivationProbability(binomial=binom, linear=linear)
 

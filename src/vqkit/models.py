@@ -6,7 +6,22 @@ import numpy as np
 from .autodiff import Node, Tape
 
 
-class MLPAutoencoder:
+class _TapeModel:
+    """Shared parameter registration; subclasses fill `self.params`."""
+
+    params: dict[str, np.ndarray]
+
+    def make_nodes(self, tape: Tape, trainable=None) -> dict[str, Node]:
+        """Register parameters on a tape. `trainable` limits which names become
+        parameter leaves; the rest are plain constants."""
+        nodes = {}
+        for name, value in self.params.items():
+            is_param = trainable is None or name in trainable
+            nodes[name] = tape.leaf(value, param=is_param, name=name)
+        return nodes
+
+
+class MLPAutoencoder(_TapeModel):
     """Two-layer tanh autoencoder. The default desk-scale task quantizes the
     bottleneck of a 16 -> 32 -> 8 -> 32 -> 16 reconstruction network."""
 
@@ -32,15 +47,6 @@ class MLPAutoencoder:
     encoder_param_names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2")
     decoder_param_names = ("dec_w1", "dec_b1", "dec_w2", "dec_b2")
 
-    def make_nodes(self, tape: Tape, trainable=None) -> dict[str, Node]:
-        """Register parameters on a tape. `trainable` limits which names become
-        parameter leaves; the rest are plain constants."""
-        nodes = {}
-        for name, value in self.params.items():
-            is_param = trainable is None or name in trainable
-            nodes[name] = tape.leaf(value, param=is_param, name=name)
-        return nodes
-
     def encode(self, tape: Tape, x: Node, nodes: dict[str, Node]) -> Node:
         h = tape.tanh(tape.add(tape.matmul(x, nodes["enc_w1"]), nodes["enc_b1"]))
         return tape.add(tape.matmul(h, nodes["enc_w2"]), nodes["enc_b2"])
@@ -50,7 +56,7 @@ class MLPAutoencoder:
         return tape.add(tape.matmul(h, nodes["dec_w2"]), nodes["dec_b2"])
 
 
-class LinearEncoderIdentityDecoder:
+class LinearEncoderIdentityDecoder(_TapeModel):
     """Linear encoder, identity decoder. The gradient gap of this model has a
     closed form, which the tests exploit as an oracle."""
 
@@ -60,13 +66,6 @@ class LinearEncoderIdentityDecoder:
 
     encoder_param_names = ("enc_w",)
     decoder_param_names = ()
-
-    def make_nodes(self, tape: Tape, trainable=None) -> dict[str, Node]:
-        nodes = {}
-        for name, value in self.params.items():
-            is_param = trainable is None or name in trainable
-            nodes[name] = tape.leaf(value, param=is_param, name=name)
-        return nodes
 
     def encode(self, tape: Tape, x: Node, nodes: dict[str, Node]) -> Node:
         return tape.matmul(x, nodes["enc_w"])

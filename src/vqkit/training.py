@@ -260,24 +260,18 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
                       optimizer: Optional[SGD] = None,
                       codebook_optimizer: Optional[SGD] = None,
                       schedule: Optional[Schedule] = None, seed: int = 0,
-                      fused: bool = False, track_grad_gap: bool = True,
+                      track_grad_gap: bool = True,
                       active_window: Optional[int] = None) -> TrainResult:
     """Alternating optimization: per cycle, inner_k codebook-only steps on the
     codebook-facing commitment term, then outer_k encoder/decoder-only steps on
     the task loss. Each sub-step consumes a distinct slice of the mini-batch so
-    the example count matches train_joint.
-
-    With inner_k == outer_k == 1, fused=True shares a single encoder forward
-    pass between the two sub-steps; results are numerically identical to the
-    unfused two-pass form."""
+    the example count matches train_joint."""
     if inner_k < 1 or outer_k < 1:
         raise ContractViolation("inner_k and outer_k must be >= 1")
     n_sub = inner_k + outer_k
     if batch_size % n_sub != 0:
         raise ContractViolation(
             f"batch_size {batch_size} must divide into {n_sub} sub-batches")
-    if fused and (inner_k != 1 or outer_k != 1):
-        raise ContractViolation("fused mode requires inner_k == outer_k == 1")
     sub = batch_size // n_sub
 
     data = np.asarray(data, dtype=np.float64)
@@ -299,22 +293,13 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
             gap = mtr.gradient_gap(model, cb, replace(config, sampling="deterministic"),
                                    batch)
 
-        if fused:
-            task_val, commit_val, indices, row_dists, z_rows, z_q_rows = _fused_cycle(
-                model, cb, config, batch[:sub], batch[sub:], eta, t, rng_vq,
-                optimizer, codebook_optimizer)
-        else:
-            for i in range(inner_k):
-                _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
-                            rng_vq, codebook_optimizer)
-            task_val = commit_val = 0.0
-            indices = np.zeros(0, dtype=np.int64)
-            row_dists = np.zeros(0)
-            z_rows = z_q_rows = None
-            for i in range(inner_k, n_sub):
-                task_val, commit_val, indices, row_dists, z_rows, z_q_rows = _outer_step(
-                    model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng_vq,
-                    optimizer)
+        for i in range(inner_k):
+            _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
+                        rng_vq, codebook_optimizer)
+        for i in range(inner_k, n_sub):
+            task_val, commit_val, indices, row_dists, z_rows, z_q_rows = _outer_step(
+                model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng_vq,
+                optimizer)
 
         _post_step_hooks(cb, config, z_rows, z_q_rows, t, rng_vq, events)
         records.append(_record(t, task_val, commit_val, cb, config, indices,
@@ -326,18 +311,6 @@ def _encode_values(model, batch) -> np.ndarray:
     tape = Tape()
     nodes = model.make_nodes(tape, trainable=set())
     return model.encode(tape, tape.leaf(batch), nodes).value
-
-
-def _assign(cb, config, z_rows, step, rng):
-    eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
-    if config.sampling == "stochastic":
-        indices = cbk.sample_code_stochastic(z_rows, eff, config.distance,
-                                             config.tau_at(step), rng)
-        dists = cbk.pairwise_distances_chunked(z_rows, eff, config.distance)
-    else:
-        dists = cbk.pairwise_distances_chunked(z_rows, eff, config.distance)
-        indices = dists.argmin(axis=1)
-    return indices, dists[np.arange(z_rows.shape[0]), indices]
 
 
 def _apply_codebook_step(cb, config, z_rows, indices, eta, codebook_optimizer):
@@ -360,7 +333,9 @@ def _apply_codebook_step(cb, config, z_rows, indices, eta, codebook_optimizer):
 def _inner_step(model, cb, config, sub_batch, eta, step, rng, codebook_optimizer):
     z_e = _encode_values(model, sub_batch)
     z_rows = cbk.group_split(z_e, config.n_group)
-    indices, _ = _assign(cb, config, z_rows, step, rng)
+    eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
+    indices, _ = cbk.assign(z_rows, eff, config.distance,
+                            tau=config.sampling_tau(step), rng=rng)
     cb.mark_used(indices, step)
     _apply_codebook_step(cb, config, z_rows, indices, eta, codebook_optimizer)
 
@@ -382,32 +357,3 @@ def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
     return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]),
             out.indices, out.distances, out.z_e_grouped.value, out.z_q_grouped.value)
 
-
-def _fused_cycle(model, cb, config, inner_batch, outer_batch, eta, step, rng,
-                 optimizer, codebook_optimizer):
-    """Single encoder forward over both sub-batches; the codebook step happens
-    between slicing and quantizing, so semantics match the sequential form."""
-    tape = Tape()
-    nodes = model.make_nodes(tape)
-    n_inner = inner_batch.shape[0]
-    x = tape.leaf(np.concatenate([inner_batch, outer_batch], axis=0))
-    z_e_full = model.encode(tape, x, nodes)
-    z_e_inner = tape.slice_rows(z_e_full, 0, n_inner)
-    z_e_outer = tape.slice_rows(z_e_full, n_inner, z_e_full.shape[0])
-
-    z_rows_inner = cbk.group_split(z_e_inner.value, config.n_group)
-    indices_inner, _ = _assign(cb, config, z_rows_inner, step, rng)
-    cb.mark_used(indices_inner, step)
-    _apply_codebook_step(cb, config, z_rows_inner, indices_inner, eta,
-                         codebook_optimizer)
-
-    out = vql.quantize(tape, z_e_outer, cb, config, step=step, rng=rng)
-    y = model.decode(tape, out.z_q, nodes)
-    task = tape.mse(y, tape.leaf(outer_batch))
-    tape.backward(task)
-    params = dict(model.params)
-    optimizer.step(params, _collect_grads(nodes), lr=eta)
-    for name in model.params:
-        model.params[name] = params[name]
-    return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]),
-            out.indices, out.distances, out.z_e_grouped.value, out.z_q_grouped.value)

@@ -54,6 +54,10 @@ class VQConfig:
     def tau_at(self, step: int) -> float:
         return self.tau0 * self.tau_decay ** step
 
+    def sampling_tau(self, step: int) -> Optional[float]:
+        """Temperature for `codebook.assign`: None selects the nearest code."""
+        return self.tau_at(step) if self.sampling == "stochastic" else None
+
     @classmethod
     def from_dict(cls, raw: dict) -> "VQConfig":
         known = set(cls.__dataclass_fields__)
@@ -108,15 +112,8 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
     zs = tape.reshape(z_e, n * g, d // g)
     eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
 
-    dists = cbk.pairwise_distances_chunked(zs.value, eff, config.distance)
-    if config.sampling == "stochastic":
-        if rng is None:
-            raise ContractViolation("stochastic sampling requires an rng")
-        indices = cbk.sample_code_stochastic(zs.value, eff, config.distance,
-                                             config.tau_at(step), rng)
-    else:
-        indices = dists.argmin(axis=1)
-    row_dists = dists[np.arange(zs.shape[0]), indices]
+    indices, row_dists = cbk.assign(zs.value, eff, config.distance,
+                                    tau=config.sampling_tau(step), rng=rng)
 
     if mark_usage:
         cb.mark_used(indices, step)
@@ -168,13 +165,6 @@ def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]
     return updated.tolist()
 
 
-def affine_update_learnable(cb: cbk.Codebook, scale_grad, bias_grad, lr: float) -> None:
-    """Plain gradient step on the raw shared affine parameters. The lr_scale
-    factor is already part of the gradients produced by the affine_rows op."""
-    cb.affine_scale = cb.affine_scale - lr * np.asarray(scale_grad).reshape(-1)
-    cb.affine_bias = cb.affine_bias - lr * np.asarray(bias_grad).reshape(-1)
-
-
 def affine_update_ema(cb: cbk.Codebook, z_e_rows, z_q_rows, momentum: float) -> None:
     """Accumulate running per-dimension mean/variance of z_e and z_q."""
     if not 0.0 < momentum <= 1.0:
@@ -211,14 +201,7 @@ def kmeans_reset(cb: cbk.Codebook, sample, iters: int = 50) -> None:
     sample = np.asarray(sample, dtype=np.float64)
     if sample.shape[0] < cb.m:
         raise ContractViolation(f"kmeans_reset needs a sample with >= {cb.m} rows")
-    centers = cb.codes.copy()
-    for _ in range(iters):
-        new_centers, _, _ = initialization.lloyd_step(centers, sample)
-        shift = np.abs(new_centers - centers).max()
-        centers = new_centers
-        if shift < initialization.LLOYD_TOL:
-            break
-    cb.codes = centers
+    cb.codes = initialization.lloyd(cb.codes.copy(), sample, iters)
 
 
 def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfig):

@@ -29,7 +29,6 @@ from vqkit import (
     run_toy_trajectory,
     run_training,
     sample_code_stochastic,
-    train_alternating,
 )
 from vqkit.cli import main as cli_main
 
@@ -424,22 +423,7 @@ def test_criterion_13_determinism(tmp_path):
                          "--metrics", str(metrics)]) == 0
     assert _dirs_identical(tmp_path / "replay-a", tmp_path / "replay-b")
 
-    # fused and unfused single-step alternating runs coincide
-    def fresh():
-        rng = np.random.default_rng(13)
-        data = rng.standard_normal((256, 16)) * 0.5
-        model = MLPAutoencoder(rng=np.random.default_rng(14))
-        cb = Codebook(rng.standard_normal((8, 8)) * 0.3)
-        return model, cb, VQConfig(alpha=1.0), data
-
-    r1 = train_alternating(*fresh(), steps=15, batch_size=64, inner_k=1,
-                           outer_k=1, seed=2, track_grad_gap=False)
-    r2 = train_alternating(*fresh(), steps=15, batch_size=64, inner_k=1,
-                           outer_k=1, seed=2, fused=True, track_grad_gap=False)
-    for a, b in zip(r1.records, r2.records):
-        assert abs(a.task_loss - b.task_loss) <= 1e-12
-    assert np.abs(r1.codebook.codes - r2.codebook.codes).max() <= 1e-12
-    _passed(13, "byte-identical reruns and fused/unfused agreement")
+    _passed(13, "byte-identical reruns")
 
 
 # -- 14. initialization quality ordering ----------------------------------------------------

@@ -5,18 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vqkit.vqlayer as vql
 from vqkit import (
+    SGD,
     Codebook,
     ContractViolation,
     DegenerateInput,
+    MLPAutoencoder,
+    Tape,
+    VQConfig,
+    assign,
     gather_quantized,
-    group_concat,
     group_split,
     nearest_code,
     normalize_rows,
     pairwise_distances_chunked,
+    quantize,
     sample_code_stochastic,
 )
+from vqkit.training import _inner_step
 
 
 def naive_half_sq(queries, codes, kind):
@@ -50,6 +57,56 @@ def test_nearest_matches_exhaustive_scan(kind):
         ref = naive_half_sq(q, c, kind)
         assert np.array_equal(idx, ref.argmin(axis=1))
         assert np.allclose(dist, ref.min(axis=1))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_assign_matches_per_row_scan_and_every_caller(kind, monkeypatch):
+    """assign picks the first minimum of an exhaustive per-row scan, and
+    nearest_code, quantize and the alternating inner step assign the same codes."""
+    rng = np.random.default_rng(21)
+    model = MLPAutoencoder(rng=np.random.default_rng(22))
+    batch = rng.standard_normal((40, 16))
+    tape = Tape()
+    rows = model.encode(tape, tape.leaf(batch), model.make_nodes(tape)).value
+    cb = Codebook(rng.standard_normal((11, 8)) * 0.5)
+    config = VQConfig(distance=kind)
+
+    idx, row_dists = assign(rows, cb.codes, kind)
+    ref = naive_half_sq(rows, cb.codes, kind)
+    scan = [min(range(cb.m), key=lambda j: ref[i, j]) for i in range(rows.shape[0])]
+    assert idx.tolist() == scan
+    assert np.allclose(row_dists, ref[np.arange(rows.shape[0]), idx], rtol=0, atol=1e-12)
+
+    assert np.array_equal(nearest_code(rows, cb.codes, kind)[0], idx)
+    tape = Tape()
+    out = quantize(tape, tape.leaf(rows), cb, config, mark_usage=False)
+    assert np.array_equal(out.indices, idx)
+
+    seen = []
+    grads = vql.commitment_codebook_grads
+
+    def spy(cb_, z_rows, indices, config_):
+        seen.append(np.array(indices))
+        return grads(cb_, z_rows, indices, config_)
+
+    monkeypatch.setattr(vql, "commitment_codebook_grads", spy)
+    _inner_step(model, cb, config, batch, 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
+    assert len(seen) == 1 and np.array_equal(seen[0], idx)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_assign_stochastic_equals_sample_code_stochastic(kind):
+    rng = np.random.default_rng(31)
+    q = rng.standard_normal((300, 5)) + 0.1
+    c = rng.standard_normal((17, 5)) + 0.1
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    idx, row_dists = assign(q, c, kind, tau=0.3, rng=rng_a)
+    assert np.array_equal(idx, sample_code_stochastic(q, c, kind, 0.3, rng_b))
+    assert rng_a.random() == rng_b.random()  # same draws consumed
+    full = pairwise_distances_chunked(q, c, kind)
+    assert np.array_equal(row_dists, full[np.arange(q.shape[0]), idx])
+    with pytest.raises(ContractViolation):
+        assign(q, c, kind, tau=0.3)
 
 
 def test_ties_break_to_lowest_index():
@@ -126,8 +183,7 @@ def test_group_split_concat_roundtrip(n_group, rows):
     z = rng.standard_normal((rows, 6 * n_group))
     rows_split = group_split(z, n_group)
     assert rows_split.shape == (rows * n_group, 6)
-    back = group_concat(rows_split, n_group)
-    assert np.allclose(back * np.sqrt(n_group), z)
+    assert np.array_equal(rows_split.reshape(rows, 6 * n_group), z)
 
 
 def test_group_split_rejects_bad_divisor():

@@ -189,6 +189,24 @@ def test_cli_exit_codes(tmp_path):
                          "--out", str(tmp_path / "x3")]) == 3
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("train", {"steps": 0}),
+    ("ablation", {"grid": {"nu": []}}),
+    ("train", {"batch_size": 0}),
+    ("ablation", {"seeds_per_cell": 0}),
+    ("train", {"seed": True}),
+    ("train", {"fused": True}),
+], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
+        "removed-fused-key"])
+def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
+    cfgp = write_cfg(tmp_path, "bad.json",
+                     minimal(command, track_grad_gap=False, **overrides))
+    assert cli_main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_toy_trajectory_outputs_and_rerun_identical(tmp_path):
     cfgp = write_cfg(tmp_path, "toy.json",
                      {"scenario": "toy-trajectory", "seed": 2,
@@ -266,3 +284,24 @@ def test_cli_metrics_replay(tmp_path):
     mangled.write_text("\n".join(text) + "\n")
     assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(out),
                      "--metrics", str(mangled)]) == 2
+
+
+@pytest.mark.parametrize("mangle", ["non_numeric", "short_row"])
+def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
+    cfgp = write_cfg(tmp_path, "train.json", minimal(steps=3, track_grad_gap=False))
+    run = tmp_path / "run"
+    assert cli_main(["train", "--config", cfgp, "--out", str(run)]) == 0
+    lines = (run / "metrics.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    if mangle == "non_numeric":
+        cells[1] = "oops"
+    else:
+        cells = cells[:4]
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(tmp_path / "r"),
+                     "--metrics", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: metrics CSV line 3") and err.count("\n") == 1

@@ -23,6 +23,15 @@ def test_lloyd_step_moves_centers_to_member_means():
     assert abs(inertia - 1.0) < 1e-12  # each point 1 away from its center
 
 
+def test_lloyd_inertia_is_the_mean_min_squared_distance():
+    rng = np.random.default_rng(17)
+    sample = rng.standard_normal((500, 6))
+    centers = rng.standard_normal((12, 6))
+    _, _, inertia = lloyd_step(centers, sample)
+    naive = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1).mean()
+    assert abs(inertia - naive) <= 1e-12 * naive
+
+
 def test_lloyd_inertia_non_increasing():
     rng = np.random.default_rng(0)
     sample = rng.standard_normal((200, 3))

@@ -199,13 +199,6 @@ def test_alternating_batch_divisibility_enforced():
                           inner_k=1, outer_k=1)
 
 
-def test_alternating_fused_requires_single_steps():
-    data, model, cb = toy_setup(10)
-    with pytest.raises(ContractViolation):
-        train_alternating(model, cb, VQConfig(), data, steps=1, batch_size=64,
-                          inner_k=2, outer_k=2, fused=True)
-
-
 def test_alternating_phase_isolation():
     """Inner steps touch only the codebook; outer steps touch only the model."""
     from vqkit.training import _inner_step, _outer_step
@@ -223,24 +216,6 @@ def test_alternating_phase_isolation():
     changed = any(not np.array_equal(model.params[k], params_before[k])
                   for k in params_before)
     assert changed
-
-
-def test_alternating_fused_equals_unfused():
-    cfg = VQConfig(alpha=2.0, beta=0.8)
-    data1, model1, cb1 = toy_setup(12)
-    r1 = train_alternating(model1, cb1, cfg, data1, steps=20, batch_size=64,
-                           inner_k=1, outer_k=1, seed=5, track_grad_gap=False)
-    cfg2 = VQConfig(alpha=2.0, beta=0.8)
-    data2, model2, cb2 = toy_setup(12)
-    r2 = train_alternating(model2, cb2, cfg2, data2, steps=20, batch_size=64,
-                           inner_k=1, outer_k=1, seed=5, fused=True,
-                           track_grad_gap=False)
-    for a, b in zip(r1.records, r2.records):
-        assert abs(a.task_loss - b.task_loss) <= 1e-12
-        assert abs(a.commit_loss - b.commit_loss) <= 1e-12
-    assert np.allclose(cb1.codes, cb2.codes, atol=1e-12)
-    for k in model1.params:
-        assert np.allclose(model1.params[k], model2.params[k], atol=1e-12)
 
 
 def test_alternating_multi_inner_outer_runs():

@@ -9,7 +9,6 @@ from vqkit import (
     Tape,
     VQConfig,
     affine_update_ema,
-    affine_update_learnable,
     commitment_codebook_grads,
     commitment_loss,
     ema_update,
@@ -185,15 +184,6 @@ def test_ema_update_gamma_one_jumps_to_mean():
 
 
 # -- affine updates -----------------------------------------------------------
-
-def test_affine_update_learnable_applies_gradient_step():
-    cb = make_cb()
-    scale_grad = np.ones(4)
-    bias_grad = np.full(4, -2.0)
-    affine_update_learnable(cb, scale_grad, bias_grad, lr=0.1)
-    assert np.allclose(cb.affine_scale, -0.1)
-    assert np.allclose(cb.affine_bias, 0.2)
-
 
 def test_affine_ema_constant_offset_removed_at_converged_stats():
     rng = np.random.default_rng(10)
