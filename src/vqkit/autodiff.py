@@ -2,6 +2,8 @@
 
 A ``Tape`` records a topologically ordered list of nodes; ``backward`` walks the
 list in reverse exactly once and accumulates gradients into parameter leaves.
+``vjp`` runs the same reverse walk from any node to any nodes without touching
+parameter gradients, so a tape can answer several pull-backs before its backward.
 Gradients accumulate additively across fan-out; the caller is responsible for
 building a fresh tape (or fresh leaves) per optimization step.
 """
@@ -216,16 +218,44 @@ class Tape:
         if loss.shape != (1, 1):
             raise ContractViolation(f"loss must be a 1x1 scalar, got {loss.shape}")
         self._backward_done = True
+        for node, g in self._pull_back(loss, np.ones((1, 1)), 0):
+            if node.is_param:
+                node.grad = g if node.grad is None else node.grad + g
 
-        pending: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
-        for node in reversed(self.nodes[: loss.idx + 1]):
+    def vjp(self, output: Node, cotangent, wrt) -> list[np.ndarray]:
+        """Pull ``cotangent`` back from ``output`` to each node of ``wrt``
+        (leaves or intermediates). Writes no ``node.grad`` and leaves the tape
+        open, so it may run any number of times before ``backward``. A node
+        ``output`` does not depend on gets zeros."""
+        wrt = list(wrt)
+        if not wrt:
+            raise ContractViolation("vjp needs at least one node to differentiate against")
+        for node in [output, *wrt]:
+            if node.idx >= len(self.nodes) or self.nodes[node.idx] is not node:
+                raise ContractViolation(f"{node!r} is not recorded on this tape")
+        cotangent = np.asarray(cotangent, dtype=np.float64)
+        if cotangent.shape != output.shape:
+            raise ContractViolation(
+                f"cotangent shape {cotangent.shape} does not match output {output.shape}")
+        wanted = {node.idx: None for node in wrt}
+        for node, g in self._pull_back(output, cotangent, min(wanted)):
+            if node.idx in wanted:
+                wanted[node.idx] = g
+        return [np.zeros_like(node.value) if wanted[node.idx] is None else wanted[node.idx]
+                for node in wrt]
+
+    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int):
+        """The one reverse walk: yield (node, gradient) for every node in
+        ``nodes[start : output.idx + 1]`` that the cotangent reaches, in reverse
+        topological order, each gradient fully accumulated over fan-out."""
+        pending: dict[int, np.ndarray] = {output.idx: cotangent}
+        for node in reversed(self.nodes[start: output.idx + 1]):
             g = pending.pop(node.idx, None)
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise NumericFailure(f"non-finite gradient at node {node.idx} ({node.name})")
-            if node.is_param:
-                node.grad = g if node.grad is None else node.grad + g
+            yield node, g
             if node.grad_fn is None:
                 continue
             for parent, pg in zip(node.parents, node.grad_fn(g)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,6 +151,10 @@ def resolve_config(raw: dict) -> dict:
     for key in ("steps", "batch_size", "seeds_per_cell"):
         if not _is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    for key, value in cfg["optimizer"].items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"optimizer.{key} must be a finite number, got {value!r}")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:

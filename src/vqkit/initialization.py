@@ -26,15 +26,15 @@ def lloyd_step(centers: np.ndarray, sample: np.ndarray):
     assignment, min_half = assign(sample, centers, "euclidean")
     inertia = float((2.0 * min_half).mean())
 
+    m = centers.shape[0]
+    sums = np.zeros_like(centers)
+    np.add.at(sums, assignment, sample)
+    counts = np.bincount(assignment, minlength=m)
+    filled = counts > 0
     new_centers = centers.copy()
-    empty = []
-    for j in range(centers.shape[0]):
-        members = sample[assignment == j]
-        if members.shape[0] > 0:
-            new_centers[j] = members.mean(axis=0)
-        else:
-            empty.append(j)
-    if empty:
+    new_centers[filled] = sums[filled] / counts[filled, None]
+    empty = np.nonzero(~filled)[0]
+    if empty.size:
         # re-seed empty centers to successive farthest points
         order = np.argsort(min_half)[::-1]
         for j, point_idx in zip(empty, order):

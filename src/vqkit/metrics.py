@@ -2,13 +2,14 @@
 activation probability, active ratio, and the metrics CSV format."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import codebook as cbk
-from .autodiff import Tape
+from .autodiff import Node, Tape
 from .errors import ContractViolation
 from .vqlayer import VQConfig, quantize
 
@@ -101,35 +102,55 @@ def activation_probability(h: int, w: int, b: int, m_codes: int, n_pool: int,
     return ActivationProbability(binomial=binom, linear=linear)
 
 
-def gradient_gap(model, cb, config: VQConfig, batch, targets=None) -> float:
+class GapForward(NamedTuple):
+    """A recorded forward pass that `gradient_gap` can reuse: the model's
+    parameter nodes, the encoder output `z_e`, the straight-through output
+    `z` fed to the decoder, and `task = mse(decode(z), target)`."""
+    tape: Tape
+    nodes: dict
+    target: Node
+    z_e: Node
+    z: Node
+    task: Node
+
+
+def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
+                 forward: Optional[GapForward] = None) -> float:
     """Sum over encoder parameters of ||g - g_hat||^2 where g is the task-loss
     gradient with quantization bypassed (z_q := z_e) and g_hat the gradient
-    through the straight-through quantizer. Two forward/backward passes."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if targets is None:
-        targets = batch
+    through the straight-through quantizer.
 
-    def encoder_grads(bypass: bool) -> dict[str, np.ndarray]:
-        tape = Tape()
-        nodes = model.make_nodes(tape, trainable=set(model.encoder_param_names))
-        x = tape.leaf(batch)
-        t = tape.leaf(targets)
-        z_e = model.encode(tape, x, nodes)
-        if bypass:
-            z = z_e
-        else:
-            out = quantize(tape, z_e, cb, config, mark_usage=False)
-            z = out.z_q
-        y = model.decode(tape, z, nodes)
-        loss = tape.mse(y, t)
-        tape.backward(loss)
-        return {name: nodes[name].grad for name in model.encoder_param_names}
-
-    clean = encoder_grads(bypass=True)
-    quantized = encoder_grads(bypass=False)
+    Both are J^T u for the encoder Jacobian J at the same z_e, with u the task
+    gradient at the decoder input: u_e at z_e, u_q at the quantized z. The
+    encoder pull-back is linear, so the gap is ||J^T (u_e - u_q)||^2: one
+    decoder pass on a constant copy of z_e and three `Tape.vjp` calls. With
+    `forward` (a training step's own tape, before its backward) `batch`,
+    `targets` and `config` are not used and nothing but that decoder pass is
+    recorded; without it, the forward is recorded here with deterministic
+    assignment and no usage marking."""
+    if forward is None:
+        forward = _gap_forward(model, cb, config, batch, targets)
+    tape, nodes, target, z_e, z, task = forward
+    z_e_const = tape.leaf(z_e.value)
+    task_e = tape.mse(model.decode(tape, z_e_const, nodes), target)
+    one = np.ones((1, 1))
+    [u_q] = tape.vjp(task, one, [z])
+    [u_e] = tape.vjp(task_e, one, [z_e_const])
+    encoder = [nodes[name] for name in model.encoder_param_names]
     gap = 0.0
-    for name in model.encoder_param_names:
-        g = clean[name] if clean[name] is not None else 0.0
-        g_hat = quantized[name] if quantized[name] is not None else 0.0
-        gap += float(((g - g_hat) ** 2).sum())
+    for g in tape.vjp(z_e, u_e - u_q, encoder):
+        gap += float((g * g).sum())
     return gap
+
+
+def _gap_forward(model, cb, config: VQConfig, batch, targets) -> GapForward:
+    if config.sampling != "deterministic":
+        config = replace(config, sampling="deterministic")
+    tape = Tape()
+    nodes = model.make_nodes(tape)
+    x = tape.leaf(np.asarray(batch, dtype=np.float64))
+    target = x if targets is None else tape.leaf(targets)
+    z_e = model.encode(tape, x, nodes)
+    z = quantize(tape, z_e, cb, config, mark_usage=False).z_q
+    return GapForward(tape, nodes, target, z_e, z,
+                      tape.mse(model.decode(tape, z, nodes), target))

@@ -2,7 +2,7 @@
 loops for the desk-scale quantized autoencoder."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -188,11 +188,6 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
     records, events = [], []
     for t in range(steps):
         batch = stream.next()
-        gap = 0.0
-        if track_grad_gap and not bypass_vq:
-            gap = mtr.gradient_gap(model, cb, replace(config, sampling="deterministic"),
-                                   batch)
-
         tape = Tape()
         nodes = model.make_nodes(tape)
         codes_node = tape.leaf(cb.codes, param=True, name="codes")
@@ -228,6 +223,14 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         loss = tape.add(task, commit)
         if smooth_gamma and not bypass_vq:
             loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, z, smooth_gamma))
+        gap = 0.0
+        if track_grad_gap and not bypass_vq:
+            # pre-step parameters; the step's tape is the gap's forward only
+            # when its assignment is the deterministic one the gap is defined on
+            forward = None
+            if config.sampling == "deterministic":
+                forward = mtr.GapForward(tape, nodes, x, z_e, z, task)
+            gap = mtr.gradient_gap(model, cb, config, batch, forward=forward)
         tape.backward(loss)
 
         params = dict(model.params)
@@ -290,8 +293,7 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         eta = lr_at(schedule, t)
         gap = 0.0
         if track_grad_gap:
-            gap = mtr.gradient_gap(model, cb, replace(config, sampling="deterministic"),
-                                   batch)
+            gap = mtr.gradient_gap(model, cb, config, batch)
 
         for i in range(inner_k):
             _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,

@@ -21,7 +21,12 @@ def check_grad(build, theta, h=1e-5, tol=1e-6):
     of theta against finite differences."""
     tape = Tape()
     node = tape.leaf(theta, param=True)
-    tape.backward(build(tape, node))
+    loss = build(tape, node)
+    # the non-destructive pull-back must agree bit for bit with backward
+    [pulled] = tape.vjp(loss, np.ones((1, 1)), [node])
+    assert node.grad is None
+    tape.backward(loss)
+    assert np.array_equal(pulled, node.grad)
 
     def f(th):
         t2 = Tape()
@@ -195,7 +200,10 @@ def test_full_mlp_loss_matches_fd():
         return tape, nodes, out
 
     tape, nodes, out = loss_with(model.params)
+    pulled = tape.vjp(out, np.ones((1, 1)), list(nodes.values()))
     tape.backward(out)
+    for node, g in zip(nodes.values(), pulled):
+        assert np.array_equal(g, node.grad), node.name
     for name, theta in model.params.items():
         def f(th, name=name):
             params = dict(model.params)
@@ -205,3 +213,67 @@ def test_full_mlp_loss_matches_fd():
 
         fd = finite_difference_gradient(f, theta.copy())
         assert rel_err(nodes[name].grad, fd) <= 1e-6, name
+
+
+# -- vjp ------------------------------------------------------------------------
+
+def mlp_tape(seed=31):
+    from vqkit import MLPAutoencoder
+
+    rng = np.random.default_rng(seed)
+    model = MLPAutoencoder(d_in=6, hidden=5, d_code=3, rng=rng)
+    tape = Tape()
+    nodes = model.make_nodes(tape)
+    x = tape.leaf(rng.standard_normal((8, 6)))
+    z = model.encode(tape, x, nodes)
+    loss = tape.mse(model.decode(tape, z, nodes), x)
+    return tape, nodes, z, loss
+
+
+def test_vjp_writes_no_grads_and_repeats_before_backward():
+    tape, nodes, z, loss = mlp_tape()
+    params = list(nodes.values())
+    first = tape.vjp(loss, np.ones((1, 1)), params)
+    second = tape.vjp(loss, np.ones((1, 1)), params)
+    tape.vjp(loss, np.ones((1, 1)), [z])
+    assert all(node.grad is None for node in tape.nodes)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    tape.backward(loss)  # the tape is still open
+    for node, g in zip(params, first):
+        assert np.array_equal(node.grad, g)
+
+
+def test_vjp_through_intermediate_nodes():
+    # z is a non-leaf: the gradient at z, pulled back through the encoder,
+    # is the encoder parameters' gradient (the chain rule in two halves)
+    tape, nodes, z, loss = mlp_tape(32)
+    enc = [nodes[name] for name in ("enc_w1", "enc_b1", "enc_w2", "enc_b2")]
+    [u] = tape.vjp(loss, np.ones((1, 1)), [z])
+    halves = tape.vjp(z, u, enc)
+    whole = tape.vjp(loss, np.ones((1, 1)), enc)
+    for a, b in zip(halves, whole):
+        assert rel_err(a, b) <= 1e-14
+    # an intermediate and its own ancestor in one call
+    [u_again, w_grad] = tape.vjp(loss, np.ones((1, 1)), [z, nodes["enc_w1"]])
+    assert np.array_equal(u_again, u) and np.array_equal(w_grad, whole[0])
+    # a node the output does not depend on gets zeros
+    [none] = tape.vjp(z, u, [nodes["dec_w1"]])
+    assert np.array_equal(none, np.zeros_like(nodes["dec_w1"].value))
+
+
+def test_vjp_rejects_bad_cotangents_and_foreign_nodes():
+    tape, nodes, z, loss = mlp_tape(33)
+    with pytest.raises(NumericFailure):
+        tape.vjp(loss, np.array([[np.nan]]), [z])
+    bad = np.ones(z.shape)
+    bad[0, 0] = np.inf
+    with pytest.raises(NumericFailure):
+        tape.vjp(z, bad, [nodes["enc_w1"]])
+    with pytest.raises(ContractViolation):
+        tape.vjp(z, np.ones((1, 1)), [nodes["enc_w1"]])
+    with pytest.raises(ContractViolation):
+        tape.vjp(loss, np.ones((1, 1)), [])
+    other = Tape()
+    with pytest.raises(ContractViolation):
+        tape.vjp(loss, np.ones((1, 1)), [other.leaf(np.ones((1, 1)))])

@@ -196,8 +196,14 @@ def test_cli_exit_codes(tmp_path):
     ("ablation", {"seeds_per_cell": 0}),
     ("train", {"seed": True}),
     ("train", {"fused": True}),
+    ("train", {"optimizer": {"lr": "x"}}),
+    ("train", {"optimizer": {"lr": float("nan")}}),
+    ("train", {"optimizer": {"lr": float("inf")}}),
+    ("train", {"optimizer": {"momentum": True}}),
+    ("train", {"optimizer": {"weight_decay": None}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
-        "removed-fused-key"])
+        "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
+        "weight-decay-null"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, track_grad_gap=False, **overrides))

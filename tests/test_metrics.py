@@ -9,7 +9,9 @@ from vqkit import (
     METRICS_HEADER,
     Codebook,
     ContractViolation,
+    SGD,
     LinearEncoderIdentityDecoder,
+    MLPAutoencoder,
     MetricsRecord,
     VQConfig,
     activation_probability,
@@ -17,6 +19,7 @@ from vqkit import (
     divergence,
     gradient_gap,
     perplexity,
+    train_joint,
     write_metrics_csv,
 )
 
@@ -142,6 +145,40 @@ def test_gradient_gap_grows_with_quantization_error():
     far = Codebook(z + 1.0 * rng.standard_normal(z.shape))
     assert gradient_gap(model, near, VQConfig(), batch, targets=targets) < \
         gradient_gap(model, far, VQConfig(), batch, targets=targets)
+
+
+@pytest.mark.parametrize("n_group", [1, 2])
+@pytest.mark.parametrize("distance", ["euclidean", "cosine_renorm"])
+@pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
+def test_gradient_gap_on_step_forward_matches_standalone(monkeypatch, affine_mode,
+                                                          distance, n_group):
+    """train_joint hands its own tape to gradient_gap; the gap taken there
+    equals the one gradient_gap records by itself at the same parameters."""
+    import vqkit.metrics as mtr
+
+    real = mtr.gradient_gap
+    pairs = []
+
+    def both(model, cb, config, batch, targets=None, *, forward=None):
+        assert forward is not None
+        standalone = real(model, cb, config, batch, targets)
+        reused = real(model, cb, config, batch, targets, forward=forward)
+        pairs.append((reused, standalone))
+        return reused
+
+    monkeypatch.setattr(mtr, "gradient_gap", both)
+    rng = np.random.default_rng(40)
+    data = rng.standard_normal((128, 16)) * 0.5
+    model = MLPAutoencoder(rng=np.random.default_rng(41))
+    cb = Codebook(rng.standard_normal((8, 8 // n_group)) * 0.3)
+    cfg = VQConfig(alpha=1.0, affine_mode=affine_mode, distance=distance, n_group=n_group)
+    # the smoothness term on the same tape must not leak into the gap
+    train_joint(model, cb, cfg, data, steps=12, batch_size=32,
+                optimizer=SGD(lr=0.1, momentum=0.5), smooth_gamma=0.1)
+    assert len(pairs) == 12
+    for reused, standalone in pairs:
+        assert standalone > 0.0
+        assert abs(reused - standalone) <= 1e-12 * standalone
 
 
 # -- CSV format -------------------------------------------------------------------

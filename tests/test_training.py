@@ -1,4 +1,6 @@
 """Optimizer, schedules, and the joint / alternating training loops."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,29 @@ def test_train_joint_zero_lr_changes_nothing():
     assert np.array_equal(cb.codes, codes_before)
     for k in params_before:
         assert np.array_equal(model.params[k], params_before[k])
+
+
+@pytest.mark.parametrize("sampling", ["deterministic", "stochastic"])
+def test_train_joint_gap_never_touches_the_trajectory(sampling):
+    """Taking the gradient gap (on the step's own tape, or on a tape of its
+    own under stochastic sampling) leaves every other record, the model and
+    the codebook bit-identical to a run with the gap off."""
+    runs = []
+    for track in (True, False):
+        data, model, cb = toy_setup(15)
+        cfg = VQConfig(alpha=1.0, nu=0.5, sampling=sampling, affine_mode="learnable",
+                       replacement="lru", lifespan=3)
+        runs.append(train_joint(model, cb, cfg, data, steps=15, batch_size=32,
+                                optimizer=SGD(lr=0.1, momentum=0.9),
+                                smooth_gamma=0.1, track_grad_gap=track))
+    on, off = runs
+    assert all(r.grad_gap > 0.0 for r in on.records)
+    assert [replace(r, grad_gap=0.0) for r in on.records] == off.records
+    assert on.replacement_events == off.replacement_events
+    for name in on.model.params:
+        assert np.array_equal(on.model.params[name], off.model.params[name])
+    for attr in ("codes", "affine_scale", "affine_bias", "last_used", "counts"):
+        assert np.array_equal(getattr(on.codebook, attr), getattr(off.codebook, attr))
 
 
 # -- alternating training ----------------------------------------------------------
