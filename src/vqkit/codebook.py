@@ -175,9 +175,10 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
            chunk_size: int = DEFAULT_CHUNK_SIZE):
     """Per-query (code index, half squared distance to that code).
 
-    With tau None the index is the nearest code, ties breaking toward the
-    lowest index; otherwise it is drawn by `sample_code_stochastic`, which
-    consumes one uniform draw of `rng` per query."""
+    The n x m distance matrix is computed once. With tau None the index is the
+    nearest code, ties breaking toward the lowest index; otherwise it is drawn
+    by `sample_code_stochastic` from that same matrix, which consumes one
+    uniform draw of `rng` per query."""
     queries = np.asarray(queries, dtype=np.float64)
     dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
     if tau is None:
@@ -185,7 +186,8 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     elif rng is None:
         raise ContractViolation("stochastic sampling requires an rng")
     else:
-        indices = sample_code_stochastic(queries, codes, kind, tau, rng, chunk_size)
+        indices = sample_code_stochastic(queries, codes, kind, tau, rng, chunk_size,
+                                         dists=dists)
     return indices, dists[np.arange(queries.shape[0]), indices]
 
 
@@ -234,20 +236,37 @@ def quantize_row_factors(queries, codes, indices, kind: str) -> np.ndarray:
 
 def sample_code_stochastic(queries, codes, kind: str, tau: float,
                            rng: np.random.Generator,
-                           chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+                           chunk_size: int = DEFAULT_CHUNK_SIZE, *,
+                           dists: np.ndarray | None = None) -> np.ndarray:
     """Draw code indices from softmax(-d / tau), row by row, with
-    max-subtraction for stability. Requires tau > 0."""
+    max-subtraction for stability. Requires tau > 0.
+
+    `dists` is the n x m output of `pairwise_distances_chunked` for these
+    queries and codes, when the caller already holds it (as `assign` does);
+    otherwise it is computed here. The softmax and its cumulative sum are built
+    in one n x m buffer, and each row takes the first code whose cdf reaches
+    its uniform draw (the last code if rounding leaves cdf[-1] below it)."""
     if tau <= 0.0:
         raise ContractViolation("stochastic sampling requires tau > 0; "
                                 "use nearest_code for the deterministic limit")
-    dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
-    logits = -(dists - dists.min(axis=1, keepdims=True)) / tau
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(probs, axis=1)
-    u = rng.random(dists.shape[0])
-    indices = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(indices, codes.shape[0] - 1).astype(np.int64)
+    if dists is None:
+        dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
+    elif dists.shape != (len(queries), len(codes)):
+        raise ContractViolation(
+            f"dists must be {len(queries)} x {len(codes)}, got {dists.shape}")
+    # (d - min) / -tau has the bits of -(d - min) / tau: negation is exact
+    buf = np.subtract(dists, dists.min(axis=1, keepdims=True))
+    buf /= -tau
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=1, keepdims=True)
+    np.cumsum(buf, axis=1, out=buf)
+    u = rng.random(buf.shape[0])
+    # a cumulative sum of non-negative terms never decreases, so the first
+    # k with cdf[k] >= u is the count of k with cdf[k] < u
+    reached = buf >= u[:, None]
+    indices = reached.argmax(axis=1)
+    indices[~reached[:, -1]] = buf.shape[1] - 1
+    return indices
 
 
 def group_split(z, n_group: int) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import numpy as np
 from . import initialization, metrics as mtr, vqlayer as vql
 from .autodiff import Tape
 from .codebook import Codebook, group_split, nearest_code
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, is_finite_number, is_int
 from .models import MLPAutoencoder
 from .training import SGD, Schedule, TrainResult, train_alternating, train_joint
 
@@ -112,8 +111,10 @@ def _strict(raw: dict, allowed: set, ctx: str) -> None:
         raise ConfigError(f"unknown {ctx} keys: {sorted(unknown)}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# toy sections: integer fields (>= 1) and finite real fields
+_TOY_INTS = {"toy": ("steps",), "affine_toy": ("n_points", "m", "updates")}
+_TOY_REALS = {"toy": ("lr", "alpha", "beta", "nu", "tol"),
+              "affine_toy": ("lr", "momentum", "point_cov", "code_cov")}
 
 
 def resolve_config(raw: dict) -> dict:
@@ -122,7 +123,7 @@ def resolve_config(raw: dict) -> dict:
     _strict(raw, _TOP_LEVEL_KEYS, "config")
     if "scenario" not in raw or raw["scenario"] not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}")
-    if "seed" not in raw or not _is_int(raw["seed"]):
+    if "seed" not in raw or not is_int(raw["seed"]):
         raise ConfigError("an integer seed is mandatory")
 
     cfg = copy.deepcopy(_DEFAULTS)
@@ -149,12 +150,30 @@ def resolve_config(raw: dict) -> dict:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid field {field!r} must be a non-empty list")
     for key in ("steps", "batch_size", "seeds_per_cell"):
-        if not _is_int(cfg[key]) or cfg[key] < 1:
+        if not is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     for key, value in cfg["optimizer"].items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if not is_finite_number(value):
             raise ConfigError(f"optimizer.{key} must be a finite number, got {value!r}")
+    for section, keys in _TOY_INTS.items():
+        for key in keys:
+            value = cfg[section][key]
+            if not is_int(value) or value < 1:
+                raise ConfigError(f"{section}.{key} must be an integer >= 1, got {value!r}")
+    for section, keys in _TOY_REALS.items():
+        for key in keys:
+            value = cfg[section][key]
+            if not is_finite_number(value):
+                raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
+    target = cfg["toy"]["target"]
+    if not isinstance(target, list) or len(target) != 2 \
+            or not all(is_finite_number(v) for v in target):
+        raise ConfigError(f"toy.target must be a list of two finite numbers, got {target!r}")
+    at = cfg["affine_toy"]
+    if not 0.0 < at["momentum"] <= 1.0:
+        raise ConfigError("affine_toy.momentum must lie in (0, 1]")
+    if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
+        raise ConfigError("affine_toy covariances must be >= 0")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:

@@ -58,8 +58,7 @@ def divergence(sample, codes) -> float:
     codes = np.asarray(codes, dtype=np.float64)
     if sample.shape[0] == 0 or codes.shape[0] == 0:
         raise ContractViolation("divergence requires nonempty sample and codes")
-    dists = cbk.pairwise_distances_chunked(sample, codes, "euclidean")
-    return float(dists.min(axis=1).mean())
+    return float(cbk.assign(sample, codes, "euclidean")[1].mean())
 
 
 def active_ratio(usage_counts) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from . import codebook as cbk
 from . import initialization
 from .autodiff import Node, Tape
-from .errors import ContractViolation
+from .errors import ContractViolation, is_finite_number, is_int
 
 
 @dataclass
@@ -32,6 +32,15 @@ class VQConfig:
     reset_every: int = 0              # K-means reset period in steps; 0 = off
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "nu", "tau0", "tau_decay", "affine_lr_scale",
+                     "affine_momentum"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ContractViolation(f"{name} must be a finite number, got {value!r}")
+        for name in ("n_group", "lifespan", "reset_every"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ContractViolation("beta must lie in [0, 1]")
         if self.nu < 0.0:
@@ -50,6 +59,10 @@ class VQConfig:
             raise ContractViolation("lifespan must be >= 1")
         if self.n_group < 1:
             raise ContractViolation("n_group must be >= 1")
+        if self.reset_every < 0:
+            raise ContractViolation("reset_every must be >= 0")
+        if self.sampling == "stochastic" and not (self.tau0 > 0.0 and self.tau_decay > 0.0):
+            raise ContractViolation("stochastic sampling requires tau0 > 0 and tau_decay > 0")
 
     def tau_at(self, step: int) -> float:
         return self.tau0 * self.tau_decay ** step

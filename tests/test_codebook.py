@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vqkit.codebook as cbk_mod
 import vqkit.vqlayer as vql
 from vqkit import (
     DISTANCE_KINDS,
@@ -108,6 +109,100 @@ def test_assign_stochastic_equals_sample_code_stochastic(kind):
     assert np.array_equal(row_dists, full[np.arange(q.shape[0]), idx])
     with pytest.raises(ContractViolation):
         assign(q, c, kind, tau=0.3)
+
+
+def two_pass_sample(queries, codes, kind, tau, rng):
+    """The sampler as first written: its own distance pass, a fresh array per
+    operation, and the index as the count of cdf entries below the draw."""
+    dists = pairwise_distances_chunked(queries, codes, kind)
+    logits = -(dists - dists.min(axis=1, keepdims=True)) / tau
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random(dists.shape[0])
+    indices = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(indices, codes.shape[0] - 1).astype(np.int64)
+
+
+class ConstantDraws:
+    """rng stand-in whose every uniform draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, n):
+        return np.full(n, self.value)
+
+
+@pytest.mark.parametrize("m", [1, 2, 23])
+@pytest.mark.parametrize("tau", [1.0, 0.3, 1e-3, 1e-6])
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_sampler_bit_equals_two_pass_oracle(kind, tau, m):
+    rng = np.random.default_rng(m)
+    q = rng.standard_normal((400, 3)) + 0.1
+    c = rng.standard_normal((m, 3)) + 0.1
+    rng_o, rng_a = np.random.default_rng(5), np.random.default_rng(5)
+    want = two_pass_sample(q, c, kind, tau, rng_o)
+    idx, row_dists = assign(q, c, kind, tau=tau, rng=rng_a)
+    assert idx.dtype == np.int64 and np.array_equal(idx, want)
+    full = pairwise_distances_chunked(q, c, kind)
+    assert np.array_equal(row_dists, full[np.arange(q.shape[0]), want])
+    assert rng_a.random() == rng_o.random()  # one draw per query, as before
+    assert np.array_equal(
+        sample_code_stochastic(q, c, kind, tau, np.random.default_rng(5)), want)
+
+
+def test_sampler_takes_last_code_when_draw_exceeds_cdf():
+    rng = np.random.default_rng(0)
+    q, c = rng.standard_normal((40, 3)), rng.standard_normal((9, 3))
+    u = 1.0 - 2.0 ** -53  # the largest double below 1
+    dists = pairwise_distances_chunked(q, c)
+    probs = np.exp(-(dists - dists.min(axis=1, keepdims=True)))
+    probs /= probs.sum(axis=1, keepdims=True)
+    short = np.cumsum(probs, axis=1)[:, -1] < u
+    assert short.any()  # rounding leaves some rows' cdf below the draw
+    idx = sample_code_stochastic(q, c, "euclidean", 1.0, ConstantDraws(u))
+    assert np.all(idx[short] == 8)
+    assert np.array_equal(idx, two_pass_sample(q, c, "euclidean", 1.0, ConstantDraws(u)))
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.75, 1.0 - 2.0 ** -53])
+def test_sampler_on_cdf_plateaus(u):
+    # a tiny tau leaves exact zeros beside the minima: the cdf of the first row
+    # is [0, 0.5, 0.5, 0.5, 1], of the second [1, 1, 1, 1, 1]
+    q = np.array([[0.0, 0.0], [4.0, 0.0]])
+    c = np.array([[5.0, 0.0], [1.0, 0.0], [0.0, 7.0], [0.0, -9.0], [-1.0, 0.0]])
+    idx = sample_code_stochastic(q, c, "euclidean", 1e-6, ConstantDraws(u))
+    assert np.array_equal(idx, two_pass_sample(q, c, "euclidean", 1e-6, ConstantDraws(u)))
+    assert idx[0] == (0 if u == 0.0 else 1 if u <= 0.5 else 4) and idx[1] == 0
+
+
+def test_stochastic_assign_computes_distances_once(monkeypatch):
+    calls = []
+    original = cbk_mod.pairwise_distances_chunked
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cbk_mod, "pairwise_distances_chunked", counting)
+    rng = np.random.default_rng(3)
+    q, c = rng.standard_normal((64, 4)), rng.standard_normal((16, 4))
+    assign(q, c, "euclidean", tau=0.5, rng=np.random.default_rng(0))
+    assert calls == [64]
+
+
+def test_sampler_rejects_dists_of_wrong_shape():
+    rng = np.random.default_rng(4)
+    q, c = rng.standard_normal((6, 2)), rng.standard_normal((3, 2))
+    dists = pairwise_distances_chunked(q, c)
+    for bad in (dists[:5], dists[:, :2], dists.ravel()):
+        with pytest.raises(ContractViolation):
+            sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0),
+                                   dists=bad)
+    assert np.array_equal(
+        sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0), dists=dists),
+        sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0)))
 
 
 def test_ties_break_to_lowest_index():

@@ -201,9 +201,40 @@ def test_cli_exit_codes(tmp_path):
     ("train", {"optimizer": {"lr": float("inf")}}),
     ("train", {"optimizer": {"momentum": True}}),
     ("train", {"optimizer": {"weight_decay": None}}),
+    ("train", {"vq": {"tau0": "x"}}),
+    ("train", {"vq": {"tau_decay": "x"}}),
+    ("train", {"vq": {"alpha": "x"}}),
+    ("train", {"vq": {"alpha": float("inf")}}),
+    ("train", {"vq": {"beta": True}}),
+    ("train", {"vq": {"lifespan": "x"}}),
+    ("train", {"vq": {"reset_every": "x"}}),
+    ("train", {"vq": {"reset_every": -1}}),
+    ("train", {"vq": {"n_group": 1.0}}),
+    ("train", {"vq": {"sampling": "stochastic", "tau0": 0}}),
+    ("train", {"vq": {"sampling": "stochastic", "tau_decay": 0.0}}),
+    ("toy-trajectory", {"toy": {"lr": "x"}}),
+    ("toy-trajectory", {"toy": {"steps": 0}}),
+    ("toy-trajectory", {"toy": {"steps": 2.5}}),
+    ("toy-trajectory", {"toy": {"tol": float("nan")}}),
+    ("toy-trajectory", {"toy": {"target": ["a", 1.0]}}),
+    ("toy-trajectory", {"toy": {"target": [1.0, 2.0, 3.0]}}),
+    ("affine-toy", {"affine_toy": {"lr": "x"}}),
+    ("affine-toy", {"affine_toy": {"m": 0}}),
+    ("affine-toy", {"affine_toy": {"updates": True}}),
+    ("affine-toy", {"affine_toy": {"n_points": "64"}}),
+    ("affine-toy", {"affine_toy": {"point_cov": float("inf")}}),
+    ("affine-toy", {"affine_toy": {"point_cov": -0.1}}),
+    ("affine-toy", {"affine_toy": {"momentum": 0.0}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
-        "weight-decay-null"])
+        "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
+        "vq-alpha-infinity", "vq-beta-bool", "vq-lifespan-string", "vq-reset-every-string",
+        "vq-reset-every-negative", "vq-n-group-float", "vq-stochastic-tau0-0",
+        "vq-stochastic-tau-decay-0", "toy-lr-string", "toy-steps-0", "toy-steps-float",
+        "toy-tol-nan", "toy-target-string", "toy-target-length-3", "affine-toy-lr-string",
+        "affine-toy-m-0", "affine-toy-updates-bool", "affine-toy-n-points-string",
+        "affine-toy-point-cov-infinity", "affine-toy-point-cov-negative",
+        "affine-toy-momentum-0"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, track_grad_gap=False, **overrides))

@@ -38,6 +38,14 @@ def test_config_validation():
         VQConfig(affine_momentum=0.0)
     with pytest.raises(ContractViolation):
         VQConfig.from_dict({"alpha": 1.0, "typo_key": 2})
+    for bad in ({"alpha": "x"}, {"nu": float("nan")}, {"tau0": None}, {"beta": False},
+                {"n_group": 2.0}, {"lifespan": True}, {"reset_every": -1},
+                {"sampling": "stochastic", "tau0": 0.0},
+                {"sampling": "stochastic", "tau_decay": -0.5}):
+        with pytest.raises(ContractViolation):
+            VQConfig.from_dict(bad)
+    # the deterministic path never reads the temperature, and ints pass as reals
+    assert VQConfig(tau0=0.0, alpha=5, n_group=np.int64(2)).n_group == 2
     cfg = VQConfig.from_dict({"alpha": 2.0, "beta": 0.5})
     assert cfg.alpha == 2.0 and cfg.beta == 0.5
     assert VQConfig.from_dict(cfg.to_dict()) == cfg
