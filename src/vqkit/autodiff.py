@@ -27,6 +27,19 @@ def as_matrix(value) -> np.ndarray:
     return arr
 
 
+def scatter_add_rows(indices, rows, m: int) -> np.ndarray:
+    """m x d sums of the n x d `rows` by index: out[k] is the sum of the rows i
+    with indices[i] == k, added in row order starting from 0.0 (the bits of an
+    unbuffered scatter-add into zeros). One bincount over the flat index
+    indices * d + column."""
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    flat = np.asarray(indices, dtype=np.int64)[:, None] * d + np.arange(d)
+    sums = np.bincount(flat.ravel(), weights=rows.ravel(), minlength=m * d)
+    # bincount of an empty index array is int64 even with weights
+    return sums.astype(np.float64, copy=False).reshape(m, d)
+
+
 class Node:
     __slots__ = ("idx", "value", "parents", "grad_fn", "grad", "is_param", "name")
 
@@ -160,9 +173,7 @@ class Tape:
         out = a.value[idx]
 
         def grad_fn(g):
-            acc = np.zeros_like(a.value)
-            np.add.at(acc, idx, g)
-            return [acc]
+            return [scatter_add_rows(idx, g, a.shape[0])]
 
         return self._record(out, [a], grad_fn, name="gather_rows")
 

@@ -71,7 +71,7 @@ class Codebook:
     def mark_used(self, indices, step: int) -> None:
         idx = np.asarray(indices, dtype=np.int64)
         self.last_used[idx] = step
-        np.add.at(self.counts, idx, 1)
+        self.counts += np.bincount(idx, minlength=self.m)
 
     # -- serialization -------------------------------------------------------
 
@@ -97,31 +97,46 @@ class Codebook:
 
     @classmethod
     def load(cls, path) -> "Codebook":
+        """Read a codebook written by `save`. A payload that is not exactly
+        m x d codes plus the two affine vectors, or a sidecar array of the
+        wrong length, raises ContractViolation."""
         path = Path(path)
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _MAGIC:
                 raise ContractViolation(f"bad codebook magic {magic!r}")
-            (version,) = struct.unpack("<I", fh.read(4))
+            header = fh.read(20)
+            if len(header) != 20:
+                raise ContractViolation("truncated codebook header")
+            version, m, d = struct.unpack("<IQQ", header)
             if version != _VERSION:
                 raise ContractViolation(f"unsupported codebook version {version}")
-            m, d = struct.unpack("<QQ", fh.read(16))
-            codes = np.frombuffer(fh.read(8 * m * d), dtype="<f8").reshape(m, d)
-            scale = np.frombuffer(fh.read(8 * d), dtype="<f8")
-            bias = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        cb = cls(codes)
-        cb.affine_scale = scale.astype(np.float64)
-        cb.affine_bias = bias.astype(np.float64)
+            payload = fh.read()
+        if len(payload) != 8 * (m * d + 2 * d):
+            raise ContractViolation(
+                f"codebook payload is {len(payload)} bytes, expected "
+                f"{8 * (m * d + 2 * d)} for m={m}, d={d}")
+        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        cb = cls(values[:m * d].reshape(m, d))
+        cb.affine_scale = values[m * d:m * d + d].copy()
+        cb.affine_bias = values[m * d + d:].copy()
         sidecar_path = Path(str(path) + ".json")
         if sidecar_path.exists():
             with open(sidecar_path) as fh:
                 sidecar = json.load(fh)
-            cb.last_used = np.asarray(sidecar["last_used"], dtype=np.int64)
-            cb.counts = np.asarray(sidecar["counts"], dtype=np.int64)
-            cb.ema_mean_e = np.asarray(sidecar["ema_mean_e"], dtype=np.float64)
-            cb.ema_var_e = np.asarray(sidecar["ema_var_e"], dtype=np.float64)
-            cb.ema_mean_q = np.asarray(sidecar["ema_mean_q"], dtype=np.float64)
-            cb.ema_var_q = np.asarray(sidecar["ema_var_q"], dtype=np.float64)
+            for key in ("last_used", "counts", "ema_mean_e", "ema_var_e",
+                        "ema_mean_q", "ema_var_q"):
+                # a fresh codebook's array has the shape and dtype the file must give
+                fresh = getattr(cb, key)
+                try:
+                    value = np.asarray(sidecar[key], dtype=fresh.dtype)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ContractViolation(f"bad codebook sidecar {key!r}: {exc}") from exc
+                if value.shape != fresh.shape:
+                    raise ContractViolation(
+                        f"codebook sidecar {key!r} must have shape {fresh.shape}, "
+                        f"got {value.shape}")
+                setattr(cb, key, value)
         return cb
 
 
@@ -134,12 +149,15 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
-                               chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+                               chunk_size: int = DEFAULT_CHUNK_SIZE, *,
+                               out: np.ndarray | None = None) -> np.ndarray:
     """n x m matrix of half squared distances, computed in row chunks.
 
     euclidean: (i,j) = 0.5 * ||q_i - c_j||^2
     cosine:    (i,j) = 0.5 * ||q_i/||q_i|| - c_j/||c_j||||^2
-    """
+
+    The result is written into `out` when given (an n x m float64 array, such
+    as a block buffer the caller reuses) and returned."""
     if chunk_size < 1:
         raise ContractViolation("chunk_size must be >= 1")
     if kind not in DISTANCE_KINDS:
@@ -149,13 +167,17 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
     if queries.shape[1] != codes.shape[1]:
         raise ContractViolation(
             f"dimension mismatch: queries d={queries.shape[1]}, codes d={codes.shape[1]}")
+    n = queries.shape[0]
+    if out is None:
+        out = np.empty((n, codes.shape[0]))
+    elif out.shape != (n, codes.shape[0]) or out.dtype != np.float64:
+        raise ContractViolation(
+            f"out must be a {n} x {codes.shape[0]} float64 array, got {out.dtype} {out.shape}")
     if kind != "euclidean":
         queries, _ = normalize_rows(queries)
         codes, _ = normalize_rows(codes)
 
     code_sq = (codes * codes).sum(axis=1)
-    n = queries.shape[0]
-    out = np.empty((n, codes.shape[0]))
     for start in range(0, n, chunk_size):
         chunk = queries[start:start + chunk_size]
         q_sq = (chunk * chunk).sum(axis=1)
@@ -175,20 +197,35 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
            chunk_size: int = DEFAULT_CHUNK_SIZE):
     """Per-query (code index, half squared distance to that code).
 
-    The n x m distance matrix is computed once. With tau None the index is the
-    nearest code, ties breaking toward the lowest index; otherwise it is drawn
-    by `sample_code_stochastic` from that same matrix, which consumes one
-    uniform draw of `rng` per query."""
-    queries = np.asarray(queries, dtype=np.float64)
-    dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
-    if tau is None:
-        indices = dists.argmin(axis=1)
-    elif rng is None:
+    Queries are taken `chunk_size` rows at a time: each block's distances are
+    written into one reused min(n, chunk_size) x m buffer and reduced at once,
+    so no n x m array is held. With tau None the index is the nearest code,
+    ties breaking toward the lowest index; otherwise it is drawn by
+    `sample_code_stochastic` from the block, which consumes one uniform draw
+    of `rng` per query (block by block, the same stream as one draw of n)."""
+    if tau is not None and rng is None:
         raise ContractViolation("stochastic sampling requires an rng")
-    else:
-        indices = sample_code_stochastic(queries, codes, kind, tau, rng, chunk_size,
-                                         dists=dists)
-    return indices, dists[np.arange(queries.shape[0]), indices]
+    if chunk_size < 1:
+        raise ContractViolation("chunk_size must be >= 1")
+    queries = np.asarray(queries, dtype=np.float64)
+    codes = np.asarray(codes, dtype=np.float64)
+    n = queries.shape[0]
+    indices = np.empty(n, dtype=np.int64)
+    row_dists = np.empty(n)
+    buf = np.empty((min(n, chunk_size), codes.shape[0]))
+    for start in range(0, n, chunk_size):
+        stop = min(start + chunk_size, n)
+        rows = queries[start:stop]
+        block = pairwise_distances_chunked(rows, codes, kind, chunk_size,
+                                           out=buf[:stop - start])
+        if tau is None:
+            idx = block.argmin(axis=1)
+        else:
+            idx = sample_code_stochastic(rows, codes, kind, tau, rng, chunk_size,
+                                         dists=block)
+        indices[start:stop] = idx
+        row_dists[start:stop] = block[np.arange(stop - start), idx]
+    return indices, row_dists
 
 
 def nearest_code(queries, codes, kind: str = "euclidean",
@@ -241,17 +278,18 @@ def sample_code_stochastic(queries, codes, kind: str, tau: float,
     """Draw code indices from softmax(-d / tau), row by row, with
     max-subtraction for stability. Requires tau > 0.
 
-    `dists` is the n x m output of `pairwise_distances_chunked` for these
-    queries and codes, when the caller already holds it (as `assign` does);
-    otherwise it is computed here. The softmax and its cumulative sum are built
-    in one n x m buffer, and each row takes the first code whose cdf reaches
-    its uniform draw (the last code if rounding leaves cdf[-1] below it)."""
+    `dists` is the output of `pairwise_distances_chunked` for these queries
+    and codes, when the caller already holds it (as `assign` does for each
+    block); otherwise the draw goes through `assign`, block by block. The
+    softmax and its cumulative sum are built in one buffer of the shape of
+    `dists`, and each row takes the first code whose cdf reaches its uniform
+    draw (the last code if rounding leaves cdf[-1] below it)."""
     if tau <= 0.0:
         raise ContractViolation("stochastic sampling requires tau > 0; "
                                 "use nearest_code for the deterministic limit")
     if dists is None:
-        dists = pairwise_distances_chunked(queries, codes, kind, chunk_size)
-    elif dists.shape != (len(queries), len(codes)):
+        return assign(queries, codes, kind, tau=tau, rng=rng, chunk_size=chunk_size)[0]
+    if dists.shape != (len(queries), len(codes)):
         raise ContractViolation(
             f"dists must be {len(queries)} x {len(codes)}, got {dists.shape}")
     # (d - min) / -tau has the bits of -(d - min) / tau: negation is exact

@@ -111,10 +111,12 @@ def _strict(raw: dict, allowed: set, ctx: str) -> None:
         raise ConfigError(f"unknown {ctx} keys: {sorted(unknown)}")
 
 
-# toy sections: integer fields (>= 1) and finite real fields
-_TOY_INTS = {"toy": ("steps",), "affine_toy": ("n_points", "m", "updates")}
-_TOY_REALS = {"toy": ("lr", "alpha", "beta", "nu", "tol"),
-              "affine_toy": ("lr", "momentum", "point_cov", "code_cov")}
+# per section: integer fields (>= 1) and finite real fields, checked when set
+_SECTION_INTS = {"toy": ("steps",), "affine_toy": ("n_points", "m", "updates"),
+                 "codebook": ("m", "iters", "fan"), "init_study": ("n", "d", "m", "n_seeds")}
+_SECTION_REALS = {"toy": ("lr", "alpha", "beta", "nu", "tol"),
+                  "affine_toy": ("lr", "momentum", "point_cov", "code_cov"),
+                  "codebook": ("low", "high")}
 
 
 def resolve_config(raw: dict) -> dict:
@@ -155,14 +157,14 @@ def resolve_config(raw: dict) -> dict:
     for key, value in cfg["optimizer"].items():
         if not is_finite_number(value):
             raise ConfigError(f"optimizer.{key} must be a finite number, got {value!r}")
-    for section, keys in _TOY_INTS.items():
+    for section, keys in _SECTION_INTS.items():
         for key in keys:
-            value = cfg[section][key]
+            value = cfg[section].get(key, 1)
             if not is_int(value) or value < 1:
                 raise ConfigError(f"{section}.{key} must be an integer >= 1, got {value!r}")
-    for section, keys in _TOY_REALS.items():
+    for section, keys in _SECTION_REALS.items():
         for key in keys:
-            value = cfg[section][key]
+            value = cfg[section].get(key, 0.0)
             if not is_finite_number(value):
                 raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
     target = cfg["toy"]["target"]

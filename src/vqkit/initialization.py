@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import scatter_add_rows
 from .codebook import assign, pairwise_distances_chunked
 from .errors import ContractViolation
 
@@ -27,8 +28,7 @@ def lloyd_step(centers: np.ndarray, sample: np.ndarray):
     inertia = float((2.0 * min_half).mean())
 
     m = centers.shape[0]
-    sums = np.zeros_like(centers)
-    np.add.at(sums, assignment, sample)
+    sums = scatter_add_rows(assignment, sample, m)
     counts = np.bincount(assignment, minlength=m)
     filled = counts > 0
     new_centers = centers.copy()
@@ -101,6 +101,8 @@ def init_codebook(method: str, m: int, d: int, sample=None, *,
         std = np.sqrt(2.0 / (fan if fan is not None else d))
         return rng.normal(0.0, std, size=(m, d))
     if method == "uniform":
+        if low > high:
+            raise ContractViolation(f"uniform init needs low <= high, got {low} > {high}")
         return rng.uniform(low, high, size=(m, d))
     if method == "data_subset":
         sample = _require_sample(sample, 1, method)

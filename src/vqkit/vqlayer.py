@@ -10,7 +10,7 @@ import numpy as np
 
 from . import codebook as cbk
 from . import initialization
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, scatter_add_rows
 from .errors import ContractViolation, is_finite_number, is_int
 
 
@@ -168,10 +168,8 @@ def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]
         raise ContractViolation("gamma must lie in (0, 1]")
     z_rows = np.asarray(z_rows, dtype=np.float64)
     idx = np.asarray(assignments, dtype=np.int64)
-    sums = np.zeros_like(cb.codes)
-    counts = np.zeros(cb.m)
-    np.add.at(sums, idx, z_rows)
-    np.add.at(counts, idx, 1.0)
+    sums = scatter_add_rows(idx, z_rows, cb.m)
+    counts = np.bincount(idx, minlength=cb.m)
     updated = np.nonzero(counts > 0)[0]
     means = sums[updated] / counts[updated, None]
     cb.codes[updated] = (1.0 - gamma) * cb.codes[updated] + gamma * means
@@ -235,8 +233,7 @@ def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfi
         factors = cbk.quantize_row_factors(z_rows, eff, idx, config.distance)
     z_q_final = eff[idx] * factors[:, None]
     residual = (z_q_final - z_rows) * (config.alpha * config.beta / n) * factors[:, None]
-    eff_grad = np.zeros_like(cb.codes)
-    np.add.at(eff_grad, idx, residual)
+    eff_grad = scatter_add_rows(idx, residual, cb.m)
     if config.affine_mode == "off":
         return eff_grad, None, None
     if config.affine_mode == "learnable":

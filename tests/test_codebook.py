@@ -1,5 +1,8 @@
 """Distance, search, sampling, grouping, and serialization checks against
 naive full-matrix oracles."""
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +208,93 @@ def test_sampler_rejects_dists_of_wrong_shape():
         sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0)))
 
 
+def one_matrix_sample(dists, tau, rng):
+    """The sampler over a whole n x m distance matrix, as it was before
+    `assign` reduced block by block: one softmax/cdf buffer, one draw of n."""
+    buf = np.subtract(dists, dists.min(axis=1, keepdims=True))
+    buf /= -tau
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=1, keepdims=True)
+    np.cumsum(buf, axis=1, out=buf)
+    u = rng.random(buf.shape[0])
+    reached = buf >= u[:, None]
+    indices = reached.argmax(axis=1)
+    indices[~reached[:, -1]] = buf.shape[1] - 1
+    return indices
+
+
+@pytest.mark.parametrize("n,chunk", [(23, 1), (23, 7), (23, 22), (4099, 4096), (4099, 4098)])
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_assign_by_blocks_bit_equals_full_matrix_oracle(kind, n, chunk):
+    rng = np.random.default_rng(n + chunk)
+    q = rng.standard_normal((n, 6)) + 0.1
+    c = rng.standard_normal((13, 6)) + 0.1
+    full = pairwise_distances_chunked(q, c, kind, chunk)
+    rows = np.arange(n)
+
+    idx, row_dists = assign(q, c, kind, chunk_size=chunk)
+    assert idx.dtype == np.int64 and np.array_equal(idx, full.argmin(axis=1))
+    assert np.array_equal(row_dists, full[rows, idx])
+
+    rng_o, rng_a = np.random.default_rng(9), np.random.default_rng(9)
+    want = one_matrix_sample(full, 0.4, rng_o)
+    idx, row_dists = assign(q, c, kind, tau=0.4, rng=rng_a, chunk_size=chunk)
+    assert idx.dtype == np.int64 and np.array_equal(idx, want)
+    assert np.array_equal(row_dists, full[rows, want])
+    assert rng_a.bit_generator.state == rng_o.bit_generator.state
+    assert np.array_equal(
+        sample_code_stochastic(q, c, kind, 0.4, np.random.default_rng(9), chunk), want)
+
+
+def test_stochastic_assign_draws_the_stream_of_one_draw_of_n():
+    rng = np.random.default_rng(12)
+    q, c = rng.standard_normal((50, 3)), rng.standard_normal((8, 3))
+    blocked, whole = np.random.default_rng(44), np.random.default_rng(44)
+    assign(q, c, "euclidean", tau=1.0, rng=blocked, chunk_size=7)
+    whole.random(50)
+    assert blocked.bit_generator.state == whole.bit_generator.state
+
+
+def test_assign_reuses_one_block_buffer(monkeypatch):
+    seen = []
+    original = cbk_mod.pairwise_distances_chunked
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append((out.shape, out.base if out.base is not None else out))
+        return out
+
+    monkeypatch.setattr(cbk_mod, "pairwise_distances_chunked", spy)
+    rng = np.random.default_rng(2)
+    assign(rng.standard_normal((20, 3)), rng.standard_normal((5, 3)), chunk_size=8)
+    assert [shape for shape, _ in seen] == [(8, 5), (8, 5), (4, 5)]
+    assert all(base is seen[0][1] for _, base in seen)
+
+
+def _assign_peak(n, m, chunk, **kwargs):
+    rng = np.random.default_rng(0)
+    q, c = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+    tracemalloc.start()
+    try:
+        assign(q, c, "cosine_renorm", chunk_size=chunk, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tau", [None, 0.5])
+def test_assign_memory_is_bounded_by_the_block(tau):
+    """The peak grows with chunk_size x m, not with n: eight times the rows
+    add only the 16 bytes per row of the returned arrays."""
+    m, chunk = 64, 256
+    kwargs = {} if tau is None else {"tau": tau, "rng": np.random.default_rng(1)}
+    small = _assign_peak(1024, m, chunk, **kwargs)
+    large = _assign_peak(8192, m, chunk, **kwargs)
+    assert large - small < 16 * (8192 - 1024) + 32 * 1024
+    assert large < 8 * 8192 * m / 4  # a quarter of one n x m float64 matrix
+    assert _assign_peak(8192, m, 4 * chunk, **kwargs) > large + 2 * 8 * chunk * m
+
+
 def test_ties_break_to_lowest_index():
     q = np.array([[0.0, 0.0]])
     c = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])  # all equidistant
@@ -349,6 +439,42 @@ def test_serialization_header(tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXX" + raw[4:])
         Codebook.load(bad)
+
+
+def test_load_rejects_a_payload_of_the_wrong_length(tmp_path):
+    cb = Codebook(np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "cb.bin"
+    cb.save(path)
+    raw = path.read_bytes()
+    assert len(raw) == 24 + 8 * (3 * 2 + 2 * 2)
+    for bad in (raw[:-1], raw[:-8], raw[:30], raw + b"\0" * 8, raw[:12]):
+        path.write_bytes(bad)
+        with pytest.raises(ContractViolation):
+            Codebook.load(path)
+
+
+@pytest.mark.parametrize("key,length", [("last_used", 2), ("counts", 4), ("ema_mean_e", 1),
+                                        ("ema_var_e", 3), ("ema_mean_q", 0),
+                                        ("ema_var_q", 3)])
+def test_load_rejects_sidecar_arrays_of_the_wrong_length(tmp_path, key, length):
+    cb = Codebook(np.arange(6.0).reshape(3, 2))  # m = 3, d = 2
+    path = tmp_path / "cb.bin"
+    cb.save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar[key] = [1] * length
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ContractViolation, match=key):
+        Codebook.load(path)
+    for bad in ([[1, 2], [3, 4]], None, ["x", "y"]):
+        sidecar[key] = bad
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ContractViolation, match=key):
+            Codebook.load(path)
+    del sidecar[key]
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(ContractViolation, match=key):
+        Codebook.load(path)
 
 
 def test_quantized_gather_matches_nearest():

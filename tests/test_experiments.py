@@ -225,6 +225,17 @@ def test_cli_exit_codes(tmp_path):
     ("affine-toy", {"affine_toy": {"point_cov": float("inf")}}),
     ("affine-toy", {"affine_toy": {"point_cov": -0.1}}),
     ("affine-toy", {"affine_toy": {"momentum": 0.0}}),
+    ("train", {"codebook": {"m": "x"}}),
+    ("train", {"codebook": {"m": 0}}),
+    ("train", {"codebook": {"m": True}}),
+    ("train", {"codebook": {"init": "kmeans", "iters": 2.5}}),
+    ("train", {"codebook": {"fan": 0}}),
+    ("train", {"codebook": {"init": "uniform", "low": float("nan")}}),
+    ("train", {"codebook": {"init": "uniform", "high": "x"}}),
+    ("init-study", {"init_study": {"n": "x"}}),
+    ("init-study", {"init_study": {"d": 0}}),
+    ("init-study", {"init_study": {"m": 1.5}}),
+    ("init-study", {"init_study": {"n_seeds": False}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -234,7 +245,10 @@ def test_cli_exit_codes(tmp_path):
         "toy-tol-nan", "toy-target-string", "toy-target-length-3", "affine-toy-lr-string",
         "affine-toy-m-0", "affine-toy-updates-bool", "affine-toy-n-points-string",
         "affine-toy-point-cov-infinity", "affine-toy-point-cov-negative",
-        "affine-toy-momentum-0"])
+        "affine-toy-momentum-0", "codebook-m-string", "codebook-m-0", "codebook-m-bool",
+        "codebook-iters-float", "codebook-fan-0", "codebook-low-nan", "codebook-high-string",
+        "init-study-n-string", "init-study-d-0", "init-study-m-float",
+        "init-study-n-seeds-bool"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, track_grad_gap=False, **overrides))

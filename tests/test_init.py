@@ -12,6 +12,7 @@ from vqkit import (
     kmeans_pp_seed,
     lloyd_step,
 )
+from vqkit.autodiff import scatter_add_rows
 
 
 def test_lloyd_step_moves_centers_to_member_means():
@@ -30,6 +31,41 @@ def test_lloyd_inertia_is_the_mean_min_squared_distance():
     _, _, inertia = lloyd_step(centers, sample)
     naive = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1).mean()
     assert abs(inertia - naive) <= 1e-12 * naive
+
+
+def add_at_rows(indices, rows, m):
+    out = np.zeros((m, rows.shape[1]))
+    np.add.at(out, indices, rows)
+    return out
+
+
+@pytest.mark.parametrize("n,d,m", [(0, 3, 4), (1, 1, 1), (64, 8, 32), (500, 1, 7),
+                                   (512, 8, 256), (2000, 16, 40)])
+def test_scatter_add_rows_bit_equals_add_at(n, d, m):
+    rng = np.random.default_rng(n + d + m)
+    # indices cover only the lower half of the codes, so m > max(idx) + 1
+    idx = rng.integers(0, max(m // 2, 1), size=n)
+    rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    got = scatter_add_rows(idx, rows, m)
+    assert got.shape == (m, d) and got.dtype == np.float64
+    assert got.tobytes() == add_at_rows(idx, rows, m).tobytes()
+    # a strided (non-contiguous) rows view takes the same path
+    wide = np.repeat(rows, 2, axis=1)[:, ::2]
+    assert scatter_add_rows(idx, wide, m).tobytes() == got.tobytes()
+
+
+def test_lloyd_step_bit_equals_add_at_means():
+    rng = np.random.default_rng(23)
+    for n, m, d in [(300, 9, 4), (4099, 64, 16), (50, 50, 2)]:
+        sample = rng.standard_normal((n, d))
+        centers = sample[rng.choice(n, size=m, replace=False)] + 1e-3
+        centers[-1] = 1e3  # an empty center, re-seeded
+        new_centers, assignment, _ = lloyd_step(centers, sample)
+        counts = np.bincount(assignment, minlength=m)
+        filled = counts > 0
+        assert not filled[-1]
+        want = add_at_rows(assignment, sample, m)[filled] / counts[filled, None]
+        assert new_centers[filled].tobytes() == want.tobytes()
 
 
 def test_lloyd_inertia_non_increasing():
@@ -127,3 +163,5 @@ def test_init_errors():
         init_codebook("kmeans", 10, 3, sample=np.zeros((5, 3)))
     with pytest.raises(ContractViolation):
         init_codebook("nope", 4, 2)
+    with pytest.raises(ContractViolation):
+        init_codebook("uniform", 4, 2, low=1.5, seed=0)  # above the default high of 1
