@@ -9,7 +9,6 @@ from .codebook import (
     DISTANCE_KINDS,
     Codebook,
     assign,
-    gather_quantized,
     group_split,
     nearest_code,
     normalize_rows,

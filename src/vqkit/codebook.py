@@ -237,22 +237,8 @@ def nearest_code(queries, codes, kind: str = "euclidean",
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     indices, row_dists = assign(queries, codes, kind, chunk_size=chunk_size)
-    return indices, gather_quantized(queries, codes, indices, kind), row_dists
-
-
-def gather_quantized(queries, codes, indices, kind: str = "euclidean") -> np.ndarray:
-    """Effective quantized rows for given assignments, applying the cosine
-    re-norm conventions."""
-    selected = codes[np.asarray(indices, dtype=np.int64)]
-    if kind == "euclidean":
-        return selected.copy()
-    unit, _ = normalize_rows(selected)
-    if kind == "cosine_unit_norm":
-        return unit
-    if kind == "cosine_renorm":
-        _, q_norms = normalize_rows(np.asarray(queries, dtype=np.float64))
-        return unit * q_norms[:, None]
-    raise ContractViolation(f"unknown distance kind {kind!r}")
+    z_q = codes[indices] * quantize_row_factors(queries, codes, indices, kind)[:, None]
+    return indices, z_q, row_dists
 
 
 def quantize_row_factors(queries, codes, indices, kind: str) -> np.ndarray:

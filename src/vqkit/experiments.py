@@ -86,7 +86,6 @@ _DEFAULTS = {
     "model": {"d_in": 16, "hidden": 32, "d_code": 8},
     "codebook": {"m": 32, "init": "normal_kaiming"},
     "data": None,
-    "mode": "joint",
     "toy": {"steps": 500, "lr": 0.1, "alpha": 1.0, "beta": 0.95, "nu": 0.5,
             "target": [2.0, 1.0], "tol": 1e-3},
     "affine_toy": {"n_points": 512, "m": 128, "updates": 20, "lr": 0.1,
@@ -176,6 +175,13 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("affine_toy.momentum must lie in (0, 1]")
     if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
         raise ConfigError("affine_toy covariances must be >= 0")
+    if cfg["train_mode"] not in ("joint", "alternating"):
+        raise ConfigError(f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
+    if not is_finite_number(cfg["smooth_gamma"]):
+        raise ConfigError(f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
+    if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
+        raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
+                          "train_mode is 'alternating'")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:
@@ -185,8 +191,6 @@ def resolve_config(raw: dict) -> dict:
             Schedule.from_dict(cfg["schedule"])
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["mode"] not in TOY_MODES:
-        raise ConfigError(f"mode must be one of {TOY_MODES}")
     return cfg
 
 
@@ -213,10 +217,7 @@ def build_codebook(cfg: dict, data: np.ndarray, model: MLPAutoencoder,
     d_code = cfg["model"]["d_code"] // vq.n_group
     sample = None
     if method in ("data_subset", "kmeans"):
-        tape = Tape()
-        nodes = model.make_nodes(tape, trainable=set())
-        z_e = model.encode(tape, tape.leaf(data), nodes).value
-        sample = group_split(z_e, vq.n_group)
+        sample = group_split(model.encode_values(data), vq.n_group)
     kwargs = {k: cb_cfg[k] for k in ("fan", "low", "high", "iters") if k in cb_cfg}
     codes = initialization.init_codebook(method, cb_cfg["m"], d_code,
                                          sample=sample, rng=rng, **kwargs)
@@ -237,8 +238,6 @@ def run_training(cfg: dict, seed: int | None = None) -> TrainResult:
     if cfg["train_mode"] == "alternating":
         return train_alternating(model, cb, vq, data, inner_k=cfg["inner_k"],
                                  outer_k=cfg["outer_k"], **common)
-    if cfg["train_mode"] != "joint":
-        raise ConfigError(f"unknown train_mode {cfg['train_mode']!r}")
     return train_joint(model, cb, vq, data, smooth_gamma=cfg["smooth_gamma"], **common)
 
 

@@ -11,14 +11,15 @@ class _TapeModel:
 
     params: dict[str, np.ndarray]
 
-    def make_nodes(self, tape: Tape, trainable=None) -> dict[str, Node]:
-        """Register parameters on a tape. `trainable` limits which names become
-        parameter leaves; the rest are plain constants."""
-        nodes = {}
-        for name, value in self.params.items():
-            is_param = trainable is None or name in trainable
-            nodes[name] = tape.leaf(value, param=is_param, name=name)
-        return nodes
+    def make_nodes(self, tape: Tape) -> dict[str, Node]:
+        """Register every parameter on a tape as a parameter leaf."""
+        return {name: tape.leaf(value, param=True, name=name)
+                for name, value in self.params.items()}
+
+    def encode_values(self, x) -> np.ndarray:
+        """Encoder output for the rows `x`, recorded on a throwaway tape."""
+        tape = Tape()
+        return self.encode(tape, tape.leaf(x), self.make_nodes(tape)).value
 
 
 class MLPAutoencoder(_TapeModel):

@@ -128,9 +128,23 @@ def _collect_grads(nodes: dict[str, Node]) -> dict[str, np.ndarray]:
     return {name: node.grad for name, node in nodes.items() if node.is_param}
 
 
+def _apply(optimizer: SGD, model, cb: cbk.Codebook, grads: dict, eta: float) -> None:
+    """One optimizer step on exactly the parameters named in `grads`: codebook
+    parameters (`CODEBOOK_PARAM_NAMES`) on `cb`, the rest in `model.params`.
+    A None gradient still moves its parameter under momentum."""
+    params = {name: getattr(cb, name) if name in CODEBOOK_PARAM_NAMES else model.params[name]
+              for name in grads}
+    optimizer.step(params, grads, lr=eta)
+    for name, value in params.items():
+        if name in CODEBOOK_PARAM_NAMES:
+            setattr(cb, name, value)
+        else:
+            model.params[name] = value
+
+
 def _post_step_hooks(cb: cbk.Codebook, config: vql.VQConfig, z_rows, z_q_rows,
                      step: int, rng: np.random.Generator, events: list) -> None:
-    if config.affine_mode == "ema" and z_q_rows is not None:
+    if config.affine_mode == "ema":
         vql.affine_update_ema(cb, z_rows, z_q_rows, config.affine_momentum)
     if config.replacement == "lru":
         replaced = vql.lru_replace(cb, z_rows, step, config.lifespan, rng)
@@ -142,120 +156,95 @@ def _post_step_hooks(cb: cbk.Codebook, config: vql.VQConfig, z_rows, z_q_rows,
 
 
 def _record(step, task, commit, cb, config, indices, row_dists, gap, window):
-    counts = np.bincount(indices, minlength=cb.m)
     eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
-    selected = eff[np.unique(indices)]
     window_used = (cb.last_used >= step - window + 1).astype(np.int64)
     return mtr.MetricsRecord(
         step=step,
         task_loss=task,
         commit_loss=commit,
-        perplexity=mtr.perplexity(counts) if counts.sum() else 1.0,
+        perplexity=mtr.perplexity(np.bincount(indices, minlength=cb.m)),
         active_ratio=mtr.active_ratio(window_used),
-        quant_error=float(np.mean(row_dists)) if len(row_dists) else 0.0,
+        quant_error=float(np.mean(row_dists)),
         grad_gap=gap,
-        divergence_cq=mtr.divergence(eff, selected) if selected.shape[0] else 0.0,
+        divergence_cq=mtr.divergence(eff, eff[np.unique(indices)]),
     )
 
 
-
-def _default_window(n: int, batch_size: int, config: vql.VQConfig) -> int:
-    """Active-ratio window: one epoch of steps, stretched to cover the LRU
-    lifespan when replacement is on (a refreshed code counts as used)."""
-    window = max(1, n // batch_size)
+def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
+                steps: int, batch_size: int, optimizer: SGD,
+                schedule: Optional[Schedule], seed: int) -> TrainResult:
+    """The loop both trainers share. Each step draws a batch and calls
+    `step_fn(batch, t, eta, rng_vq)`, which updates the model and codebook and
+    returns (task, commit, indices, row_dists, z_rows, z_q_rows, gap) of the
+    step's last sub-batch; the replacement / affine-EMA / k-means hooks and
+    the metrics record follow."""
+    data = np.asarray(data, dtype=np.float64)
+    schedule = schedule or Schedule(base_lr=optimizer.lr)
+    # active-ratio window: one epoch of steps, stretched to cover the LRU
+    # lifespan when replacement is on (a refreshed code counts as used)
+    window = max(1, data.shape[0] // batch_size)
     if config.replacement == "lru":
         window = max(window, config.lifespan + 1)
-    return window
-
-
-def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
-                steps: int, batch_size: int, optimizer: Optional[SGD] = None,
-                schedule: Optional[Schedule] = None, seed: int = 0,
-                bypass_vq: bool = False, track_grad_gap: bool = True,
-                smooth_gamma: float = 0.0,
-                active_window: Optional[int] = None) -> TrainResult:
-    """Joint training: one optimizer step per mini-batch over the
-    encoder, decoder, and codebook simultaneously, followed by the
-    replacement / affine-EMA hooks."""
-    data = np.asarray(data, dtype=np.float64)
-    optimizer = optimizer or SGD()
-    schedule = schedule or Schedule(base_lr=optimizer.lr)
-    window = active_window or _default_window(data.shape[0], batch_size, config)
     stream = _BatchStream(data, batch_size, np.random.default_rng(
         np.random.SeedSequence([seed, 1])))
     rng_vq = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
     records, events = [], []
     for t in range(steps):
-        batch = stream.next()
+        task, commit, indices, row_dists, z_rows, z_q_rows, gap = step_fn(
+            stream.next(), t, lr_at(schedule, t), rng_vq)
+        _post_step_hooks(cb, config, z_rows, z_q_rows, t, rng_vq, events)
+        records.append(_record(t, task, commit, cb, config, indices, row_dists, gap, window))
+    return TrainResult(records, cb, model, events)
+
+
+def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
+                steps: int, batch_size: int, optimizer: Optional[SGD] = None,
+                schedule: Optional[Schedule] = None, seed: int = 0,
+                track_grad_gap: bool = True, smooth_gamma: float = 0.0) -> TrainResult:
+    """Joint training: one optimizer step per mini-batch over the
+    encoder, decoder, and codebook simultaneously, followed by the
+    replacement / affine-EMA hooks."""
+    optimizer = optimizer or SGD()
+
+    def step(batch, t, eta, rng):
         tape = Tape()
         nodes = model.make_nodes(tape)
-        codes_node = tape.leaf(cb.codes, param=True, name="codes")
+        codes_node = nodes["codes"] = tape.leaf(cb.codes, param=True, name="codes")
         scale_node = bias_node = None
         if config.affine_mode == "learnable":
-            scale_node = tape.leaf(cb.affine_scale.reshape(1, -1), param=True,
-                                   name="affine_scale")
-            bias_node = tape.leaf(cb.affine_bias.reshape(1, -1), param=True,
-                                  name="affine_bias")
+            scale_node = nodes["affine_scale"] = tape.leaf(
+                cb.affine_scale.reshape(1, -1), param=True, name="affine_scale")
+            bias_node = nodes["affine_bias"] = tape.leaf(
+                cb.affine_bias.reshape(1, -1), param=True, name="affine_bias")
         x = tape.leaf(batch)
         z_e = model.encode(tape, x, nodes)
-
-        if bypass_vq:
-            z = z_e
-            commit = tape.leaf([[0.0]])
-            indices = np.zeros(0, dtype=np.int64)
-            row_dists = np.zeros(0)
-            z_rows = z_e.value
-            z_q_rows = None
-        else:
-            out = vql.quantize(tape, z_e, cb, config, step=t, rng=rng_vq,
-                               codes_node=codes_node, affine_scale_node=scale_node,
-                               affine_bias_node=bias_node)
-            z = out.z_q
-            commit = out.commit_loss
-            indices = out.indices
-            row_dists = out.distances
-            z_rows = out.z_e_grouped.value
-            z_q_rows = out.z_q_grouped.value
-
-        y = model.decode(tape, z, nodes)
-        task = tape.mse(y, x)
-        loss = tape.add(task, commit)
-        if smooth_gamma and not bypass_vq:
-            loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, z, smooth_gamma))
+        out = vql.quantize(tape, z_e, cb, config, step=t, rng=rng, codes_node=codes_node,
+                           affine_scale_node=scale_node, affine_bias_node=bias_node)
+        task = tape.mse(model.decode(tape, out.z_q, nodes), x)
+        loss = tape.add(task, out.commit_loss)
+        if smooth_gamma:
+            loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, out.z_q,
+                                                  smooth_gamma))
         gap = 0.0
-        if track_grad_gap and not bypass_vq:
+        if track_grad_gap:
             # pre-step parameters; the step's tape is the gap's forward only
             # when its assignment is the deterministic one the gap is defined on
             forward = None
             if config.sampling == "deterministic":
-                forward = mtr.GapForward(tape, nodes, x, z_e, z, task)
+                forward = mtr.GapForward(tape, nodes, x, z_e, out.z_q, task)
             gap = mtr.gradient_gap(model, cb, config, batch, forward=forward)
         tape.backward(loss)
-
-        params = dict(model.params)
         grads = _collect_grads(nodes)
-        params["codes"] = cb.codes
-        grads["codes"] = codes_node.grad
-        if scale_node is not None:
-            params["affine_scale"] = cb.affine_scale
-            grads["affine_scale"] = None if scale_node.grad is None else scale_node.grad.reshape(-1)
-            params["affine_bias"] = cb.affine_bias
-            grads["affine_bias"] = None if bias_node.grad is None else bias_node.grad.reshape(-1)
+        for name in ("affine_scale", "affine_bias"):
+            if grads.get(name) is not None:
+                grads[name] = grads[name].reshape(-1)
+        _apply(optimizer, model, cb, grads, eta)
+        return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]), out.indices,
+                out.distances, out.z_e_grouped.value, out.z_q_grouped.value, gap)
 
-        optimizer.step(params, grads, lr=lr_at(schedule, t))
-        for name in model.params:
-            model.params[name] = params[name]
-        cb.codes = params["codes"]
-        if scale_node is not None:
-            cb.affine_scale = params["affine_scale"]
-            cb.affine_bias = params["affine_bias"]
-
-        if not bypass_vq:
-            _post_step_hooks(cb, config, z_rows, z_q_rows, t, rng_vq, events)
-        records.append(_record(t, float(task.value[0, 0]), float(commit.value[0, 0]),
-                               cb, config, indices, row_dists, gap, window))
-    return TrainResult(records, cb, model, events)
+    return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
+                       optimizer=optimizer, schedule=schedule, seed=seed)
 
 
 def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
@@ -263,8 +252,7 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
                       optimizer: Optional[SGD] = None,
                       codebook_optimizer: Optional[SGD] = None,
                       schedule: Optional[Schedule] = None, seed: int = 0,
-                      track_grad_gap: bool = True,
-                      active_window: Optional[int] = None) -> TrainResult:
+                      track_grad_gap: bool = True) -> TrainResult:
     """Alternating optimization: per cycle, inner_k codebook-only steps on the
     codebook-facing commitment term, then outer_k encoder/decoder-only steps on
     the task loss. Each sub-step consumes a distinct slice of the mini-batch so
@@ -276,70 +264,36 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         raise ContractViolation(
             f"batch_size {batch_size} must divide into {n_sub} sub-batches")
     sub = batch_size // n_sub
-
-    data = np.asarray(data, dtype=np.float64)
     optimizer = optimizer or SGD()
     codebook_optimizer = codebook_optimizer or SGD(lr=optimizer.lr,
                                                    momentum=optimizer.momentum)
-    schedule = schedule or Schedule(base_lr=optimizer.lr)
-    window = active_window or _default_window(data.shape[0], batch_size, config)
-    stream = _BatchStream(data, batch_size, np.random.default_rng(
-        np.random.SeedSequence([seed, 1])))
-    rng_vq = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
-    records, events = [], []
-    for t in range(steps):
-        batch = stream.next()
-        eta = lr_at(schedule, t)
-        gap = 0.0
-        if track_grad_gap:
-            gap = mtr.gradient_gap(model, cb, config, batch)
-
+    def step(batch, t, eta, rng):
+        gap = mtr.gradient_gap(model, cb, config, batch) if track_grad_gap else 0.0
         for i in range(inner_k):
-            _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
-                        rng_vq, codebook_optimizer)
+            _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng,
+                        codebook_optimizer)
         for i in range(inner_k, n_sub):
-            task_val, commit_val, indices, row_dists, z_rows, z_q_rows = _outer_step(
-                model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng_vq,
-                optimizer)
+            out = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng,
+                              optimizer)
+        return (*out, gap)
 
-        _post_step_hooks(cb, config, z_rows, z_q_rows, t, rng_vq, events)
-        records.append(_record(t, task_val, commit_val, cb, config, indices,
-                               row_dists, gap, window))
-    return TrainResult(records, cb, model, events)
-
-
-def _encode_values(model, batch) -> np.ndarray:
-    tape = Tape()
-    nodes = model.make_nodes(tape, trainable=set())
-    return model.encode(tape, tape.leaf(batch), nodes).value
-
-
-def _apply_codebook_step(cb, config, z_rows, indices, eta, codebook_optimizer):
-    codes_grad, scale_grad, bias_grad = vql.commitment_codebook_grads(
-        cb, z_rows, indices, config)
-    params = {"codes": cb.codes}
-    grads = {"codes": codes_grad}
-    if config.affine_mode == "learnable":
-        params["affine_scale"] = cb.affine_scale
-        grads["affine_scale"] = scale_grad
-        params["affine_bias"] = cb.affine_bias
-        grads["affine_bias"] = bias_grad
-    codebook_optimizer.step(params, grads, lr=eta)
-    cb.codes = params["codes"]
-    if config.affine_mode == "learnable":
-        cb.affine_scale = params["affine_scale"]
-        cb.affine_bias = params["affine_bias"]
+    return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
+                       optimizer=optimizer, schedule=schedule, seed=seed)
 
 
 def _inner_step(model, cb, config, sub_batch, eta, step, rng, codebook_optimizer):
-    z_e = _encode_values(model, sub_batch)
-    z_rows = cbk.group_split(z_e, config.n_group)
+    z_rows = cbk.group_split(model.encode_values(sub_batch), config.n_group)
     eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
     indices, _ = cbk.assign(z_rows, eff, config.distance,
                             tau=config.sampling_tau(step), rng=rng)
     cb.mark_used(indices, step)
-    _apply_codebook_step(cb, config, z_rows, indices, eta, codebook_optimizer)
+    codes_grad, scale_grad, bias_grad = vql.commitment_codebook_grads(
+        cb, z_rows, indices, config)
+    grads = {"codes": codes_grad}
+    if config.affine_mode == "learnable":
+        grads.update(affine_scale=scale_grad, affine_bias=bias_grad)
+    _apply(codebook_optimizer, model, cb, grads, eta)
 
 
 def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
@@ -349,13 +303,8 @@ def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
     x = tape.leaf(sub_batch)
     z_e = model.encode(tape, x, nodes)
     out = vql.quantize(tape, z_e, cb, config, step=step, rng=rng)
-    y = model.decode(tape, out.z_q, nodes)
-    task = tape.mse(y, x)
+    task = tape.mse(model.decode(tape, out.z_q, nodes), x)
     tape.backward(task)
-    params = dict(model.params)
-    optimizer.step(params, _collect_grads(nodes), lr=eta)
-    for name in model.params:
-        model.params[name] = params[name]
+    _apply(optimizer, model, cb, _collect_grads(nodes), eta)
     return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]),
             out.indices, out.distances, out.z_e_grouped.value, out.z_q_grouped.value)
-

@@ -20,7 +20,6 @@ from vqkit import (
     Tape,
     VQConfig,
     assign,
-    gather_quantized,
     group_split,
     nearest_code,
     normalize_rows,
@@ -475,12 +474,3 @@ def test_load_rejects_sidecar_arrays_of_the_wrong_length(tmp_path, key, length):
     sidecar_path.write_text(json.dumps(sidecar))
     with pytest.raises(ContractViolation, match=key):
         Codebook.load(path)
-
-
-def test_quantized_gather_matches_nearest():
-    rng = np.random.default_rng(8)
-    q = rng.standard_normal((9, 3)) + 0.1
-    c = rng.standard_normal((5, 3)) + 0.1
-    for kind in ("euclidean", "cosine_unit_norm", "cosine_renorm"):
-        idx, z_q, _ = nearest_code(q, c, kind)
-        assert np.allclose(z_q, gather_quantized(q, c, idx, kind))

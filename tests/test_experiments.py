@@ -236,6 +236,10 @@ def test_cli_exit_codes(tmp_path):
     ("init-study", {"init_study": {"d": 0}}),
     ("init-study", {"init_study": {"m": 1.5}}),
     ("init-study", {"init_study": {"n_seeds": False}}),
+    ("toy-trajectory", {"mode": "joint"}),
+    ("train", {"train_mode": "sequential"}),
+    ("train", {"train_mode": "alternating", "smooth_gamma": 0.1}),
+    ("train", {"smooth_gamma": "x"}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -248,11 +252,13 @@ def test_cli_exit_codes(tmp_path):
         "affine-toy-momentum-0", "codebook-m-string", "codebook-m-0", "codebook-m-bool",
         "codebook-iters-float", "codebook-fan-0", "codebook-low-nan", "codebook-high-string",
         "init-study-n-string", "init-study-d-0", "init-study-m-float",
-        "init-study-n-seeds-bool"])
+        "init-study-n-seeds-bool", "removed-mode-key", "train-mode-unknown",
+        "smooth-gamma-alternating", "smooth-gamma-string"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, track_grad_gap=False, **overrides))
     assert cli_main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()   # rejected before any artifact is written
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err

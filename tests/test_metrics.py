@@ -1,5 +1,8 @@
 """Diagnostics: perplexity, divergence, activation probability, gradient gap,
 and the metrics CSV layout."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,32 @@ def test_activation_probability_k_zero_and_pooling():
 def test_activation_probability_monotone_in_k():
     vals = [activation_probability(8, 8, 4, 64, 0, 1, k).binomial for k in (1, 2, 5)]
     assert vals[0] > vals[1] > vals[2]
+
+
+def _exact_activation_probability(n_trials, m_codes, k):
+    """P(X >= k) for X ~ Binomial(n_trials, 1/m_codes) in exact rationals."""
+    p = Fraction(1, m_codes)
+    return sum(math.comb(n_trials, j) * p ** j * (1 - p) ** (n_trials - j)
+               for j in range(k, n_trials + 1))
+
+
+# the criterion-11 and activation-probability cases above, plus both
+# branches of the tail (k - 1 below and at or past the mean N/m), k > N and m = 1
+@pytest.mark.parametrize("h,w,b,m_codes,n_pool,n_groups,k", [
+    (4, 4, 8, 4096, 0, 1, 1), (4, 4, 8, 4096, 0, 2, 1), (32, 32, 1, 1024, 0, 1, 1),
+    (32, 32, 1024, 1024, 10, 1, 1), (8, 8, 4, 64, 0, 1, 1), (8, 8, 4, 64, 0, 1, 2),
+    (8, 8, 4, 64, 0, 1, 5), (8, 8, 4, 64, 0, 1, 40), (32, 32, 1, 16, 0, 1, 64),
+    (32, 32, 1, 16, 0, 1, 65), (2, 2, 1, 3, 0, 1, 5), (2, 2, 1, 1, 0, 1, 4),
+])
+def test_activation_probability_matches_exact_binomial_tail(h, w, b, m_codes, n_pool,
+                                                            n_groups, k):
+    n_trials = b * h * w * n_groups // 2 ** n_pool
+    exact = _exact_activation_probability(n_trials, m_codes, k)
+    got = activation_probability(h, w, b, m_codes, n_pool, n_groups, k).binomial
+    if exact == 0:
+        assert got == 0.0
+    else:
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 12) * exact
 
 
 # -- gradient gap -----------------------------------------------------------------

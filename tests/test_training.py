@@ -152,15 +152,6 @@ def test_train_joint_learns_on_toy_task():
     assert last < 0.5 * first
 
 
-def test_train_joint_bypass_ignores_codebook():
-    data, model, cb = toy_setup(5)
-    before = cb.codes.copy()
-    result = train_joint(model, cb, VQConfig(), data, steps=5, batch_size=32,
-                         bypass_vq=True, track_grad_gap=False)
-    assert np.array_equal(cb.codes, before)
-    assert all(r.commit_loss == 0.0 for r in result.records)
-
-
 def test_train_joint_lru_emits_replacement_events():
     data, model, cb = toy_setup(6)
     cb.codes[:4] = 50.0  # dead codes
@@ -192,19 +183,27 @@ def test_train_joint_zero_lr_changes_nothing():
         assert np.array_equal(model.params[k], params_before[k])
 
 
-@pytest.mark.parametrize("sampling", ["deterministic", "stochastic"])
-def test_train_joint_gap_never_touches_the_trajectory(sampling):
+@pytest.mark.parametrize("trainer,sampling", [
+    ("joint", "deterministic"), ("joint", "stochastic"),
+    ("alternating", "deterministic"), ("alternating", "stochastic"),
+], ids=["deterministic", "stochastic", "alternating-deterministic", "alternating-stochastic"])
+def test_train_joint_gap_never_touches_the_trajectory(trainer, sampling):
     """Taking the gradient gap (on the step's own tape, or on a tape of its
-    own under stochastic sampling) leaves every other record, the model and
-    the codebook bit-identical to a run with the gap off."""
+    own under stochastic sampling or alternating training) leaves every other
+    record, the model, the codebook and the events bit-identical to a run
+    with the gap off."""
     runs = []
     for track in (True, False):
         data, model, cb = toy_setup(15)
         cfg = VQConfig(alpha=1.0, nu=0.5, sampling=sampling, affine_mode="learnable",
                        replacement="lru", lifespan=3)
-        runs.append(train_joint(model, cb, cfg, data, steps=15, batch_size=32,
-                                optimizer=SGD(lr=0.1, momentum=0.9),
-                                smooth_gamma=0.1, track_grad_gap=track))
+        common = dict(steps=15, batch_size=32, optimizer=SGD(lr=0.1, momentum=0.9),
+                      track_grad_gap=track)
+        if trainer == "joint":
+            runs.append(train_joint(model, cb, cfg, data, smooth_gamma=0.1, **common))
+        else:
+            runs.append(train_alternating(model, cb, cfg, data, inner_k=2, outer_k=2,
+                                          **common))
     on, off = runs
     assert all(r.grad_gap > 0.0 for r in on.records)
     assert [replace(r, grad_gap=0.0) for r in on.records] == off.records
