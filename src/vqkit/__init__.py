@@ -61,6 +61,7 @@ from .vqlayer import (
     VQConfig,
     VQOutput,
     affine_update_ema,
+    codebook_param_grads,
     commitment_codebook_grads,
     commitment_loss,
     ema_update,

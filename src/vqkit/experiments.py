@@ -111,7 +111,8 @@ def _strict(raw: dict, allowed: set, ctx: str) -> None:
 
 
 # per section: integer fields (>= 1) and finite real fields, checked when set
-_SECTION_INTS = {"toy": ("steps",), "affine_toy": ("n_points", "m", "updates"),
+_SECTION_INTS = {"model": ("d_in", "hidden", "d_code"), "toy": ("steps",),
+                 "affine_toy": ("n_points", "m", "updates"),
                  "codebook": ("m", "iters", "fan"), "init_study": ("n", "d", "m", "n_seeds")}
 _SECTION_REALS = {"toy": ("lr", "alpha", "beta", "nu", "tol"),
                   "affine_toy": ("lr", "momentum", "point_cov", "code_cov"),
@@ -150,6 +151,11 @@ def resolve_config(raw: dict) -> dict:
     for field, values in cfg["grid"].items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid field {field!r} must be a non-empty list")
+    for value in cfg["grid"].get("inner_k", []):
+        if not is_int(value) or value < 0:
+            raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
+    if not isinstance(cfg["track_grad_gap"], bool):
+        raise ConfigError(f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
     for key in ("steps", "batch_size", "seeds_per_cell"):
         if not is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
@@ -179,13 +185,17 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
     if not is_finite_number(cfg["smooth_gamma"]):
         raise ConfigError(f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
-    if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
+    if cfg["smooth_gamma"] and (cfg["train_mode"] == "alternating"
+                                or any(k >= 1 for k in cfg["grid"].get("inner_k", []))):
         raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
-                          "train_mode is 'alternating'")
+                          "train_mode is 'alternating' or a grid inner_k is >= 1")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:
         cfg["vq"] = vql.VQConfig.from_dict(cfg["vq"]).to_dict()
+        for field in sorted(_GRID_FIELDS & set(vql.VQConfig.__dataclass_fields__)):
+            for value in cfg["grid"].get(field, []):
+                vql.VQConfig.from_dict({**cfg["vq"], field: value})
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             Schedule.from_dict(cfg["schedule"])

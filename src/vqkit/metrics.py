@@ -12,7 +12,7 @@ import numpy as np
 from . import codebook as cbk
 from .autodiff import Node, Tape
 from .errors import ContractViolation
-from .vqlayer import VQConfig, quantize
+from .vqlayer import VQConfig, VQOutput, quantize
 
 METRICS_HEADER = ("step", "task_loss", "commit_loss", "perplexity", "active_ratio",
                   "quant_error", "grad_gap", "divergence_cq")
@@ -126,20 +126,34 @@ def _binomial_sf(k: int, n: int, p: float) -> float:
     return math.fsum(terms)
 
 
-class GapForward(NamedTuple):
-    """A recorded forward pass that `gradient_gap` can reuse: the model's
-    parameter nodes, the encoder output `z_e`, the straight-through output
-    `z` fed to the decoder, and `task = mse(decode(z), target)`."""
+class Forward(NamedTuple):
+    """One recorded forward pass, encode -> quantize -> decode, before its
+    backward: the model's parameter nodes, the encoder output `z_e`, the
+    quantizer output `out` and `task = mse(decode(out.z_q), target)`."""
     tape: Tape
     nodes: dict
     target: Node
     z_e: Node
-    z: Node
+    out: VQOutput
     task: Node
 
 
+def record_forward(model, cb, config: VQConfig, batch, targets=None, *, step: int = 0,
+                   rng: Optional[np.random.Generator] = None) -> Forward:
+    """Record encode -> quantize -> decode -> task loss on a new tape, with
+    `targets` defaulting to the batch itself. Codebook usage is not marked."""
+    tape = Tape()
+    nodes = model.make_nodes(tape)
+    x = tape.leaf(batch)
+    target = x if targets is None else tape.leaf(targets)
+    z_e = model.encode(tape, x, nodes)
+    out = quantize(tape, z_e, cb, config, step=step, rng=rng)
+    return Forward(tape, nodes, target, z_e, out,
+                   tape.mse(model.decode(tape, out.z_q, nodes), target))
+
+
 def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
-                 forward: Optional[GapForward] = None) -> float:
+                 forward: Optional[Forward] = None) -> float:
     """Sum over encoder parameters of ||g - g_hat||^2 where g is the task-loss
     gradient with quantization bypassed (z_q := z_e) and g_hat the gradient
     through the straight-through quantizer.
@@ -151,30 +165,18 @@ def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
     `forward` (a training step's own tape, before its backward) `batch`,
     `targets` and `config` are not used and nothing but that decoder pass is
     recorded; without it, the forward is recorded here with deterministic
-    assignment and no usage marking."""
+    assignment."""
     if forward is None:
-        forward = _gap_forward(model, cb, config, batch, targets)
-    tape, nodes, target, z_e, z, task = forward
+        forward = record_forward(model, cb, replace(config, sampling="deterministic"),
+                                 batch, targets)
+    tape, nodes, target, z_e, out, task = forward
     z_e_const = tape.leaf(z_e.value)
     task_e = tape.mse(model.decode(tape, z_e_const, nodes), target)
     one = np.ones((1, 1))
-    [u_q] = tape.vjp(task, one, [z])
+    [u_q] = tape.vjp(task, one, [out.z_q])
     [u_e] = tape.vjp(task_e, one, [z_e_const])
     encoder = [nodes[name] for name in model.encoder_param_names]
     gap = 0.0
     for g in tape.vjp(z_e, u_e - u_q, encoder):
         gap += float((g * g).sum())
     return gap
-
-
-def _gap_forward(model, cb, config: VQConfig, batch, targets) -> GapForward:
-    if config.sampling != "deterministic":
-        config = replace(config, sampling="deterministic")
-    tape = Tape()
-    nodes = model.make_nodes(tape)
-    x = tape.leaf(np.asarray(batch, dtype=np.float64))
-    target = x if targets is None else tape.leaf(targets)
-    z_e = model.encode(tape, x, nodes)
-    z = quantize(tape, z_e, cb, config, mark_usage=False).z_q
-    return GapForward(tape, nodes, target, z_e, z,
-                      tape.mse(model.decode(tape, z, nodes), target))

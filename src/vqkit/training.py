@@ -208,20 +208,9 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
     optimizer = optimizer or SGD()
 
     def step(batch, t, eta, rng):
-        tape = Tape()
-        nodes = model.make_nodes(tape)
-        codes_node = nodes["codes"] = tape.leaf(cb.codes, param=True, name="codes")
-        scale_node = bias_node = None
-        if config.affine_mode == "learnable":
-            scale_node = nodes["affine_scale"] = tape.leaf(
-                cb.affine_scale.reshape(1, -1), param=True, name="affine_scale")
-            bias_node = nodes["affine_bias"] = tape.leaf(
-                cb.affine_bias.reshape(1, -1), param=True, name="affine_bias")
-        x = tape.leaf(batch)
-        z_e = model.encode(tape, x, nodes)
-        out = vql.quantize(tape, z_e, cb, config, step=t, rng=rng, codes_node=codes_node,
-                           affine_scale_node=scale_node, affine_bias_node=bias_node)
-        task = tape.mse(model.decode(tape, out.z_q, nodes), x)
+        forward = mtr.record_forward(model, cb, config, batch, step=t, rng=rng)
+        tape, nodes, _, z_e, out, task = forward
+        cb.mark_used(out.indices, t)
         loss = tape.add(task, out.commit_loss)
         if smooth_gamma:
             loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, out.z_q,
@@ -230,15 +219,11 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         if track_grad_gap:
             # pre-step parameters; the step's tape is the gap's forward only
             # when its assignment is the deterministic one the gap is defined on
-            forward = None
-            if config.sampling == "deterministic":
-                forward = mtr.GapForward(tape, nodes, x, z_e, out.z_q, task)
-            gap = mtr.gradient_gap(model, cb, config, batch, forward=forward)
+            gap = mtr.gradient_gap(model, cb, config, batch, forward=(
+                forward if config.sampling == "deterministic" else None))
         tape.backward(loss)
         grads = _collect_grads(nodes)
-        for name in ("affine_scale", "affine_bias"):
-            if grads.get(name) is not None:
-                grads[name] = grads[name].reshape(-1)
+        grads.update(vql.codebook_param_grads(cb, out.effective_codes.grad, config))
         _apply(optimizer, model, cb, grads, eta)
         return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]), out.indices,
                 out.distances, out.z_e_grouped.value, out.z_q_grouped.value, gap)
@@ -288,22 +273,15 @@ def _inner_step(model, cb, config, sub_batch, eta, step, rng, codebook_optimizer
     indices, _ = cbk.assign(z_rows, eff, config.distance,
                             tau=config.sampling_tau(step), rng=rng)
     cb.mark_used(indices, step)
-    codes_grad, scale_grad, bias_grad = vql.commitment_codebook_grads(
-        cb, z_rows, indices, config)
-    grads = {"codes": codes_grad}
-    if config.affine_mode == "learnable":
-        grads.update(affine_scale=scale_grad, affine_bias=bias_grad)
-    _apply(codebook_optimizer, model, cb, grads, eta)
+    _apply(codebook_optimizer, model, cb,
+           vql.commitment_codebook_grads(cb, z_rows, indices, config), eta)
 
 
 def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
     """Task-loss step over encoder/decoder only; raw codes stay untouched."""
-    tape = Tape()
-    nodes = model.make_nodes(tape)
-    x = tape.leaf(sub_batch)
-    z_e = model.encode(tape, x, nodes)
-    out = vql.quantize(tape, z_e, cb, config, step=step, rng=rng)
-    task = tape.mse(model.decode(tape, out.z_q, nodes), x)
+    tape, nodes, _, _, out, task = mtr.record_forward(model, cb, config, sub_batch,
+                                                      step=step, rng=rng)
+    cb.mark_used(out.indices, step)
     tape.backward(task)
     _apply(optimizer, model, cb, _collect_grads(nodes), eta)
     return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]),

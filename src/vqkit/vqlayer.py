@@ -89,8 +89,9 @@ class VQOutput:
     z_q: Node                    # tape node; forward value = selected effective codes
     commit_loss: Node            # scalar node
     distances: np.ndarray        # per sub-vector half squared distance
-    z_e_grouped: Node = field(repr=False, default=None)
-    z_q_grouped: Node = field(repr=False, default=None)
+    effective_codes: Node = field(repr=False)   # parameter leaf, m x d
+    z_e_grouped: Node = field(repr=False)
+    z_q_grouped: Node = field(repr=False)
 
 
 def commitment_loss(tape: Tape, z_e: Node, z_q: Node, alpha: float, beta: float) -> Node:
@@ -103,17 +104,13 @@ def commitment_loss(tape: Tape, z_e: Node, z_q: Node, alpha: float, beta: float)
 
 
 def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
-             step: int = 0, rng: Optional[np.random.Generator] = None,
-             codes_node: Optional[Node] = None,
-             affine_scale_node: Optional[Node] = None,
-             affine_bias_node: Optional[Node] = None,
-             mark_usage: bool = True) -> VQOutput:
+             step: int = 0, rng: Optional[np.random.Generator] = None) -> VQOutput:
     """Group-split, assign, gather effective codes, group-concat with the
     1/sqrt(n_group) normalization, and wire the straight-through composite.
 
-    When codes_node (and, for learnable affine, the affine parameter nodes) are
-    given, the codebook side of the graph is differentiable and gradients reach
-    those parameters through the gather."""
+    The effective codes are one parameter leaf (`VQOutput.effective_codes`);
+    after a backward, `codebook_param_grads` maps its gradient to the raw
+    codebook parameters. Usage is not marked: the trainers call `mark_used`."""
     n, d = z_e.shape
     g = config.n_group
     if d % g != 0:
@@ -123,41 +120,35 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
             f"codebook dim {cb.d} must equal embedding dim / n_group = {d // g}")
 
     zs = tape.reshape(z_e, n * g, d // g)
-    eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
-
-    indices, row_dists = cbk.assign(zs.value, eff, config.distance,
+    eff = tape.leaf(cb.effective_codes(config.affine_mode, config.affine_lr_scale),
+                    param=True, name="effective_codes")
+    indices, row_dists = cbk.assign(zs.value, eff.value, config.distance,
                                     tau=config.sampling_tau(step), rng=rng)
-
-    if mark_usage:
-        cb.mark_used(indices, step)
-
-    # differentiable (or constant) effective-code node
-    if codes_node is not None:
-        if config.affine_mode == "learnable":
-            if affine_scale_node is None or affine_bias_node is None:
-                raise ContractViolation("learnable affine mode requires affine parameter nodes")
-            eff_node = tape.affine_rows(codes_node, affine_scale_node, affine_bias_node,
-                                        config.affine_lr_scale)
-        elif config.affine_mode == "ema":
-            a, b = cb.ema_transform()
-            scale_leaf = tape.leaf((a - 1.0).reshape(1, -1))
-            bias_leaf = tape.leaf(b.reshape(1, -1))
-            eff_node = tape.affine_rows(codes_node, scale_leaf, bias_leaf, 1.0)
-        else:
-            eff_node = codes_node
-        z_q_rows = tape.gather_rows(eff_node, indices)
-    else:
-        z_q_rows = tape.leaf(eff[indices])
-
+    z_q_rows = tape.gather_rows(eff, indices)
     if config.distance != "euclidean":
-        factors = cbk.quantize_row_factors(zs.value, eff, indices, config.distance)
+        factors = cbk.quantize_row_factors(zs.value, eff.value, indices, config.distance)
         z_q_rows = tape.row_scale(z_q_rows, factors)
 
     commit = commitment_loss(tape, zs, z_q_rows, config.alpha, config.beta)
     z_q_full = tape.scale(tape.reshape(z_q_rows, n, d), 1.0 / np.sqrt(g))
     out = tape.straight_through(z_e, z_q_full, config.nu)
-    return VQOutput(indices=indices, z_q=out, commit_loss=commit,
-                    distances=row_dists, z_e_grouped=zs, z_q_grouped=z_q_rows)
+    return VQOutput(indices=indices, z_q=out, commit_loss=commit, distances=row_dists,
+                    effective_codes=eff, z_e_grouped=zs, z_q_grouped=z_q_rows)
+
+
+def codebook_param_grads(cb: cbk.Codebook, eff_grad, config: VQConfig) -> dict:
+    """Pull the gradient of the effective codes back to the raw codebook
+    parameters: {"codes"}, plus {"affine_scale", "affine_bias"} in learnable
+    affine mode. The EMA transform a * c + b is a constant of the step."""
+    if config.affine_mode == "off":
+        return {"codes": eff_grad}
+    if config.affine_mode == "ema":
+        a, _ = cb.ema_transform()
+        return {"codes": eff_grad * a}
+    ls = config.affine_lr_scale
+    return {"codes": eff_grad * (1.0 + ls * cb.affine_scale),
+            "affine_scale": ls * (eff_grad * cb.codes).sum(axis=0),
+            "affine_bias": ls * eff_grad.sum(axis=0)}
 
 
 def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]:
@@ -215,13 +206,10 @@ def kmeans_reset(cb: cbk.Codebook, sample, iters: int = 50) -> None:
     cb.codes = initialization.lloyd(cb.codes.copy(), sample, iters)
 
 
-def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfig):
+def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfig) -> dict:
     """Closed-form gradient of the codebook-facing commitment term
-    alpha * beta * mean_rows(0.5 * ||sg(z) - e_k||^2) with respect to the raw
-    codes and, in learnable affine mode, the raw affine parameters.
-
-    Used by the alternating-optimization inner step; the tape-based path in
-    `quantize` computes the same gradients through autodiff."""
+    alpha * beta * mean_rows(0.5 * ||sg(z) - e_k||^2), as `codebook_param_grads`
+    returns it. Used by the alternating-optimization inner step."""
     z_rows = np.asarray(z_rows, dtype=np.float64)
     idx = np.asarray(indices, dtype=np.int64)
     n = z_rows.shape[0]
@@ -233,17 +221,4 @@ def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfi
         factors = cbk.quantize_row_factors(z_rows, eff, idx, config.distance)
     z_q_final = eff[idx] * factors[:, None]
     residual = (z_q_final - z_rows) * (config.alpha * config.beta / n) * factors[:, None]
-    eff_grad = scatter_add_rows(idx, residual, cb.m)
-    if config.affine_mode == "off":
-        return eff_grad, None, None
-    if config.affine_mode == "learnable":
-        ls = config.affine_lr_scale
-        eff_scale = 1.0 + ls * cb.affine_scale
-        codes_grad = eff_grad * eff_scale
-        scale_grad = ls * (eff_grad * cb.codes).sum(axis=0)
-        bias_grad = ls * eff_grad.sum(axis=0)
-        return codes_grad, scale_grad, bias_grad
-    if config.affine_mode == "ema":
-        a, _ = cb.ema_transform()
-        return eff_grad * a, None, None
-    raise ContractViolation(f"unknown affine mode {config.affine_mode!r}")
+    return codebook_param_grads(cb, scatter_add_rows(idx, residual, cb.m), config)

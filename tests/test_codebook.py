@@ -83,7 +83,7 @@ def test_assign_matches_per_row_scan_and_every_caller(kind, monkeypatch):
 
     assert np.array_equal(nearest_code(rows, cb.codes, kind)[0], idx)
     tape = Tape()
-    out = quantize(tape, tape.leaf(rows), cb, config, mark_usage=False)
+    out = quantize(tape, tape.leaf(rows), cb, config)
     assert np.array_equal(out.indices, idx)
 
     seen = []

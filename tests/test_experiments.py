@@ -240,6 +240,17 @@ def test_cli_exit_codes(tmp_path):
     ("train", {"train_mode": "sequential"}),
     ("train", {"train_mode": "alternating", "smooth_gamma": 0.1}),
     ("train", {"smooth_gamma": "x"}),
+    ("train", {"model": {"hidden": "x"}}),
+    ("train", {"model": {"d_code": 0}}),
+    ("train", {"model": {"d_in": 16.0}}),
+    ("train", {"track_grad_gap": "no"}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"inner_k": ["x"]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"inner_k": [-1]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"affine_mode": ["sideways"]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"nu": [0.5, -0.5]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"n_group": [2.0]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "smooth_gamma": 0.1,
+                  "grid": {"inner_k": [0, 1]}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -253,10 +264,13 @@ def test_cli_exit_codes(tmp_path):
         "codebook-iters-float", "codebook-fan-0", "codebook-low-nan", "codebook-high-string",
         "init-study-n-string", "init-study-d-0", "init-study-m-float",
         "init-study-n-seeds-bool", "removed-mode-key", "train-mode-unknown",
-        "smooth-gamma-alternating", "smooth-gamma-string"])
+        "smooth-gamma-alternating", "smooth-gamma-string", "model-hidden-string",
+        "model-d-code-0", "model-d-in-float", "track-grad-gap-string",
+        "grid-inner-k-string", "grid-inner-k-negative", "grid-affine-mode-unknown",
+        "grid-nu-negative", "grid-n-group-float", "grid-smooth-gamma-alternating"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
-                     minimal(command, track_grad_gap=False, **overrides))
+                     minimal(command, **{"track_grad_gap": False, **overrides}))
     assert cli_main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()   # rejected before any artifact is written
     err = capsys.readouterr().err

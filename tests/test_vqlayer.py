@@ -6,9 +6,11 @@ import pytest
 from vqkit import (
     Codebook,
     ContractViolation,
+    MLPAutoencoder,
     Tape,
     VQConfig,
     affine_update_ema,
+    codebook_param_grads,
     commitment_codebook_grads,
     commitment_loss,
     ema_update,
@@ -16,7 +18,10 @@ from vqkit import (
     lru_replace,
     nearest_code,
     quantize,
+    train_alternating,
+    train_joint,
 )
+from vqkit.codebook import assign, group_split, quantize_row_factors
 
 
 def make_cb(m=6, d=4, seed=0):
@@ -95,14 +100,37 @@ def test_quantize_forward_matches_nearest_code():
     assert np.allclose(out.distances, dist)
 
 
-def test_quantize_marks_usage():
-    rng = np.random.default_rng(4)
-    cb = make_cb()
-    z = rng.standard_normal((10, 4))
-    quantize(Tape(), Tape().leaf(z), cb, VQConfig(), step=5)
-    assert cb.counts.sum() == 10
-    used = np.unique(nearest_code(z, cb.codes, "euclidean")[0])
-    assert np.array_equal(np.nonzero(cb.last_used == 5)[0], used)
+def trainer_setup(seed=4, m=8, n_group=1):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((128, 16)) * 0.5
+    model = MLPAutoencoder(rng=np.random.default_rng(seed + 1))
+    cb = Codebook(rng.standard_normal((m, 8 // n_group)) * 0.3)
+    return data, model, cb
+
+
+@pytest.mark.parametrize("sampling", ["deterministic", "stochastic"])
+@pytest.mark.parametrize("mode", ["joint", "alternating"])
+def test_usage_is_marked_by_the_trainers_not_quantize(mode, sampling):
+    """quantize leaves usage alone; each trainer marks every row it assigns
+    once, with the gap on (whose own forward marks nothing)."""
+    data, model, cb = trainer_setup(n_group=2)
+    config = VQConfig(n_group=2, sampling=sampling)
+    last_used, counts = cb.last_used.copy(), cb.counts.copy()
+    tape = Tape()
+    quantize(tape, tape.leaf(model.encode_values(data[:10])), cb, config,
+             step=5, rng=np.random.default_rng(0))
+    assert np.array_equal(cb.last_used, last_used) and np.array_equal(cb.counts, counts)
+
+    steps, batch = 4, 24
+    if mode == "joint":
+        result = train_joint(model, cb, config, data, steps=steps, batch_size=batch,
+                             track_grad_gap=True)
+    else:
+        result = train_alternating(model, cb, config, data, steps=steps, batch_size=batch,
+                                   inner_k=2, outer_k=1, track_grad_gap=True)
+    assert all(r.grad_gap > 0.0 for r in result.records)
+    assert cb.counts.sum() == steps * batch * config.n_group
+    assert cb.last_used.max() == steps - 1
 
 
 def test_quantize_grouping_degenerate_case_bit_exact():
@@ -110,8 +138,8 @@ def test_quantize_grouping_degenerate_case_bit_exact():
     cb = make_cb()
     z = rng.standard_normal((8, 4))
     t1, t2 = Tape(), Tape()
-    a = quantize(t1, t1.leaf(z), cb, VQConfig(n_group=1), mark_usage=False)
-    b = quantize(t2, t2.leaf(z), cb, VQConfig(n_group=1), mark_usage=False)
+    a = quantize(t1, t1.leaf(z), cb, VQConfig(n_group=1))
+    b = quantize(t2, t2.leaf(z), cb, VQConfig(n_group=1))
     assert np.array_equal(a.z_q.value, b.z_q.value)
     assert np.array_equal(a.indices, b.indices)
 
@@ -152,13 +180,13 @@ def test_quantize_codebook_gradient_reaches_codes():
     z = rng.standard_normal((10, 4))
     cfg = VQConfig(alpha=2.0, beta=0.75)
     tape = Tape()
-    codes_node = tape.leaf(cb.codes, param=True)
-    out = quantize(tape, tape.leaf(z), cb, cfg, codes_node=codes_node)
+    out = quantize(tape, tape.leaf(z), cb, cfg)
     tape.backward(out.commit_loss)
     expected = np.zeros_like(cb.codes)
     np.add.at(expected, out.indices,
               cfg.alpha * cfg.beta / 10 * (cb.codes[out.indices] - z))
-    assert np.allclose(codes_node.grad, expected)
+    assert np.allclose(out.effective_codes.grad, expected)
+    assert codebook_param_grads(cb, out.effective_codes.grad, cfg).keys() == {"codes"}
 
 
 # -- EMA update ---------------------------------------------------------------
@@ -255,35 +283,100 @@ def test_kmeans_reset_refits_centers():
     assert np.allclose(got[1], b.mean(axis=0), atol=1e-6)
 
 
-# -- closed-form codebook gradient vs the tape --------------------------------
+# -- codebook gradients vs the composite oracle ---------------------------------
+
+def composite_oracle(cb, z, target, cfg, with_task):
+    """The tape composite a quantizer with differentiable codes and affine
+    parameters records: affine_rows -> gather_rows -> row_scale ->
+    commitment_loss -> straight_through. Backward of task + commit (or of
+    commit alone); returns the gradients of z_e, codes, affine scale and bias."""
+    tape = Tape()
+    z_e = tape.leaf(z, param=True)
+    codes = tape.leaf(cb.codes, param=True)
+    scale = tape.leaf(cb.affine_scale.reshape(1, -1), param=True)
+    bias = tape.leaf(cb.affine_bias.reshape(1, -1), param=True)
+    if cfg.affine_mode == "learnable":
+        eff = tape.affine_rows(codes, scale, bias, cfg.affine_lr_scale)
+    elif cfg.affine_mode == "ema":
+        a, b = cb.ema_transform()
+        eff = tape.affine_rows(codes, tape.leaf(a - 1.0), tape.leaf(b), 1.0)
+    else:
+        eff = codes
+    n, d = z.shape
+    g = cfg.n_group
+    zs = tape.reshape(z_e, n * g, d // g)
+    idx = assign(zs.value, eff.value, cfg.distance)[0]
+    rows = tape.gather_rows(eff, idx)
+    if cfg.distance != "euclidean":
+        rows = tape.row_scale(rows, quantize_row_factors(zs.value, eff.value, idx,
+                                                         cfg.distance))
+    commit = commitment_loss(tape, zs, rows, cfg.alpha, cfg.beta)
+    z_q = tape.straight_through(z_e, tape.scale(tape.reshape(rows, n, d), 1.0 / np.sqrt(g)),
+                                cfg.nu)
+    loss = tape.add(tape.mse(z_q, tape.leaf(target)), commit) if with_task else commit
+    tape.backward(loss)
+    grads = {"codes": codes.grad}
+    if cfg.affine_mode == "learnable":
+        grads.update(affine_scale=scale.grad.reshape(-1), affine_bias=bias.grad.reshape(-1))
+    return z_e.grad, grads, idx
+
 
 @pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
 @pytest.mark.parametrize("distance", ["euclidean", "cosine_renorm"])
 def test_commitment_codebook_grads_match_tape(affine_mode, distance):
+    """The joint path (quantize + codebook_param_grads) and the alternating
+    closed form both match the composite oracle, for every nu and n_group."""
     rng = np.random.default_rng(13)
     cb = Codebook(rng.standard_normal((5, 3)) + 0.2)
     cb.affine_scale = rng.standard_normal(3) * 0.1
     cb.affine_bias = rng.standard_normal(3) * 0.1
     cb.ema_mean_e = rng.standard_normal(3) * 0.1
     cb.ema_var_q = rng.random(3) + 0.5
-    z = rng.standard_normal((12, 3)) + 0.2
-    cfg = VQConfig(alpha=2.0, beta=0.8, distance=distance, affine_mode=affine_mode,
-                   affine_lr_scale=0.5)
+    for n_group in (1, 2):
+        z = rng.standard_normal((12, 3 * n_group)) + 0.2
+        target = rng.standard_normal(z.shape)
+        for nu in (0.0, 0.5, 1.0):
+            cfg = VQConfig(alpha=2.0, beta=0.8, nu=nu, distance=distance, n_group=n_group,
+                           affine_mode=affine_mode, affine_lr_scale=0.5)
+            z_grad, oracle, idx = composite_oracle(cb, z, target, cfg, with_task=True)
 
-    tape = Tape()
-    codes_node = tape.leaf(cb.codes, param=True)
-    scale_node = bias_node = None
-    if affine_mode == "learnable":
-        scale_node = tape.leaf(cb.affine_scale.reshape(1, -1), param=True)
-        bias_node = tape.leaf(cb.affine_bias.reshape(1, -1), param=True)
-    out = quantize(tape, tape.leaf(z), cb, cfg, codes_node=codes_node,
-                   affine_scale_node=scale_node, affine_bias_node=bias_node,
-                   mark_usage=False)
-    tape.backward(out.commit_loss)
+            tape = Tape()
+            z_e = tape.leaf(z, param=True)
+            out = quantize(tape, z_e, cb, cfg)
+            tape.backward(tape.add(tape.mse(out.z_q, tape.leaf(target)), out.commit_loss))
+            assert np.array_equal(out.indices, idx)
+            assert np.allclose(z_e.grad, z_grad, rtol=0, atol=1e-12)
+            joint = codebook_param_grads(cb, out.effective_codes.grad, cfg)
+            assert joint.keys() == oracle.keys()
+            for name, grad in oracle.items():
+                assert np.allclose(joint[name], grad, rtol=0, atol=1e-12), name
 
-    codes_grad, scale_grad, bias_grad = commitment_codebook_grads(
-        cb, z, out.indices, cfg)
-    assert np.allclose(codes_grad, codes_node.grad, atol=1e-12)
-    if affine_mode == "learnable":
-        assert np.allclose(scale_grad, scale_node.grad.reshape(-1), atol=1e-12)
-        assert np.allclose(bias_grad, bias_node.grad.reshape(-1), atol=1e-12)
+            _, commit_only, _ = composite_oracle(cb, z, target, cfg, with_task=False)
+            closed = commitment_codebook_grads(cb, group_split(z, n_group), idx, cfg)
+            assert closed.keys() == commit_only.keys()
+            for name, grad in commit_only.items():
+                assert np.allclose(closed[name], grad, rtol=0, atol=1e-12), name
+
+
+def test_joint_ema_step_decodes_the_codes_it_assigned_with():
+    """With a component of a = sigma_e / sigma_q below 0.5, (1 + (a - 1)) c
+    differs from a c in the last bit; the rows a joint step feeds the decoder
+    are exactly rows of cb.effective_codes("ema")."""
+    data, model, cb = trainer_setup(m=16)
+    cb.ema_var_e = np.full(8, 0.01)
+    cb.ema_var_q = np.linspace(0.5, 4.0, 8)
+    decode, seen = model.decode, []
+
+    def spy(tape, z, nodes):
+        a, _ = cb.ema_transform()
+        assert (a < 0.5).any()
+        seen.append((z.value.copy(), cb.effective_codes("ema")))
+        return decode(tape, z, nodes)
+
+    model.decode = spy
+    train_joint(model, cb, VQConfig(affine_mode="ema"), data, steps=3, batch_size=32,
+                track_grad_gap=False)
+    assert len(seen) == 3
+    for z, eff in seen:
+        idx = nearest_code(z, eff, "euclidean")[0]
+        assert np.array_equal(z, eff[idx])
