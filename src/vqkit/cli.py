@@ -18,6 +18,7 @@ import numpy as np
 
 from . import experiments as exp
 from . import metrics as mtr
+from .artifacts import atomic_open
 from .errors import ConfigError, NumericFailure, VQKitError
 
 EXIT_OK = 0
@@ -26,11 +27,12 @@ EXIT_NUMERIC = 3
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -84,7 +86,7 @@ def cmd_train(cfg: dict, out: Path) -> None:
     result = exp.run_training(cfg)
     mtr.write_metrics_csv(result.records, out / "metrics.csv")
     result.codebook.save(out / "codebook.bin")
-    with open(out / "replacements.jsonl", "w") as fh:
+    with atomic_open(out / "replacements.jsonl") as fh:
         for event in result.replacement_events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
     last = result.records[-1]

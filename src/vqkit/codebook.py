@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ContractViolation, DegenerateInput
 
 DISTANCE_KINDS = ("euclidean", "cosine_unit_norm", "cosine_renorm")
@@ -77,7 +78,7 @@ class Codebook:
 
     def save(self, path) -> None:
         path = Path(path)
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
             fh.write(struct.pack("<QQ", self.m, self.d))
@@ -92,7 +93,7 @@ class Codebook:
             "ema_mean_q": self.ema_mean_q.tolist(),
             "ema_var_q": self.ema_var_q.tolist(),
         }
-        with open(Path(str(path) + ".json"), "w") as fh:
+        with atomic_open(Path(str(path) + ".json")) as fh:
             json.dump(sidecar, fh, sort_keys=True)
 
     @classmethod
@@ -148,16 +149,35 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
+def half_sq_norms(x, chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+    """0.5 * ||x_i||^2 per row: the distance kernel's one norm formula, taken
+    `chunk_size` rows at a time so no n x d temporary is made. A row's value
+    does not depend on the chunking."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] <= chunk_size:
+        return 0.5 * (x * x).sum(axis=1)
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], chunk_size):
+        chunk = x[start:start + chunk_size]
+        out[start:start + chunk.shape[0]] = 0.5 * (chunk * chunk).sum(axis=1)
+    return out
+
+
 def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
                                chunk_size: int = DEFAULT_CHUNK_SIZE, *,
-                               out: np.ndarray | None = None) -> np.ndarray:
+                               out: np.ndarray | None = None,
+                               query_half_sq: np.ndarray | None = None) -> np.ndarray:
     """n x m matrix of half squared distances, computed in row chunks.
 
     euclidean: (i,j) = 0.5 * ||q_i - c_j||^2
     cosine:    (i,j) = 0.5 * ||q_i/||q_i|| - c_j/||c_j||||^2
 
-    The result is written into `out` when given (an n x m float64 array, such
-    as a block buffer the caller reuses) and returned."""
+    Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2. The result
+    is written into `out` when given (an n x m float64 array, such as a block
+    buffer the caller reuses) and returned. `query_half_sq` (euclidean only)
+    is `half_sq_norms(queries)`, for a caller that queries the same rows many
+    times. A chunk of two or more `PIECE_CELLS`-cell pieces is filled piece by
+    piece (`_row_pieces`); rows are independent, so the bits do not change."""
     if chunk_size < 1:
         raise ContractViolation("chunk_size must be >= 1")
     if kind not in DISTANCE_KINDS:
@@ -167,29 +187,72 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
     if queries.shape[1] != codes.shape[1]:
         raise ContractViolation(
             f"dimension mismatch: queries d={queries.shape[1]}, codes d={codes.shape[1]}")
-    n = queries.shape[0]
+    n, m = queries.shape[0], codes.shape[0]
     if out is None:
-        out = np.empty((n, codes.shape[0]))
-    elif out.shape != (n, codes.shape[0]) or out.dtype != np.float64:
+        out = np.empty((n, m))
+    elif out.shape != (n, m) or out.dtype != np.float64:
         raise ContractViolation(
-            f"out must be a {n} x {codes.shape[0]} float64 array, got {out.dtype} {out.shape}")
+            f"out must be a {n} x {m} float64 array, got {out.dtype} {out.shape}")
+    if query_half_sq is not None:
+        if kind != "euclidean":
+            raise ContractViolation(f"query_half_sq applies to euclidean distances, not {kind!r}")
+        query_half_sq = np.asarray(query_half_sq, dtype=np.float64)
+        if query_half_sq.shape != (n,):
+            raise ContractViolation(
+                f"query_half_sq must have shape ({n},), got {query_half_sq.shape}")
     if kind != "euclidean":
         queries, _ = normalize_rows(queries)
         codes, _ = normalize_rows(codes)
+    if query_half_sq is None:
+        query_half_sq = half_sq_norms(queries, chunk_size)
 
-    code_sq = (codes * codes).sum(axis=1)
+    code_half_sq = half_sq_norms(codes)
     for start in range(0, n, chunk_size):
-        chunk = queries[start:start + chunk_size]
-        q_sq = (chunk * chunk).sum(axis=1)
-        # 0.5 * (q_sq - 2 q.c + c_sq), evaluated in place in the output rows so
-        # no chunk x m temporaries are allocated
-        block = out[start:start + chunk.shape[0]]
-        np.matmul(2.0 * chunk, codes.T, out=block)
-        np.subtract(q_sq[:, None], block, out=block)
-        block += code_sq[None, :]
-        block *= 0.5
-        np.maximum(block, 0.0, out=block)
+        for lo, hi in _row_pieces(start, min(start + chunk_size, n), m):
+            _fill_distances(lo, hi, queries, codes, code_half_sq, query_half_sq, out)
     return out
+
+
+def _fill_distances(lo, hi, queries, codes, code_half_sq, query_half_sq, out) -> None:
+    """Rows lo:hi of `out`, evaluated in place so no block-sized temporary is
+    allocated. Halving is exact outside the subnormal and overflow ranges, so
+    this has the bits of 0.5 * ((||q||^2 - (2q).c) + ||c||^2)."""
+    # a strided chunk could make numpy leave BLAS; a contiguous one takes the
+    # path the former `2.0 * chunk` temporary took
+    chunk = np.ascontiguousarray(queries[lo:hi])
+    block = out[lo:hi]
+    np.matmul(chunk, codes.T, out=block)
+    np.subtract(query_half_sq[lo:hi, None], block, out=block)
+    block += code_half_sq
+    np.maximum(block, 0.0, out=block)
+
+
+# A block is cut by rows into pieces of at least PIECE_CELLS cells when it
+# holds two or more, so that each piece's passes (the matmul, the three
+# in-place passes and, in `assign`, the argmin or the sampling) find it in
+# the core's cache instead of in memory. Every cut is a multiple of
+# PIECE_ALIGN rows from the block start: that keeps every row in the same
+# position, relative to the BLAS kernel's row groups, that it has in the
+# whole block, so a row's bits do not depend on the cut.
+PIECE_CELLS = 1 << 17
+PIECE_ALIGN = 64
+
+
+def _row_pieces(lo: int, hi: int, cols: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges that tile the rows lo:hi of a rows x cols
+    block: pieces of the fewest aligned rows that hold PIECE_CELLS cells, the
+    last one taking the remainder, or the whole block if it holds fewer than
+    two such pieces."""
+    if (hi - lo) * cols < 2 * PIECE_CELLS:  # the common small block, at once
+        return [(lo, hi)]
+    step = -(-PIECE_CELLS // cols)
+    step = -(-step // PIECE_ALIGN) * PIECE_ALIGN
+    pieces = (hi - lo) // step
+    if pieces < 2:
+        return [(lo, hi)]
+    cuts = [lo + i * step for i in range(pieces)]
+    cuts.append(hi)
+    return list(zip(cuts, cuts[1:]))
 
 
 def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
@@ -197,34 +260,41 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
            chunk_size: int = DEFAULT_CHUNK_SIZE):
     """Per-query (code index, half squared distance to that code).
 
-    Queries are taken `chunk_size` rows at a time: each block's distances are
-    written into one reused min(n, chunk_size) x m buffer and reduced at once,
+    Queries are taken `chunk_size` rows at a time, and a large block in
+    `_row_pieces`: each piece's distances are written into one reused
+    min(n, chunk_size) x m buffer and reduced while they are still in cache,
     so no n x m array is held. With tau None the index is the nearest code,
     ties breaking toward the lowest index; otherwise it is drawn by
-    `sample_code_stochastic` from the block, which consumes one uniform draw
-    of `rng` per query (block by block, the same stream as one draw of n)."""
+    `sample_code_stochastic` from the piece, which consumes one uniform draw
+    of `rng` per query (piece by piece, the same stream as one draw of n)."""
     if tau is not None and rng is None:
         raise ContractViolation("stochastic sampling requires an rng")
     if chunk_size < 1:
         raise ContractViolation("chunk_size must be >= 1")
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
-    n = queries.shape[0]
+    n, m = queries.shape[0], codes.shape[0]
     indices = np.empty(n, dtype=np.int64)
     row_dists = np.empty(n)
-    buf = np.empty((min(n, chunk_size), codes.shape[0]))
+    # Every piece is written to the start of a buffer sized for a whole block.
+    # A piece-sized one would do, but glibc returns freed heap memory to the
+    # system above a threshold that follows the largest buffer freed so far:
+    # with 1 MB instead of 8 MB buffers, the arrays an alternating training
+    # step frees were faulted in afresh at every step (batch 1024, m = 256:
+    # 323k minor page faults against 8k, and 40% more time).
+    buf = np.empty((min(n, chunk_size), m))
     for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        rows = queries[start:stop]
-        block = pairwise_distances_chunked(rows, codes, kind, chunk_size,
-                                           out=buf[:stop - start])
-        if tau is None:
-            idx = block.argmin(axis=1)
-        else:
-            idx = sample_code_stochastic(rows, codes, kind, tau, rng, chunk_size,
-                                         dists=block)
-        indices[start:stop] = idx
-        row_dists[start:stop] = block[np.arange(stop - start), idx]
+        for lo, hi in _row_pieces(start, min(start + chunk_size, n), m):
+            rows = queries[lo:hi]
+            block = pairwise_distances_chunked(rows, codes, kind, chunk_size,
+                                               out=buf[:hi - lo])
+            if tau is None:
+                idx = block.argmin(axis=1)
+            else:
+                idx = sample_code_stochastic(rows, codes, kind, tau, rng, chunk_size,
+                                             dists=block)
+            indices[lo:hi] = idx
+            row_dists[lo:hi] = block[np.arange(hi - lo), idx]
     return indices, row_dists
 
 

@@ -201,6 +201,17 @@ def resolve_config(raw: dict) -> dict:
             Schedule.from_dict(cfg["schedule"])
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
+    d_code = cfg["model"]["d_code"]
+    for n_group in [cfg["vq"]["n_group"], *cfg["grid"].get("n_group", [])]:
+        if d_code % n_group:
+            raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
+    methods = cfg["init_study"]["methods"]
+    if not isinstance(methods, list):
+        raise ConfigError(f"init_study.methods must be a list, got {methods!r}")
+    for method in [cfg["codebook"]["init"], *cfg["grid"].get("init", []), *methods]:
+        if method not in initialization.INIT_METHODS:
+            raise ConfigError(f"unknown init method {method!r}; expected one of "
+                              f"{initialization.INIT_METHODS}")
     return cfg
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import scatter_add_rows
-from .codebook import assign, pairwise_distances_chunked
+from .codebook import assign, half_sq_norms, pairwise_distances_chunked
 from .errors import ContractViolation
 
 LLOYD_TOL = 1e-9
+INIT_METHODS = ("normal_kaiming", "uniform", "data_subset", "kmeans")
 
 
 def lloyd_step(centers: np.ndarray, sample: np.ndarray):
@@ -48,8 +49,11 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
     centers = np.empty((m, sample.shape[1]))
     first = int(rng.integers(n))
     centers[0] = sample[first]
+    # the sample's norms do not change between the m kernel calls
+    sample_half_sq = half_sq_norms(sample)
     # half squared distances: the sampling probabilities are ratios, unchanged by the 0.5
-    closest = pairwise_distances_chunked(sample, centers[:1]).ravel()
+    closest = pairwise_distances_chunked(sample, centers[:1],
+                                         query_half_sq=sample_half_sq).ravel()
     for j in range(1, m):
         total = closest.sum()
         if total <= 0.0:
@@ -58,8 +62,8 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
             probs = closest / total
             idx = int(rng.choice(n, p=probs))
         centers[j] = sample[idx]
-        closest = np.minimum(closest,
-                             pairwise_distances_chunked(sample, centers[j:j + 1]).ravel())
+        np.minimum(closest, pairwise_distances_chunked(
+            sample, centers[j:j + 1], query_half_sq=sample_half_sq).ravel(), out=closest)
     return centers
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import codebook as cbk
+from .artifacts import atomic_open
 from .autodiff import Node, Tape
 from .errors import ContractViolation
 from .vqlayer import VQConfig, VQOutput, quantize
@@ -35,9 +35,10 @@ class MetricsRecord:
 
 
 def write_metrics_csv(records, path) -> None:
-    lines = [",".join(METRICS_HEADER)]
-    lines.extend(r.row() for r in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(",".join(METRICS_HEADER) + "\n")
+        for r in records:
+            fh.write(r.row() + "\n")
 
 
 def perplexity(usage_counts) -> float:

@@ -474,3 +474,108 @@ def test_load_rejects_sidecar_arrays_of_the_wrong_length(tmp_path, key, length):
     sidecar_path.write_text(json.dumps(sidecar))
     with pytest.raises(ContractViolation, match=key):
         Codebook.load(path)
+
+
+# -- distance kernel: halved formula, precomputed norms, two-core row split ------
+
+def two_norm_distances(q, c, kind, chunk):
+    """The kernel as it was before it worked in half norms:
+    0.5 * ((||q||^2 - (2q).c) + ||c||^2), clamped at 0, chunk by chunk."""
+    if kind != "euclidean":
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        c = c / np.linalg.norm(c, axis=1, keepdims=True)
+    code_sq = (c * c).sum(axis=1)
+    out = np.empty((q.shape[0], c.shape[0]))
+    for start in range(0, q.shape[0], chunk):
+        rows = q[start:start + chunk]
+        q_sq = (rows * rows).sum(axis=1)
+        block = out[start:start + rows.shape[0]]
+        np.matmul(2.0 * rows, c.T, out=block)
+        np.subtract(q_sq[:, None], block, out=block)
+        block += code_sq[None, :]
+        block *= 0.5
+        np.maximum(block, 0.0, out=block)
+    return out
+
+
+def kernel_cases():
+    rng = np.random.default_rng(31)
+    q, c = rng.standard_normal((300, 5)), rng.standard_normal((40, 5))
+    on_codes = rng.standard_normal((300, 5))
+    on_codes[::3] = c[rng.integers(40, size=100)]  # exact cancellation, then the clamp
+    grid = np.array([(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)],
+                    dtype=np.float64)
+    return {"random": (q, c), "rows-equal-codes": (on_codes, c),
+            "large-norms": (1e120 * q, 1e120 * c),
+            "exact-ties": (np.repeat(grid, 13, axis=0), grid[::2])}  # 312 rows
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_kernel_bit_equals_the_two_norm_formula(row_pieces, case, kind, chunk, split):
+    row_pieces.force(split)
+    q, c = kernel_cases()[case]
+    want = two_norm_distances(q, c, kind, chunk)
+    assert np.array_equal(pairwise_distances_chunked(q, c, kind, chunk), want)
+    idx, row_dists = assign(q, c, kind, chunk_size=chunk)
+    assert np.array_equal(idx, want.argmin(axis=1))
+    assert np.array_equal(row_dists, want[np.arange(q.shape[0]), idx])
+    assert (row_pieces.cut > 0) == (split and chunk == 4096)
+    if case == "rows-equal-codes" and kind == "euclidean":
+        # most rows cancel to a tiny negative that the clamp takes to 0
+        assert (want[::3].min(axis=1) == 0.0).sum() > 50 and (want >= 0.0).all()
+
+
+def test_query_half_sq_gives_the_kernel_bits_and_is_checked():
+    rng = np.random.default_rng(8)
+    q, c = rng.standard_normal((9000, 6)), rng.standard_normal((3, 6))
+    half = cbk_mod.half_sq_norms(q)
+    assert np.array_equal(pairwise_distances_chunked(q, c, query_half_sq=half),
+                          pairwise_distances_chunked(q, c))
+    for bad in (half[:-1], half[:, None], np.append(half, 0.0)):
+        with pytest.raises(ContractViolation, match="shape"):
+            pairwise_distances_chunked(q, c, query_half_sq=bad)
+    for kind in ("cosine_unit_norm", "cosine_renorm"):
+        with pytest.raises(ContractViolation, match="euclidean"):
+            pairwise_distances_chunked(q, c, kind, query_half_sq=half)
+
+
+@pytest.mark.parametrize("n", [1, 129, 1001, 4099])
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_assign_bit_equal_with_pieces_off_and_on(row_pieces, kind, n):
+    """Forced down to 64 cells, a piece is 64 rows, so blocks from 128 rows
+    up are cut; n = 1 stays whole. A sampled piece takes the next uniform
+    draws, so the stream is that of the whole block."""
+    rng = np.random.default_rng(n)
+    q, c = rng.standard_normal((n, 6)) + 0.1, rng.standard_normal((64, 6)) + 0.1
+
+    def run():
+        return (assign(q, c, kind), assign(q, c, kind, tau=0.5, rng=np.random.default_rng(2)),
+                pairwise_distances_chunked(q, c, kind))
+
+    row_pieces.force(False, cells=64)
+    whole = run()
+    assert row_pieces.cut == 0
+    row_pieces.force(True, cells=64)
+    cut = run()
+    # the first block is cut three times: by each assign, and by the direct
+    # kernel call; a 3-row tail stays whole
+    assert row_pieces.cut == (0 if n == 1 else 3)
+    for got, want in zip(cut[:2], whole[:2]):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(cut[2], whole[2])
+
+
+def test_row_pieces_tile_the_rows_at_aligned_cuts(monkeypatch):
+    monkeypatch.setattr(cbk_mod, "PIECE_CELLS", 1 << 16)
+    pieces = cbk_mod._row_pieces(100, 1101, 300)  # 1001 x 300: 256, 256, 489 rows
+    assert len(pieces) == 3 and pieces[0][0] == 100 and pieces[-1][1] == 1101
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert all((lo - 100) % cbk_mod.PIECE_ALIGN == 0 for lo, _ in pieces)
+    assert all((hi - lo) * 300 >= cbk_mod.PIECE_CELLS for lo, hi in pieces)
+    # a block that holds fewer than two pieces stays whole
+    assert cbk_mod._row_pieces(0, 255, 1000) == [(0, 255)]
+    assert cbk_mod._row_pieces(5, 105, 10) == [(5, 105)]
+    assert cbk_mod._row_pieces(0, 7, 0) == [(0, 7)]

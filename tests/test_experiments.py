@@ -9,6 +9,7 @@ import pytest
 from vqkit import (
     ConfigError,
     ContractViolation,
+    MetricsRecord,
     MixtureSpec,
     collapse_config,
     gen_mixture,
@@ -18,6 +19,7 @@ from vqkit import (
     run_toy_trajectory,
     run_training,
 )
+from vqkit.artifacts import atomic_open
 from vqkit.cli import main as cli_main
 
 
@@ -251,6 +253,12 @@ def test_cli_exit_codes(tmp_path):
     ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"n_group": [2.0]}}),
     ("ablation", {"steps": 2, "seeds_per_cell": 1, "smooth_gamma": 0.1,
                   "grid": {"inner_k": [0, 1]}}),
+    ("train", {"vq": {"n_group": 3}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"n_group": [1, 3]}}),
+    ("train", {"codebook": {"init": "bogus"}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"init": ["bogus"]}}),
+    ("init-study", {"init_study": {"methods": ["kmeans", "bogus"]}}),
+    ("init-study", {"init_study": {"methods": "kmeans"}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -267,7 +275,10 @@ def test_cli_exit_codes(tmp_path):
         "smooth-gamma-alternating", "smooth-gamma-string", "model-hidden-string",
         "model-d-code-0", "model-d-in-float", "track-grad-gap-string",
         "grid-inner-k-string", "grid-inner-k-negative", "grid-affine-mode-unknown",
-        "grid-nu-negative", "grid-n-group-float", "grid-smooth-gamma-alternating"])
+        "grid-nu-negative", "grid-n-group-float", "grid-smooth-gamma-alternating",
+        "vq-n-group-not-dividing-d-code", "grid-n-group-not-dividing-d-code",
+        "codebook-init-unknown", "grid-init-unknown", "init-study-method-unknown",
+        "init-study-methods-string"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, **{"track_grad_gap": False, **overrides}))
@@ -304,6 +315,39 @@ def test_cli_train_outputs_and_config_roundtrip(tmp_path):
     assert cli_main(["train", "--config", str(a / "config.json"),
                      "--out", str(b)]) == 0
     assert run_dirs_identical(a, b)
+
+
+def test_artifact_writer_failing_mid_file_leaves_nothing_behind(tmp_path, monkeypatch):
+    target = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match="mid-file"):
+        with atomic_open(target) as fh:
+            fh.write("x,y\n1,")
+            raise ValueError("mid-file")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old\n")
+    with pytest.raises(ValueError, match="mid-file"):
+        with atomic_open(target) as fh:
+            fh.write("new")
+            raise ValueError("mid-file")
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "old\n"
+
+    # through the CLI: the metrics writer raises after two of its rows
+    out, rows = tmp_path / "o", []
+
+    def row_then_fail(record):
+        if len(rows) == 2:
+            # the header and two rows are in the temp file, under no final name
+            assert len(list(out.glob(".metrics.csv.*.tmp"))) == 1
+            assert not (out / "metrics.csv").exists()
+            raise ValueError("mid-file")
+        rows.append(record.step)
+        return str(record.step)
+
+    monkeypatch.setattr(MetricsRecord, "row", row_then_fail)
+    cfgp = write_cfg(tmp_path, "train.json", minimal(steps=4, track_grad_gap=False))
+    with pytest.raises(ValueError, match="mid-file"):
+        cli_main(["train", "--config", cfgp, "--out", str(out)])
+    assert [p.name for p in out.iterdir()] == ["config.json"]
 
 
 def test_cli_seed_flag_overrides_config(tmp_path):

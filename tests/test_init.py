@@ -11,8 +11,10 @@ from vqkit import (
     kmeans,
     kmeans_pp_seed,
     lloyd_step,
+    pairwise_distances_chunked,
 )
 from vqkit.autodiff import scatter_add_rows
+from vqkit.initialization import lloyd
 
 
 def test_lloyd_step_moves_centers_to_member_means():
@@ -165,3 +167,42 @@ def test_init_errors():
         init_codebook("nope", 4, 2)
     with pytest.raises(ContractViolation):
         init_codebook("uniform", 4, 2, low=1.5, seed=0)  # above the default high of 1
+
+
+def kmeans_pp_one_call_per_centre(sample, m, rng):
+    """k-means++ seeding as it was before the sample norms were computed once:
+    one kernel call per centre, which recomputes the norms each time."""
+    n = sample.shape[0]
+    centers = np.empty((m, sample.shape[1]))
+    centers[0] = sample[int(rng.integers(n))]
+    closest = pairwise_distances_chunked(sample, centers[:1]).ravel()
+    for j in range(1, m):
+        total = closest.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=closest / total))
+        centers[j] = sample[idx]
+        closest = np.minimum(closest, pairwise_distances_chunked(sample, centers[j:j + 1]).ravel())
+    return centers
+
+
+@pytest.mark.parametrize("n,d,m", [(5000, 7, 24), (16384, 16, 32), (300, 3, 300)])
+def test_kmeans_pp_seed_bit_equals_one_kernel_call_per_centre(n, d, m):
+    sample = np.random.default_rng(n).standard_normal((n, d)) * 10.0 ** np.arange(d)
+    got = kmeans_pp_seed(sample, m, np.random.default_rng(4))
+    assert np.array_equal(got, kmeans_pp_one_call_per_centre(sample, m, np.random.default_rng(4)))
+
+
+@pytest.mark.parametrize("n,cells", [(1, 16), (1001, 16), (4099, 1 << 17)])
+def test_lloyd_and_kmeans_bit_equal_with_pieces_off_and_on(row_pieces, n, cells):
+    """`cells` is the smallest piece: forced down to 16 cells (a piece is then
+    64 rows), or the default, of which a 4096 x 64 block holds two."""
+    rng = np.random.default_rng(n)
+    m = min(n, 16) if cells == 16 else 64
+    sample = rng.standard_normal((n, 4))
+    centers = sample[rng.choice(n, size=m, replace=False)] + 0.01
+    runs = []
+    for on in (False, True):
+        row_pieces.force(on, cells)
+        runs.append((lloyd(centers, sample, 5), kmeans(sample, m, np.random.default_rng(1), 5)))
+        assert (row_pieces.cut > 0) == (on and n > 1)
+    for whole, cut in zip(*runs):
+        assert np.array_equal(whole, cut)
