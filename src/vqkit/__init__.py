@@ -5,7 +5,6 @@ joint / alternating training loops for desk-scale experiments."""
 
 from .autodiff import Node, Tape, as_matrix, finite_difference_gradient
 from .codebook import (
-    DEFAULT_CHUNK_SIZE,
     DISTANCE_KINDS,
     Codebook,
     assign,

@@ -155,29 +155,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = exp.load_config(args.config)
-        expected = args.command if args.command != "metrics-replay" else "train"
-        if cfg["scenario"] != expected:
-            raise ConfigError(
-                f"config scenario {cfg['scenario']!r} does not match subcommand "
-                f"{args.command!r}")
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "config.json", cfg)
-        if args.command == "toy-trajectory":
-            cmd_toy_trajectory(cfg, out)
-        elif args.command == "affine-toy":
-            cmd_affine_toy(cfg, out)
-        elif args.command == "ablation":
-            cmd_ablation(cfg, out)
-        elif args.command == "train":
-            cmd_train(cfg, out)
-        elif args.command == "init-study":
-            cmd_init_study(cfg, out)
-        else:
-            cmd_metrics_replay(cfg, out, Path(args.metrics))
+        # numpy's floating-point warnings would precede the one-line report;
+        # ignoring them changes no value, and the finiteness checks still raise
+        with np.errstate(all="ignore"):
+            cfg = exp.load_config(args.config)
+            expected = args.command if args.command != "metrics-replay" else "train"
+            if cfg["scenario"] != expected:
+                raise ConfigError(
+                    f"config scenario {cfg['scenario']!r} does not match subcommand "
+                    f"{args.command!r}")
+            if args.seed is not None:
+                cfg["seed"] = args.seed
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_json(out / "config.json", cfg)
+            if args.command == "toy-trajectory":
+                cmd_toy_trajectory(cfg, out)
+            elif args.command == "affine-toy":
+                cmd_affine_toy(cfg, out)
+            elif args.command == "ablation":
+                cmd_ablation(cfg, out)
+            elif args.command == "train":
+                cmd_train(cfg, out)
+            elif args.command == "init-study":
+                cmd_init_study(cfg, out)
+            else:
+                cmd_metrics_replay(cfg, out, Path(args.metrics))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,7 +12,6 @@ from .artifacts import atomic_open
 from .errors import ContractViolation, DegenerateInput
 
 DISTANCE_KINDS = ("euclidean", "cosine_unit_norm", "cosine_renorm")
-DEFAULT_CHUNK_SIZE = 4096
 
 _MAGIC = b"VQKB"
 _VERSION = 1
@@ -149,37 +148,67 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def half_sq_norms(x, chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+# Queries are taken CHUNK_ROWS rows at a time. A chunk is cut by rows into
+# pieces of at least PIECE_CELLS cells when it holds two or more, so that
+# each piece's passes (the matmul, the three in-place passes and, in
+# `assign`, the argmin or the sampling) find it in the core's cache instead
+# of in memory. Every cut is a multiple of PIECE_ALIGN rows from the chunk
+# start: that keeps every row in the same position, relative to the BLAS
+# kernel's row groups, that it has in the whole chunk, so a row's bits do not
+# depend on the cut. All three are read at call time.
+CHUNK_ROWS = 4096
+PIECE_CELLS = 1 << 17
+PIECE_ALIGN = 64
+
+
+def half_sq_norms(x) -> np.ndarray:
     """0.5 * ||x_i||^2 per row: the distance kernel's one norm formula, taken
-    `chunk_size` rows at a time so no n x d temporary is made. A row's value
+    CHUNK_ROWS rows at a time so no n x d temporary is made. A row's value
     does not depend on the chunking."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] <= chunk_size:
+    if x.shape[0] <= CHUNK_ROWS:
         return 0.5 * (x * x).sum(axis=1)
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], chunk_size):
-        chunk = x[start:start + chunk_size]
-        out[start:start + chunk.shape[0]] = 0.5 * (chunk * chunk).sum(axis=1)
+    for start in range(0, x.shape[0], CHUNK_ROWS):
+        rows = x[start:start + CHUNK_ROWS]
+        out[start:start + rows.shape[0]] = 0.5 * (rows * rows).sum(axis=1)
     return out
 
 
-def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
-                               chunk_size: int = DEFAULT_CHUNK_SIZE, *,
+def _row_blocks(n: int, cols: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges that tile the rows of an n x cols matrix: the
+    CHUNK_ROWS-row chunks, each cut into pieces of the fewest aligned rows
+    that hold PIECE_CELLS cells when it holds two or more, the last piece
+    taking the remainder."""
+    if n <= CHUNK_ROWS and n * cols < 2 * PIECE_CELLS:  # the common small block, at once
+        return [(0, n)] if n else []
+    step = -(-PIECE_CELLS // cols) if cols else n + 1  # zero columns: never cut
+    step = -(-step // PIECE_ALIGN) * PIECE_ALIGN
+    blocks = []
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
+        pieces = max((stop - start) // step, 1)
+        blocks += [(start + i * step, start + (i + 1) * step) for i in range(pieces - 1)]
+        blocks.append((start + (pieces - 1) * step, stop))
+    return blocks
+
+
+def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
                                out: np.ndarray | None = None,
                                query_half_sq: np.ndarray | None = None) -> np.ndarray:
-    """n x m matrix of half squared distances, computed in row chunks.
+    """n x m matrix of half squared distances, computed over `_row_blocks`.
 
     euclidean: (i,j) = 0.5 * ||q_i - c_j||^2
     cosine:    (i,j) = 0.5 * ||q_i/||q_i|| - c_j/||c_j||||^2
 
-    Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2. The result
-    is written into `out` when given (an n x m float64 array, such as a block
-    buffer the caller reuses) and returned. `query_half_sq` (euclidean only)
-    is `half_sq_norms(queries)`, for a caller that queries the same rows many
-    times. A chunk of two or more `PIECE_CELLS`-cell pieces is filled piece by
-    piece (`_row_pieces`); rows are independent, so the bits do not change."""
-    if chunk_size < 1:
-        raise ContractViolation("chunk_size must be >= 1")
+    Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2, evaluated
+    in place so no block-sized temporary is allocated. Halving is exact
+    outside the subnormal and overflow ranges, so this has the bits of
+    0.5 * ((||q||^2 - (2q).c) + ||c||^2). The result is written into `out`
+    when given (an n x m float64 array, such as a block buffer the caller
+    reuses) and returned. `query_half_sq` (euclidean only) is
+    `half_sq_norms(queries)`, for a caller that queries the same rows many
+    times."""
     if kind not in DISTANCE_KINDS:
         raise ContractViolation(f"unknown distance kind {kind!r}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -204,109 +233,63 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean",
         queries, _ = normalize_rows(queries)
         codes, _ = normalize_rows(codes)
     if query_half_sq is None:
-        query_half_sq = half_sq_norms(queries, chunk_size)
+        query_half_sq = half_sq_norms(queries)
 
     code_half_sq = half_sq_norms(codes)
-    for start in range(0, n, chunk_size):
-        for lo, hi in _row_pieces(start, min(start + chunk_size, n), m):
-            _fill_distances(lo, hi, queries, codes, code_half_sq, query_half_sq, out)
+    for lo, hi in _row_blocks(n, m):
+        # a strided block could make numpy leave BLAS, and with it the bits
+        block = out[lo:hi]
+        np.matmul(np.ascontiguousarray(queries[lo:hi]), codes.T, out=block)
+        np.subtract(query_half_sq[lo:hi, None], block, out=block)
+        block += code_half_sq
+        np.maximum(block, 0.0, out=block)
     return out
 
 
-def _fill_distances(lo, hi, queries, codes, code_half_sq, query_half_sq, out) -> None:
-    """Rows lo:hi of `out`, evaluated in place so no block-sized temporary is
-    allocated. Halving is exact outside the subnormal and overflow ranges, so
-    this has the bits of 0.5 * ((||q||^2 - (2q).c) + ||c||^2)."""
-    # a strided chunk could make numpy leave BLAS; a contiguous one takes the
-    # path the former `2.0 * chunk` temporary took
-    chunk = np.ascontiguousarray(queries[lo:hi])
-    block = out[lo:hi]
-    np.matmul(chunk, codes.T, out=block)
-    np.subtract(query_half_sq[lo:hi, None], block, out=block)
-    block += code_half_sq
-    np.maximum(block, 0.0, out=block)
-
-
-# A block is cut by rows into pieces of at least PIECE_CELLS cells when it
-# holds two or more, so that each piece's passes (the matmul, the three
-# in-place passes and, in `assign`, the argmin or the sampling) find it in
-# the core's cache instead of in memory. Every cut is a multiple of
-# PIECE_ALIGN rows from the block start: that keeps every row in the same
-# position, relative to the BLAS kernel's row groups, that it has in the
-# whole block, so a row's bits do not depend on the cut.
-PIECE_CELLS = 1 << 17
-PIECE_ALIGN = 64
-
-
-def _row_pieces(lo: int, hi: int, cols: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges that tile the rows lo:hi of a rows x cols
-    block: pieces of the fewest aligned rows that hold PIECE_CELLS cells, the
-    last one taking the remainder, or the whole block if it holds fewer than
-    two such pieces."""
-    if (hi - lo) * cols < 2 * PIECE_CELLS:  # the common small block, at once
-        return [(lo, hi)]
-    step = -(-PIECE_CELLS // cols)
-    step = -(-step // PIECE_ALIGN) * PIECE_ALIGN
-    pieces = (hi - lo) // step
-    if pieces < 2:
-        return [(lo, hi)]
-    cuts = [lo + i * step for i in range(pieces)]
-    cuts.append(hi)
-    return list(zip(cuts, cuts[1:]))
-
-
 def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
-           rng: np.random.Generator | None = None,
-           chunk_size: int = DEFAULT_CHUNK_SIZE):
+           rng: np.random.Generator | None = None):
     """Per-query (code index, half squared distance to that code).
 
-    Queries are taken `chunk_size` rows at a time, and a large block in
-    `_row_pieces`: each piece's distances are written into one reused
-    min(n, chunk_size) x m buffer and reduced while they are still in cache,
+    Each of the `_row_blocks` has its distances written into one reused
+    min(n, CHUNK_ROWS) x m buffer and reduced while they are still in cache,
     so no n x m array is held. With tau None the index is the nearest code,
     ties breaking toward the lowest index; otherwise it is drawn by
-    `sample_code_stochastic` from the piece, which consumes one uniform draw
-    of `rng` per query (piece by piece, the same stream as one draw of n)."""
-    if tau is not None and rng is None:
-        raise ContractViolation("stochastic sampling requires an rng")
-    if chunk_size < 1:
-        raise ContractViolation("chunk_size must be >= 1")
+    `sample_code_stochastic` from the block, which consumes one uniform draw
+    of `rng` per query (block by block, the same stream as one draw of n)."""
+    if tau is not None:
+        if rng is None:
+            raise ContractViolation("stochastic sampling requires an rng")
+        if tau <= 0.0:
+            raise ContractViolation("stochastic sampling requires tau > 0; "
+                                    "use nearest_code for the deterministic limit")
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     n, m = queries.shape[0], codes.shape[0]
     indices = np.empty(n, dtype=np.int64)
     row_dists = np.empty(n)
-    # Every piece is written to the start of a buffer sized for a whole block.
+    # Every piece is written to the start of a buffer sized for a whole chunk.
     # A piece-sized one would do, but glibc returns freed heap memory to the
     # system above a threshold that follows the largest buffer freed so far:
     # with 1 MB instead of 8 MB buffers, the arrays an alternating training
     # step frees were faulted in afresh at every step (batch 1024, m = 256:
     # 323k minor page faults against 8k, and 40% more time).
-    buf = np.empty((min(n, chunk_size), m))
-    for start in range(0, n, chunk_size):
-        for lo, hi in _row_pieces(start, min(start + chunk_size, n), m):
-            rows = queries[lo:hi]
-            block = pairwise_distances_chunked(rows, codes, kind, chunk_size,
-                                               out=buf[:hi - lo])
-            if tau is None:
-                idx = block.argmin(axis=1)
-            else:
-                idx = sample_code_stochastic(rows, codes, kind, tau, rng, chunk_size,
-                                             dists=block)
-            indices[lo:hi] = idx
-            row_dists[lo:hi] = block[np.arange(hi - lo), idx]
+    buf = np.empty((min(n, CHUNK_ROWS), m))
+    for lo, hi in _row_blocks(n, m):
+        block = pairwise_distances_chunked(queries[lo:hi], codes, kind, out=buf[:hi - lo])
+        idx = block.argmin(axis=1) if tau is None else sample_code_stochastic(block, tau, rng)
+        indices[lo:hi] = idx
+        row_dists[lo:hi] = block[np.arange(hi - lo), idx]
     return indices, row_dists
 
 
-def nearest_code(queries, codes, kind: str = "euclidean",
-                 chunk_size: int = DEFAULT_CHUNK_SIZE):
+def nearest_code(queries, codes, kind: str = "euclidean"):
     """Per-query (index, quantized row, half squared distance).
 
     Ties break toward the lowest index. Under cosine_renorm the returned row is
     rescaled to the query norm; under cosine_unit_norm it has unit norm."""
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
-    indices, row_dists = assign(queries, codes, kind, chunk_size=chunk_size)
+    indices, row_dists = assign(queries, codes, kind)
     z_q = codes[indices] * quantize_row_factors(queries, codes, indices, kind)[:, None]
     return indices, z_q, row_dists
 
@@ -327,27 +310,14 @@ def quantize_row_factors(queries, codes, indices, kind: str) -> np.ndarray:
     raise ContractViolation(f"unknown distance kind {kind!r}")
 
 
-def sample_code_stochastic(queries, codes, kind: str, tau: float,
-                           rng: np.random.Generator,
-                           chunk_size: int = DEFAULT_CHUNK_SIZE, *,
-                           dists: np.ndarray | None = None) -> np.ndarray:
-    """Draw code indices from softmax(-d / tau), row by row, with
-    max-subtraction for stability. Requires tau > 0.
-
-    `dists` is the output of `pairwise_distances_chunked` for these queries
-    and codes, when the caller already holds it (as `assign` does for each
-    block); otherwise the draw goes through `assign`, block by block. The
-    softmax and its cumulative sum are built in one buffer of the shape of
-    `dists`, and each row takes the first code whose cdf reaches its uniform
-    draw (the last code if rounding leaves cdf[-1] below it)."""
-    if tau <= 0.0:
-        raise ContractViolation("stochastic sampling requires tau > 0; "
-                                "use nearest_code for the deterministic limit")
-    if dists is None:
-        return assign(queries, codes, kind, tau=tau, rng=rng, chunk_size=chunk_size)[0]
-    if dists.shape != (len(queries), len(codes)):
-        raise ContractViolation(
-            f"dists must be {len(queries)} x {len(codes)}, got {dists.shape}")
+def sample_code_stochastic(dists: np.ndarray, tau: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Draw one code index per row of `dists`, a block of
+    `pairwise_distances_chunked`, from softmax(-d / tau) with max-subtraction
+    for stability; tau > 0 (`assign` checks it). The softmax and its
+    cumulative sum are built in one buffer of the shape of `dists`, and each
+    row takes the first code whose cdf reaches its uniform draw (the last code
+    if rounding leaves cdf[-1] below it)."""
     # (d - min) / -tau has the bits of -(d - min) / tau: negation is exact
     buf = np.subtract(dists, dists.min(axis=1, keepdims=True))
     buf /= -tau

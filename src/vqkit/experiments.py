@@ -33,11 +33,20 @@ class MixtureSpec:
     weights: list
 
     def __post_init__(self):
+        for name in ("dim", "n"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ContractViolation(f"data {name} must be an integer >= 1, got {value!r}")
+        for name in ("means", "cov_scales", "weights"):
+            values = np.ravel(np.asarray(getattr(self, name), dtype=object))
+            if not all(is_finite_number(v) for v in values):
+                raise ContractViolation(f"data {name} must hold finite numbers")
         means = np.asarray(self.means, dtype=np.float64)
         if means.ndim != 2 or means.shape[1] != self.dim:
             raise ContractViolation("mixture means must be k x dim")
         k = means.shape[0]
-        if len(self.cov_scales) != k or len(self.weights) != k:
+        if np.ndim(self.cov_scales) != 1 or np.ndim(self.weights) != 1 \
+                or len(self.cov_scales) != k or len(self.weights) != k:
             raise ContractViolation("cov_scales and weights must have one entry per component")
         if any(s < 0.0 for s in self.cov_scales):
             raise ContractViolation("covariance scales must be >= 0")
@@ -145,9 +154,7 @@ def resolve_config(raw: dict) -> dict:
     _strict(cfg["toy"], set(_DEFAULTS["toy"]), "toy")
     _strict(cfg["affine_toy"], set(_DEFAULTS["affine_toy"]), "affine_toy")
     _strict(cfg["init_study"], set(_DEFAULTS["init_study"]), "init_study")
-    bad = set(cfg["grid"]) - _GRID_FIELDS
-    if bad:
-        raise ConfigError(f"unknown grid fields: {sorted(bad)}")
+    _strict(cfg["grid"], _GRID_FIELDS, "grid")
     for field, values in cfg["grid"].items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid field {field!r} must be a non-empty list")
@@ -156,7 +163,7 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
     if not isinstance(cfg["track_grad_gap"], bool):
         raise ConfigError(f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
-    for key in ("steps", "batch_size", "seeds_per_cell"):
+    for key in ("steps", "batch_size", "seeds_per_cell", "inner_k", "outer_k"):
         if not is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     for key, value in cfg["optimizer"].items():
@@ -201,6 +208,19 @@ def resolve_config(raw: dict) -> dict:
             Schedule.from_dict(cfg["schedule"])
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg["data"]["dim"] != cfg["model"]["d_in"]:
+        raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
+                          f"model.d_in={cfg['model']['d_in']}")
+    if cfg["batch_size"] > cfg["data"]["n"]:
+        raise ConfigError(f"batch_size={cfg['batch_size']} exceeds data.n={cfg['data']['n']}")
+    # an alternating run splits each batch into inner_k + outer_k sub-batches
+    alternating = [k for k in cfg["grid"].get("inner_k", []) if k >= 1]
+    if cfg["train_mode"] == "alternating":
+        alternating.append(cfg["inner_k"])
+    for inner_k in alternating:
+        if cfg["batch_size"] % (inner_k + cfg["outer_k"]):
+            raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
+                              f"outer_k = {inner_k + cfg['outer_k']} sub-batches")
     d_code = cfg["model"]["d_code"]
     for n_group in [cfg["vq"]["n_group"], *cfg["grid"].get("n_group", [])]:
         if d_code % n_group:

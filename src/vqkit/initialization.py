@@ -92,15 +92,13 @@ def lloyd(centers: np.ndarray, sample: np.ndarray, iters: int) -> np.ndarray:
 
 
 def init_codebook(method: str, m: int, d: int, sample=None, *,
-                  rng: np.random.Generator | None = None, seed: int | None = None,
-                  fan: int | None = None, low: float = -1.0, high: float = 1.0,
-                  iters: int = 50) -> np.ndarray:
-    """Produce an m x d code matrix. Same seed -> bit-identical output.
+                  rng: np.random.Generator, fan: int | None = None, low: float = -1.0,
+                  high: float = 1.0, iters: int = 50) -> np.ndarray:
+    """Produce an m x d code matrix. The same rng state gives bit-identical
+    output.
 
     methods: normal_kaiming (N(0, 2/fan)), uniform(low, high),
     data_subset (m distinct sample rows), kmeans (k-means++ + Lloyd)."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     if method == "normal_kaiming":
         std = np.sqrt(2.0 / (fan if fan is not None else d))
         return rng.normal(0.0, std, size=(m, d))

@@ -11,7 +11,7 @@ from . import codebook as cbk
 from . import metrics as mtr
 from . import vqlayer as vql
 from .autodiff import Node, Tape
-from .errors import ContractViolation, NumericFailure
+from .errors import ContractViolation, NumericFailure, is_finite_number, is_int
 
 CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
 
@@ -26,7 +26,7 @@ class SGD:
     velocities: dict = field(default_factory=dict)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: Optional[float] = None, decay_exempt=CODEBOOK_PARAM_NAMES) -> None:
+             lr: Optional[float] = None) -> None:
         eta = self.lr if lr is None else lr
         for name, theta in params.items():
             g = grads.get(name)
@@ -34,7 +34,7 @@ class SGD:
                 g = np.zeros_like(theta)
             if not np.isfinite(g).all():
                 raise NumericFailure(f"non-finite gradient for parameter {name!r}")
-            if self.weight_decay != 0.0 and name not in decay_exempt:
+            if self.weight_decay != 0.0 and name not in CODEBOOK_PARAM_NAMES:
                 g = g + self.weight_decay * theta
             v = self.velocities.get(name)
             v = g if v is None else self.momentum * v + g
@@ -54,6 +54,19 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("constant", "step", "cosine_warmup"):
             raise ContractViolation(f"unknown schedule kind {self.kind!r}")
+        for name in ("base_lr", "factor"):
+            if not is_finite_number(getattr(self, name)):
+                raise ContractViolation(
+                    f"schedule {name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("warmup_steps", "total_steps"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 0:
+                raise ContractViolation(f"schedule {name} must be an integer >= 0, got {value!r}")
+        if not isinstance(self.milestones, (list, tuple)) \
+                or not all(is_int(ms) for ms in self.milestones):
+            raise ContractViolation(
+                f"schedule milestones must be a list of integers, got {self.milestones!r}")
+        self.milestones = tuple(self.milestones)
         if self.kind == "cosine_warmup" and self.warmup_steps > self.total_steps:
             raise ContractViolation("warmup_steps must be <= total_steps")
         if self.base_lr < 0.0:
@@ -61,13 +74,11 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ContractViolation(f"a schedule must be an object, got {raw!r}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ContractViolation(f"unknown Schedule keys: {sorted(unknown)}")
-        raw = dict(raw)
-        if "milestones" in raw:
-            raw["milestones"] = tuple(raw["milestones"])
         return cls(**raw)
 
 

@@ -73,8 +73,9 @@ class VQConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VQConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ContractViolation(f"a VQConfig must be an object, got {raw!r}")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ContractViolation(f"unknown VQConfig keys: {sorted(unknown)}")
         return cls(**raw)

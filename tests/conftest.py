@@ -1,4 +1,6 @@
 """Shared fixtures."""
+from collections import Counter
+
 import pytest
 
 import vqkit.codebook as cbk_mod
@@ -9,9 +11,9 @@ def row_pieces(monkeypatch):
     """Force the distance kernel's row pieces on or off.
 
     `row_pieces.force(on, cells)` sets the smallest piece to `cells` cells
-    (on) or to a size that no block holds twice (off); `row_pieces.cut`
-    counts the blocks that were cut into more than one piece."""
-    real_row_pieces = cbk_mod._row_pieces
+    (on) or to a size that no chunk holds twice (off); `row_pieces.cut`
+    counts the chunks that were cut into more than one piece."""
+    real_row_blocks = cbk_mod._row_blocks
 
     class Pieces:
         cut = 0
@@ -19,11 +21,12 @@ def row_pieces(monkeypatch):
         def force(self, on, cells=1):
             monkeypatch.setattr(cbk_mod, "PIECE_CELLS", cells if on else 1 << 62)
 
-        def row_pieces(self, lo, hi, cols):
-            pieces = real_row_pieces(lo, hi, cols)
-            self.cut += len(pieces) > 1
-            return pieces
+        def row_blocks(self, n, cols):
+            blocks = real_row_blocks(n, cols)
+            per_chunk = Counter(lo // cbk_mod.CHUNK_ROWS for lo, _ in blocks)
+            self.cut += sum(count > 1 for count in per_chunk.values())
+            return blocks
 
     pieces = Pieces()
-    monkeypatch.setattr(cbk_mod, "_row_pieces", pieces.row_pieces)
+    monkeypatch.setattr(cbk_mod, "_row_blocks", pieces.row_blocks)
     return pieces

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import vqkit.codebook as cbk_mod
 from vqkit import (
     Codebook,
     MLPAutoencoder,
@@ -16,6 +17,7 @@ from vqkit import (
     VQConfig,
     collapse_config,
     activation_probability,
+    assign,
     commitment_loss,
     ema_update,
     finite_difference_gradient,
@@ -28,7 +30,6 @@ from vqkit import (
     run_init_study,
     run_toy_trajectory,
     run_training,
-    sample_code_stochastic,
 )
 from vqkit.cli import main as cli_main
 
@@ -250,7 +251,7 @@ def _naive(q, c, kind):
     return 0.5 * ((q[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
 
 
-def test_criterion_05_chunked_distances_match_naive():
+def test_criterion_05_chunked_distances_match_naive(monkeypatch):
     rng = np.random.default_rng(505)
     for i in range(50):
         n, m, d = rng.integers(1, 60, size=3)
@@ -259,7 +260,8 @@ def test_criterion_05_chunked_distances_match_naive():
         kind = ("euclidean", "cosine_unit_norm", "cosine_renorm")[i % 3]
         ref = _naive(q, c, kind)
         for chunk in (1, 7, 64, 4096):
-            got = pairwise_distances_chunked(q, c, kind, chunk_size=chunk)
+            monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
+            got = pairwise_distances_chunked(q, c, kind)
             assert np.abs(got - ref).max() <= 1e-9
     _passed(5, "chunked distances match naive full matrix")
 
@@ -288,11 +290,10 @@ def test_criterion_07_stochastic_limits():
         q = rng.standard_normal((8, 3))
         c = rng.standard_normal((5, 3))
         det = pairwise_distances_chunked(q, c, "euclidean").argmin(axis=1)
-        got = sample_code_stochastic(q, c, "euclidean", 1e-6, sampler)
+        got, _ = assign(q, c, "euclidean", tau=1e-6, rng=sampler)
         assert np.array_equal(got, det)
-    idx = sample_code_stochastic(np.zeros((10000, 2)),
-                                 np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                 "euclidean", 1.0, np.random.default_rng(11))
+    idx, _ = assign(np.zeros((10000, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                    "euclidean", tau=1.0, rng=np.random.default_rng(11))
     assert abs((idx == 0).mean() - 0.5) <= 0.05
     _passed(7, "stochastic sampling reaches the deterministic limit")
 

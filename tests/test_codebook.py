@@ -2,6 +2,7 @@
 naive full-matrix oracles."""
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,13 +41,14 @@ def naive_half_sq(queries, codes, kind):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
 @pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
-def test_chunked_matches_naive(chunk, kind):
+def test_chunked_matches_naive(chunk, kind, monkeypatch):
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
     rng = np.random.default_rng(chunk)
     for _ in range(5):
         n, m, d = rng.integers(1, 40, size=3)
         q = rng.standard_normal((n, d)) + 0.1  # keep away from zero norm
         c = rng.standard_normal((m, d)) + 0.1
-        got = pairwise_distances_chunked(q, c, kind, chunk_size=chunk)
+        got = pairwise_distances_chunked(q, c, kind)
         assert np.abs(got - naive_half_sq(q, c, kind)).max() <= 1e-9
 
 
@@ -105,9 +107,9 @@ def test_assign_stochastic_equals_sample_code_stochastic(kind):
     c = rng.standard_normal((17, 5)) + 0.1
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
     idx, row_dists = assign(q, c, kind, tau=0.3, rng=rng_a)
-    assert np.array_equal(idx, sample_code_stochastic(q, c, kind, 0.3, rng_b))
-    assert rng_a.random() == rng_b.random()  # same draws consumed
     full = pairwise_distances_chunked(q, c, kind)
+    assert np.array_equal(idx, sample_code_stochastic(full, 0.3, rng_b))
+    assert rng_a.random() == rng_b.random()  # same draws consumed
     assert np.array_equal(row_dists, full[np.arange(q.shape[0]), idx])
     with pytest.raises(ContractViolation):
         assign(q, c, kind, tau=0.3)
@@ -150,8 +152,7 @@ def test_sampler_bit_equals_two_pass_oracle(kind, tau, m):
     full = pairwise_distances_chunked(q, c, kind)
     assert np.array_equal(row_dists, full[np.arange(q.shape[0]), want])
     assert rng_a.random() == rng_o.random()  # one draw per query, as before
-    assert np.array_equal(
-        sample_code_stochastic(q, c, kind, tau, np.random.default_rng(5)), want)
+    assert np.array_equal(sample_code_stochastic(full, tau, np.random.default_rng(5)), want)
 
 
 def test_sampler_takes_last_code_when_draw_exceeds_cdf():
@@ -163,7 +164,7 @@ def test_sampler_takes_last_code_when_draw_exceeds_cdf():
     probs /= probs.sum(axis=1, keepdims=True)
     short = np.cumsum(probs, axis=1)[:, -1] < u
     assert short.any()  # rounding leaves some rows' cdf below the draw
-    idx = sample_code_stochastic(q, c, "euclidean", 1.0, ConstantDraws(u))
+    idx = sample_code_stochastic(dists, 1.0, ConstantDraws(u))
     assert np.all(idx[short] == 8)
     assert np.array_equal(idx, two_pass_sample(q, c, "euclidean", 1.0, ConstantDraws(u)))
 
@@ -174,7 +175,7 @@ def test_sampler_on_cdf_plateaus(u):
     # is [0, 0.5, 0.5, 0.5, 1], of the second [1, 1, 1, 1, 1]
     q = np.array([[0.0, 0.0], [4.0, 0.0]])
     c = np.array([[5.0, 0.0], [1.0, 0.0], [0.0, 7.0], [0.0, -9.0], [-1.0, 0.0]])
-    idx = sample_code_stochastic(q, c, "euclidean", 1e-6, ConstantDraws(u))
+    idx = sample_code_stochastic(pairwise_distances_chunked(q, c), 1e-6, ConstantDraws(u))
     assert np.array_equal(idx, two_pass_sample(q, c, "euclidean", 1e-6, ConstantDraws(u)))
     assert idx[0] == (0 if u == 0.0 else 1 if u <= 0.5 else 4) and idx[1] == 0
 
@@ -194,19 +195,6 @@ def test_stochastic_assign_computes_distances_once(monkeypatch):
     assert calls == [64]
 
 
-def test_sampler_rejects_dists_of_wrong_shape():
-    rng = np.random.default_rng(4)
-    q, c = rng.standard_normal((6, 2)), rng.standard_normal((3, 2))
-    dists = pairwise_distances_chunked(q, c)
-    for bad in (dists[:5], dists[:, :2], dists.ravel()):
-        with pytest.raises(ContractViolation):
-            sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0),
-                                   dists=bad)
-    assert np.array_equal(
-        sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0), dists=dists),
-        sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(0)))
-
-
 def one_matrix_sample(dists, tau, rng):
     """The sampler over a whole n x m distance matrix, as it was before
     `assign` reduced block by block: one softmax/cdf buffer, one draw of n."""
@@ -224,32 +212,34 @@ def one_matrix_sample(dists, tau, rng):
 
 @pytest.mark.parametrize("n,chunk", [(23, 1), (23, 7), (23, 22), (4099, 4096), (4099, 4098)])
 @pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
-def test_assign_by_blocks_bit_equals_full_matrix_oracle(kind, n, chunk):
+def test_assign_by_blocks_bit_equals_full_matrix_oracle(kind, n, chunk, monkeypatch):
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
     rng = np.random.default_rng(n + chunk)
     q = rng.standard_normal((n, 6)) + 0.1
     c = rng.standard_normal((13, 6)) + 0.1
-    full = pairwise_distances_chunked(q, c, kind, chunk)
+    full = pairwise_distances_chunked(q, c, kind)
     rows = np.arange(n)
 
-    idx, row_dists = assign(q, c, kind, chunk_size=chunk)
+    idx, row_dists = assign(q, c, kind)
     assert idx.dtype == np.int64 and np.array_equal(idx, full.argmin(axis=1))
     assert np.array_equal(row_dists, full[rows, idx])
 
     rng_o, rng_a = np.random.default_rng(9), np.random.default_rng(9)
     want = one_matrix_sample(full, 0.4, rng_o)
-    idx, row_dists = assign(q, c, kind, tau=0.4, rng=rng_a, chunk_size=chunk)
+    idx, row_dists = assign(q, c, kind, tau=0.4, rng=rng_a)
     assert idx.dtype == np.int64 and np.array_equal(idx, want)
     assert np.array_equal(row_dists, full[rows, want])
     assert rng_a.bit_generator.state == rng_o.bit_generator.state
-    assert np.array_equal(
-        sample_code_stochastic(q, c, kind, 0.4, np.random.default_rng(9), chunk), want)
+    # the block sampler over the whole matrix draws what assign drew block by block
+    assert np.array_equal(sample_code_stochastic(full, 0.4, np.random.default_rng(9)), want)
 
 
-def test_stochastic_assign_draws_the_stream_of_one_draw_of_n():
+def test_stochastic_assign_draws_the_stream_of_one_draw_of_n(monkeypatch):
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", 7)
     rng = np.random.default_rng(12)
     q, c = rng.standard_normal((50, 3)), rng.standard_normal((8, 3))
     blocked, whole = np.random.default_rng(44), np.random.default_rng(44)
-    assign(q, c, "euclidean", tau=1.0, rng=blocked, chunk_size=7)
+    assign(q, c, "euclidean", tau=1.0, rng=blocked)
     whole.random(50)
     assert blocked.bit_generator.state == whole.bit_generator.state
 
@@ -264,34 +254,36 @@ def test_assign_reuses_one_block_buffer(monkeypatch):
         return out
 
     monkeypatch.setattr(cbk_mod, "pairwise_distances_chunked", spy)
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", 8)
     rng = np.random.default_rng(2)
-    assign(rng.standard_normal((20, 3)), rng.standard_normal((5, 3)), chunk_size=8)
+    assign(rng.standard_normal((20, 3)), rng.standard_normal((5, 3)))
     assert [shape for shape, _ in seen] == [(8, 5), (8, 5), (4, 5)]
     assert all(base is seen[0][1] for _, base in seen)
 
 
-def _assign_peak(n, m, chunk, **kwargs):
+def _assign_peak(monkeypatch, n, m, chunk, **kwargs):
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
     rng = np.random.default_rng(0)
     q, c = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
     tracemalloc.start()
     try:
-        assign(q, c, "cosine_renorm", chunk_size=chunk, **kwargs)
+        assign(q, c, "cosine_renorm", **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("tau", [None, 0.5])
-def test_assign_memory_is_bounded_by_the_block(tau):
-    """The peak grows with chunk_size x m, not with n: eight times the rows
+def test_assign_memory_is_bounded_by_the_block(tau, monkeypatch):
+    """The peak grows with CHUNK_ROWS x m, not with n: eight times the rows
     add only the 16 bytes per row of the returned arrays."""
     m, chunk = 64, 256
     kwargs = {} if tau is None else {"tau": tau, "rng": np.random.default_rng(1)}
-    small = _assign_peak(1024, m, chunk, **kwargs)
-    large = _assign_peak(8192, m, chunk, **kwargs)
+    small = _assign_peak(monkeypatch, 1024, m, chunk, **kwargs)
+    large = _assign_peak(monkeypatch, 8192, m, chunk, **kwargs)
     assert large - small < 16 * (8192 - 1024) + 32 * 1024
     assert large < 8 * 8192 * m / 4  # a quarter of one n x m float64 matrix
-    assert _assign_peak(8192, m, 4 * chunk, **kwargs) > large + 2 * 8 * chunk * m
+    assert _assign_peak(monkeypatch, 8192, m, 4 * chunk, **kwargs) > large + 2 * 8 * chunk * m
 
 
 def test_ties_break_to_lowest_index():
@@ -342,23 +334,25 @@ def test_stochastic_low_temperature_matches_argmin():
     for _ in range(20):
         q = rng.standard_normal((50, 3))
         c = rng.standard_normal((8, 3))
-        det = pairwise_distances_chunked(q, c, "euclidean").argmin(axis=1)
-        got = sample_code_stochastic(q, c, "euclidean", 1e-6, sampler)
-        assert np.array_equal(got, det)
+        dists = pairwise_distances_chunked(q, c, "euclidean")
+        got = sample_code_stochastic(dists, 1e-6, sampler)
+        assert np.array_equal(got, dists.argmin(axis=1))
 
 
 def test_stochastic_symmetric_two_codes_is_fair():
     q = np.zeros((10000, 2))
     c = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    idx = sample_code_stochastic(q, c, "euclidean", 1.0, np.random.default_rng(42))
+    idx, _ = assign(q, c, "euclidean", tau=1.0, rng=np.random.default_rng(42))
     freq = (idx == 0).mean()
     assert abs(freq - 0.5) <= 0.05
 
 
 def test_stochastic_requires_positive_tau():
-    with pytest.raises(ContractViolation):
-        sample_code_stochastic(np.zeros((1, 2)), np.ones((2, 2)), "euclidean", 0.0,
-                               np.random.default_rng(0))
+    for n in (0, 1):
+        for tau in (0.0, -1.0):
+            with pytest.raises(ContractViolation, match="tau > 0"):
+                assign(np.zeros((n, 2)), np.ones((2, 2)), "euclidean", tau=tau,
+                       rng=np.random.default_rng(0))
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
@@ -514,12 +508,14 @@ def kernel_cases():
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
 @pytest.mark.parametrize("case", sorted(kernel_cases()))
-def test_kernel_bit_equals_the_two_norm_formula(row_pieces, case, kind, chunk, split):
+def test_kernel_bit_equals_the_two_norm_formula(row_pieces, monkeypatch, case, kind, chunk,
+                                                split):
     row_pieces.force(split)
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
     q, c = kernel_cases()[case]
     want = two_norm_distances(q, c, kind, chunk)
-    assert np.array_equal(pairwise_distances_chunked(q, c, kind, chunk), want)
-    idx, row_dists = assign(q, c, kind, chunk_size=chunk)
+    assert np.array_equal(pairwise_distances_chunked(q, c, kind), want)
+    idx, row_dists = assign(q, c, kind)
     assert np.array_equal(idx, want.argmin(axis=1))
     assert np.array_equal(row_dists, want[np.arange(q.shape[0]), idx])
     assert (row_pieces.cut > 0) == (split and chunk == 4096)
@@ -568,14 +564,50 @@ def test_assign_bit_equal_with_pieces_off_and_on(row_pieces, kind, n):
     assert np.array_equal(cut[2], whole[2])
 
 
+def nested_row_cuts(n, cols, chunk, cells, align):
+    """The cuts as two nested loops made them: CHUNK_ROWS-row chunks, and
+    each chunk's own row pieces."""
+    def row_pieces(lo, hi):
+        if (hi - lo) * cols < 2 * cells:
+            return [(lo, hi)]
+        step = -(-cells // cols)
+        step = -(-step // align) * align
+        pieces = (hi - lo) // step
+        if pieces < 2:
+            return [(lo, hi)]
+        cuts = [lo + i * step for i in range(pieces)]
+        cuts.append(hi)
+        return list(zip(cuts, cuts[1:]))
+
+    return [piece for start in range(0, n, chunk)
+            for piece in row_pieces(start, min(start + chunk, n))]
+
+
 def test_row_pieces_tile_the_rows_at_aligned_cuts(monkeypatch):
+    """The one block generator makes the cuts the nested loops made, with the
+    real constants and with a forced small chunk and piece."""
+    for chunk, cells in [(cbk_mod.CHUNK_ROWS, cbk_mod.PIECE_CELLS), (64, 1 << 10), (7, 1),
+                         (4096, 1 << 16)]:
+        monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(cbk_mod, "PIECE_CELLS", cells)
+        for n in (0, 1, 63, 64, 65, 4095, 4096, 4097, 16384, 50001):
+            for cols in (0, 1, 32, 100, 256, 257, 4096, (1 << 17) + 1):
+                blocks = cbk_mod._row_blocks(n, cols)
+                assert blocks == nested_row_cuts(n, cols, chunk, cells, cbk_mod.PIECE_ALIGN)
+                # contiguous, non-empty and covering 0:n; n = 0 gives no block
+                edges = [0] + [hi for _, hi in blocks]
+                assert [lo for lo, _ in blocks] == edges[:-1] and edges[-1] == n
+                assert all(lo < hi for lo, hi in blocks)
+                assert all(lo % chunk % cbk_mod.PIECE_ALIGN == 0 for lo, _ in blocks)
+                per_chunk = Counter(lo // chunk for lo, _ in blocks)
+                assert all((hi - lo) * cols >= cells for lo, hi in blocks
+                           if per_chunk[lo // chunk] > 1)  # a cut chunk's pieces
+
     monkeypatch.setattr(cbk_mod, "PIECE_CELLS", 1 << 16)
-    pieces = cbk_mod._row_pieces(100, 1101, 300)  # 1001 x 300: 256, 256, 489 rows
-    assert len(pieces) == 3 and pieces[0][0] == 100 and pieces[-1][1] == 1101
-    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-    assert all((lo - 100) % cbk_mod.PIECE_ALIGN == 0 for lo, _ in pieces)
-    assert all((hi - lo) * 300 >= cbk_mod.PIECE_CELLS for lo, hi in pieces)
-    # a block that holds fewer than two pieces stays whole
-    assert cbk_mod._row_pieces(0, 255, 1000) == [(0, 255)]
-    assert cbk_mod._row_pieces(5, 105, 10) == [(5, 105)]
-    assert cbk_mod._row_pieces(0, 7, 0) == [(0, 7)]
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", 1001)
+    # the 1001 x 300 chunk is cut into 256, 256 and 489 rows; the 100-row tail stays whole
+    assert cbk_mod._row_blocks(1101, 300) == [(0, 256), (256, 512), (512, 1001), (1001, 1101)]
+    # a chunk that holds fewer than two pieces stays whole
+    assert cbk_mod._row_blocks(255, 1000) == [(0, 255)]
+    assert cbk_mod._row_blocks(100, 10) == [(0, 100)]
+    assert cbk_mod._row_blocks(7, 0) == [(0, 7)]

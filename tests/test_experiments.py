@@ -2,6 +2,10 @@
 entry point (exit codes and byte-identical reruns)."""
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,12 @@ def minimal(scenario="train", **extra):
     raw = {"scenario": scenario, "seed": 0}
     raw.update(extra)
     return raw
+
+
+def mixture(**overrides):
+    """A one-component data section that fits the default model (d_in = 16)."""
+    return {"dim": 16, "n": 256, "means": [[0.0] * 16], "cov_scales": [0.1],
+            "weights": [1.0], **overrides}
 
 
 # -- config resolution ------------------------------------------------------------
@@ -259,6 +269,25 @@ def test_cli_exit_codes(tmp_path):
     ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"init": ["bogus"]}}),
     ("init-study", {"init_study": {"methods": ["kmeans", "bogus"]}}),
     ("init-study", {"init_study": {"methods": "kmeans"}}),
+    ("train", {"train_mode": "alternating", "inner_k": "x"}),
+    ("train", {"train_mode": "alternating", "outer_k": 1.0}),
+    ("train", {"inner_k": True}),
+    ("train", {"train_mode": "alternating", "inner_k": 2, "outer_k": 1}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "grid": {"inner_k": [0, 2]}}),
+    ("train", {"schedule": {"kind": "step", "milestones": 5}}),
+    ("train", {"schedule": {"kind": "step", "milestones": ["a"]}}),
+    ("train", {"schedule": {"base_lr": "x"}}),
+    ("train", {"schedule": {"kind": "step", "milestones": [1], "factor": "x"}}),
+    ("train", {"schedule": {"kind": "cosine_warmup", "warmup_steps": "a",
+                            "total_steps": 10}}),
+    ("train", {"schedule": 5}),
+    ("train", {"schedule": []}),
+    ("train", {"data": mixture(n=-5)}),
+    ("train", {"data": mixture(cov_scales=["x"])}),
+    ("train", {"data": mixture(dim=4, means=[[0.0] * 4])}),
+    ("train", {"data": mixture(n=32)}),
+    ("train", {"vq": []}),
+    ("ablation", {"grid": []}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -278,7 +307,12 @@ def test_cli_exit_codes(tmp_path):
         "grid-nu-negative", "grid-n-group-float", "grid-smooth-gamma-alternating",
         "vq-n-group-not-dividing-d-code", "grid-n-group-not-dividing-d-code",
         "codebook-init-unknown", "grid-init-unknown", "init-study-method-unknown",
-        "init-study-methods-string"])
+        "init-study-methods-string", "inner-k-string", "outer-k-float", "inner-k-bool",
+        "alternating-batch-not-divisible", "grid-inner-k-batch-not-divisible",
+        "schedule-milestones-int", "schedule-milestones-string", "schedule-base-lr-string",
+        "schedule-factor-string", "schedule-warmup-steps-string", "schedule-int",
+        "schedule-list", "data-n-negative", "data-cov-scales-string",
+        "data-dim-not-model-d-in", "batch-size-above-data-n", "vq-list", "grid-list"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, **{"track_grad_gap": False, **overrides}))
@@ -287,6 +321,21 @@ def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"optimizer": {"lr": 1e308}},
+    {"data": mixture(means=[[1e308] * 16], cov_scales=[1e308])},
+], ids=["lr-1e308", "data-1e308"])
+def test_cli_numeric_failure_prints_one_line(tmp_path, overrides):
+    """numpy's overflow warnings do not reach stderr ahead of the report."""
+    cfgp = write_cfg(tmp_path, "big.json", minimal(**overrides))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "vqkit.cli", "train", "--config", cfgp,
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure:") and proc.stderr.count("\n") == 1
 
 
 def test_cli_toy_trajectory_outputs_and_rerun_identical(tmp_path):

@@ -117,22 +117,22 @@ def test_kmeans_pp_seeds_are_sample_rows():
 
 
 def test_init_normal_kaiming_std():
-    codes = init_codebook("normal_kaiming", 20000, 8, seed=0)
+    codes = init_codebook("normal_kaiming", 20000, 8, rng=np.random.default_rng(0))
     assert codes.shape == (20000, 8)
     assert abs(codes.std() - np.sqrt(2.0 / 8)) < 0.01
-    wide = init_codebook("normal_kaiming", 20000, 8, seed=0, fan=2)
+    wide = init_codebook("normal_kaiming", 20000, 8, rng=np.random.default_rng(0), fan=2)
     assert abs(wide.std() - 1.0) < 0.02
 
 
 def test_init_uniform_bounds():
-    codes = init_codebook("uniform", 1000, 4, seed=3, low=-0.25, high=0.75)
+    codes = init_codebook("uniform", 1000, 4, rng=np.random.default_rng(3), low=-0.25, high=0.75)
     assert codes.min() >= -0.25 and codes.max() <= 0.75
 
 
 def test_init_data_subset_rows_are_distinct_sample_rows():
     rng = np.random.default_rng(4)
     sample = rng.standard_normal((50, 3))
-    codes = init_codebook("data_subset", 10, 3, sample=sample, seed=7)
+    codes = init_codebook("data_subset", 10, 3, sample=sample, rng=np.random.default_rng(7))
     seen = set()
     for row in codes:
         matches = np.nonzero((sample == row).all(axis=1))[0]
@@ -143,30 +143,31 @@ def test_init_data_subset_rows_are_distinct_sample_rows():
 
 def test_init_same_seed_bit_identical():
     for method in ("normal_kaiming", "uniform"):
-        a = init_codebook(method, 16, 4, seed=11)
-        b = init_codebook(method, 16, 4, seed=11)
+        a = init_codebook(method, 16, 4, rng=np.random.default_rng(11))
+        b = init_codebook(method, 16, 4, rng=np.random.default_rng(11))
         assert np.array_equal(a, b)
 
 
 def test_init_kmeans_beats_random_on_divergence():
     rng = np.random.default_rng(6)
     sample = np.maximum(rng.standard_normal((500, 6)), 0.0)
-    km = init_codebook("kmeans", 16, 6, sample=sample, seed=8)
-    rand = init_codebook("normal_kaiming", 16, 6, seed=8)
+    km = init_codebook("kmeans", 16, 6, sample=sample, rng=np.random.default_rng(8))
+    rand = init_codebook("normal_kaiming", 16, 6, rng=np.random.default_rng(8))
     assert divergence(sample, km) < divergence(sample, rand)
 
 
 def test_init_errors():
     with pytest.raises(ContractViolation):
-        init_codebook("data_subset", 10, 3, sample=None)
+        init_codebook("data_subset", 10, 3, sample=None, rng=np.random.default_rng(0))
     with pytest.raises(ContractViolation):
-        init_codebook("data_subset", 10, 3, sample=np.zeros((5, 3)))
+        init_codebook("data_subset", 10, 3, sample=np.zeros((5, 3)), rng=np.random.default_rng(0))
     with pytest.raises(ContractViolation):
-        init_codebook("kmeans", 10, 3, sample=np.zeros((5, 3)))
+        init_codebook("kmeans", 10, 3, sample=np.zeros((5, 3)), rng=np.random.default_rng(0))
     with pytest.raises(ContractViolation):
-        init_codebook("nope", 4, 2)
+        init_codebook("nope", 4, 2, rng=np.random.default_rng(0))
     with pytest.raises(ContractViolation):
-        init_codebook("uniform", 4, 2, low=1.5, seed=0)  # above the default high of 1
+        # above the default high of 1
+        init_codebook("uniform", 4, 2, low=1.5, rng=np.random.default_rng(0))
 
 
 def kmeans_pp_one_call_per_centre(sample, m, rng):
