@@ -62,7 +62,6 @@ from .vqlayer import (
     affine_update_ema,
     codebook_param_grads,
     commitment_codebook_grads,
-    commitment_loss,
     ema_update,
     kmeans_reset,
     lru_replace,

@@ -164,6 +164,25 @@ class Tape:
 
         return self._record(z_q.value.copy(), [z_e, z_q], grad_fn, name="straight_through")
 
+    def commitment(self, z_e: Node, z_q: Node, alpha: float, beta: float) -> Node:
+        """alpha * [(1-beta) * d(z_e, sg(z_q)) + beta * d(sg(z_e), z_q)], d the mean
+        over rows of the half squared distance: z_e gets the (1-beta) share of the
+        gradient, z_q the beta share. Value and gradients have the bits of this
+        composite of mse, stop_gradient, scale and add."""
+        if z_e.shape != z_q.shape:
+            raise ContractViolation(f"commitment shape mismatch {z_e.shape} vs {z_q.shape}")
+        alpha, beta = float(alpha), float(beta)
+        diff = z_e.value - z_q.value
+        rows = z_e.shape[0]
+        d = 0.5 * float((diff * diff).sum()) / rows
+        out = np.array([[(d * (1.0 - beta) + d * beta) * alpha]])
+
+        def grad_fn(g):
+            g_alpha = g[0, 0] * alpha
+            return [(g_alpha * (1.0 - beta) / rows) * diff, -((g_alpha * beta / rows) * diff)]
+
+        return self._record(out, [z_e, z_q], grad_fn, name="commitment")
+
     def gather_rows(self, a: Node, indices) -> Node:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:

@@ -107,6 +107,8 @@ _DEFAULTS = {
 
 _TOP_LEVEL_KEYS = {"scenario", "seed"} | set(_DEFAULTS)
 
+_DATA_INITS = {"data_subset", "kmeans"}
+
 _GRID_FIELDS = {"init", "affine_mode", "nu", "inner_k", "replacement",
                 "distance", "n_group"}
 
@@ -169,6 +171,8 @@ def resolve_config(raw: dict) -> dict:
     for key, value in cfg["optimizer"].items():
         if not is_finite_number(value):
             raise ConfigError(f"optimizer.{key} must be a finite number, got {value!r}")
+    if cfg["optimizer"]["lr"] < 0.0:
+        raise ConfigError(f"optimizer.lr must be >= 0, got {cfg['optimizer']['lr']!r}")
     for section, keys in _SECTION_INTS.items():
         for key in keys:
             value = cfg[section].get(key, 1)
@@ -222,16 +226,32 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
                               f"outer_k = {inner_k + cfg['outer_k']} sub-batches")
     d_code = cfg["model"]["d_code"]
-    for n_group in [cfg["vq"]["n_group"], *cfg["grid"].get("n_group", [])]:
+    n_groups = [cfg["vq"]["n_group"], *cfg["grid"].get("n_group", [])]
+    for n_group in n_groups:
         if d_code % n_group:
             raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
-    methods = cfg["init_study"]["methods"]
-    if not isinstance(methods, list):
-        raise ConfigError(f"init_study.methods must be a list, got {methods!r}")
-    for method in [cfg["codebook"]["init"], *cfg["grid"].get("init", []), *methods]:
+    study, cb_cfg = cfg["init_study"], cfg["codebook"]
+    methods = study["methods"]
+    if not isinstance(methods, list) or not methods:
+        raise ConfigError(f"init_study.methods must be a non-empty list, got {methods!r}")
+    inits = [cb_cfg["init"], *cfg["grid"].get("init", [])]
+    for method in [*inits, *methods]:
         if method not in initialization.INIT_METHODS:
             raise ConfigError(f"unknown init method {method!r}; expected one of "
                               f"{initialization.INIT_METHODS}")
+    # the checks init_codebook makes, before anything is written
+    low, high = cb_cfg.get("low", -1.0), cb_cfg.get("high", 1.0)
+    if "uniform" in inits and low > high:
+        raise ConfigError(f"uniform init needs codebook.low <= codebook.high, "
+                          f"got {low} > {high}")
+    # a data-driven init draws m distinct codes from data.n * n_group encoder rows
+    rows = cfg["data"]["n"] * min(n_groups)
+    if _DATA_INITS & set(inits) and cb_cfg["m"] > rows:
+        raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
+                          f"(data.n x n_group) a kmeans or data_subset init draws from")
+    if _DATA_INITS & set(methods) and study["m"] > study["n"]:
+        raise ConfigError(f"init_study.m={study['m']} exceeds the init_study.n={study['n']} "
+                          f"sample rows a kmeans or data_subset init draws from")
     return cfg
 
 
@@ -345,7 +365,7 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
             zq_node = tape.leaf(z_q, param=True)
             st = tape.straight_through(ze_node, zq_node, nu_eff)
             task = tape.mse(st, tape.leaf(tgt))
-            commit = vql.commitment_loss(tape, ze_node, zq_node, alpha, beta)
+            commit = tape.commitment(ze_node, zq_node, alpha, beta)
             tape.backward(tape.add(task, commit))
             task_val = float(task.value[0, 0])
             z_e_new = z_e - lr * ze_node.grad

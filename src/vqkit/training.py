@@ -166,18 +166,18 @@ def _post_step_hooks(cb: cbk.Codebook, config: vql.VQConfig, z_rows, z_q_rows,
             vql.kmeans_reset(cb, z_rows)
 
 
-def _record(step, task, commit, cb, config, indices, row_dists, gap, window):
+def _record(step, out: vql.VQOutput, task: Node, gap, cb, config, window):
     eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
     window_used = (cb.last_used >= step - window + 1).astype(np.int64)
     return mtr.MetricsRecord(
         step=step,
-        task_loss=task,
-        commit_loss=commit,
-        perplexity=mtr.perplexity(np.bincount(indices, minlength=cb.m)),
+        task_loss=float(task.value[0, 0]),
+        commit_loss=float(out.commit_loss.value[0, 0]),
+        perplexity=mtr.perplexity(np.bincount(out.indices, minlength=cb.m)),
         active_ratio=mtr.active_ratio(window_used),
-        quant_error=float(np.mean(row_dists)),
+        quant_error=float(np.mean(out.distances)),
         grad_gap=gap,
-        divergence_cq=mtr.divergence(eff, eff[np.unique(indices)]),
+        divergence_cq=mtr.divergence(eff, eff[np.unique(out.indices)]),
     )
 
 
@@ -186,9 +186,9 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
                 schedule: Optional[Schedule], seed: int) -> TrainResult:
     """The loop both trainers share. Each step draws a batch and calls
     `step_fn(batch, t, eta, rng_vq)`, which updates the model and codebook and
-    returns (task, commit, indices, row_dists, z_rows, z_q_rows, gap) of the
-    step's last sub-batch; the replacement / affine-EMA / k-means hooks and
-    the metrics record follow."""
+    returns (out, task, gap): the `quantize` output and task-loss node of the
+    step's last sub-batch, and the gradient gap. The replacement / affine-EMA /
+    k-means hooks and the metrics record follow."""
     data = np.asarray(data, dtype=np.float64)
     schedule = schedule or Schedule(base_lr=optimizer.lr)
     # active-ratio window: one epoch of steps, stretched to cover the LRU
@@ -202,10 +202,10 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
 
     records, events = [], []
     for t in range(steps):
-        task, commit, indices, row_dists, z_rows, z_q_rows, gap = step_fn(
-            stream.next(), t, lr_at(schedule, t), rng_vq)
-        _post_step_hooks(cb, config, z_rows, z_q_rows, t, rng_vq, events)
-        records.append(_record(t, task, commit, cb, config, indices, row_dists, gap, window))
+        out, task, gap = step_fn(stream.next(), t, lr_at(schedule, t), rng_vq)
+        _post_step_hooks(cb, config, out.z_e_grouped.value, out.z_q_grouped.value, t,
+                         rng_vq, events)
+        records.append(_record(t, out, task, gap, cb, config, window))
     return TrainResult(records, cb, model, events)
 
 
@@ -236,8 +236,7 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         grads = _collect_grads(nodes)
         grads.update(vql.codebook_param_grads(cb, out.effective_codes.grad, config))
         _apply(optimizer, model, cb, grads, eta)
-        return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]), out.indices,
-                out.distances, out.z_e_grouped.value, out.z_q_grouped.value, gap)
+        return out, task, gap
 
     return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
                        optimizer=optimizer, schedule=schedule, seed=seed)
@@ -246,13 +245,13 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
 def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
                       steps: int, batch_size: int, inner_k: int = 1, outer_k: int = 1,
                       optimizer: Optional[SGD] = None,
-                      codebook_optimizer: Optional[SGD] = None,
                       schedule: Optional[Schedule] = None, seed: int = 0,
                       track_grad_gap: bool = True) -> TrainResult:
     """Alternating optimization: per cycle, inner_k codebook-only steps on the
     codebook-facing commitment term, then outer_k encoder/decoder-only steps on
     the task loss. Each sub-step consumes a distinct slice of the mini-batch so
-    the example count matches train_joint."""
+    the example count matches train_joint. The encoder does not move during
+    the inner steps, so one encoder pass over their rows serves them all."""
     if inner_k < 1 or outer_k < 1:
         raise ContractViolation("inner_k and outer_k must be >= 1")
     n_sub = inner_k + outer_k
@@ -260,32 +259,31 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         raise ContractViolation(
             f"batch_size {batch_size} must divide into {n_sub} sub-batches")
     sub = batch_size // n_sub
+    # one SGD for both phases: codebook and model parameter names never clash
     optimizer = optimizer or SGD()
-    codebook_optimizer = codebook_optimizer or SGD(lr=optimizer.lr,
-                                                   momentum=optimizer.momentum)
 
     def step(batch, t, eta, rng):
         gap = mtr.gradient_gap(model, cb, config, batch) if track_grad_gap else 0.0
+        z_inner = model.encode_values(batch[:inner_k * sub])
         for i in range(inner_k):
-            _inner_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng,
-                        codebook_optimizer)
+            _inner_step(model, cb, config, z_inner[i * sub:(i + 1) * sub], eta, t, rng,
+                        optimizer)
         for i in range(inner_k, n_sub):
-            out = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t, rng,
-                              optimizer)
-        return (*out, gap)
+            out, task = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
+                                    rng, optimizer)
+        return out, task, gap
 
     return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
                        optimizer=optimizer, schedule=schedule, seed=seed)
 
 
-def _inner_step(model, cb, config, sub_batch, eta, step, rng, codebook_optimizer):
-    z_rows = cbk.group_split(model.encode_values(sub_batch), config.n_group)
-    eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
-    indices, _ = cbk.assign(z_rows, eff, config.distance,
-                            tau=config.sampling_tau(step), rng=rng)
-    cb.mark_used(indices, step)
-    _apply(codebook_optimizer, model, cb,
-           vql.commitment_codebook_grads(cb, z_rows, indices, config), eta)
+def _inner_step(model, cb, config, z_e_rows, eta, step, rng, optimizer):
+    """Codebook-only step on the commitment loss of the encoder rows
+    `z_e_rows`; the model's parameters stay untouched."""
+    tape = Tape()
+    out = vql.quantize(tape, tape.leaf(z_e_rows), cb, config, step=step, rng=rng)
+    cb.mark_used(out.indices, step)
+    _apply(optimizer, model, cb, vql.commitment_codebook_grads(tape, out, cb, config), eta)
 
 
 def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
@@ -295,5 +293,4 @@ def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
     cb.mark_used(out.indices, step)
     tape.backward(task)
     _apply(optimizer, model, cb, _collect_grads(nodes), eta)
-    return (float(task.value[0, 0]), float(out.commit_loss.value[0, 0]),
-            out.indices, out.distances, out.z_e_grouped.value, out.z_q_grouped.value)
+    return out, task

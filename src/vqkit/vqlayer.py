@@ -95,19 +95,11 @@ class VQOutput:
     z_q_grouped: Node = field(repr=False)
 
 
-def commitment_loss(tape: Tape, z_e: Node, z_q: Node, alpha: float, beta: float) -> Node:
-    """alpha * [(1-beta) * d(z_e, sg(z_q)) + beta * d(sg(z_e), z_q)] with d the
-    mean over rows of the half squared distance."""
-    encoder_term = tape.mse(z_e, tape.stop_gradient(z_q))
-    codebook_term = tape.mse(tape.stop_gradient(z_e), z_q)
-    mix = tape.add(tape.scale(encoder_term, 1.0 - beta), tape.scale(codebook_term, beta))
-    return tape.scale(mix, alpha)
-
-
 def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
              step: int = 0, rng: Optional[np.random.Generator] = None) -> VQOutput:
-    """Group-split, assign, gather effective codes, group-concat with the
-    1/sqrt(n_group) normalization, and wire the straight-through composite.
+    """Group-split, assign, gather effective codes, record the commitment
+    loss on the grouped rows, group-concat with the 1/sqrt(n_group)
+    normalization, and wire the straight-through composite.
 
     The effective codes are one parameter leaf (`VQOutput.effective_codes`);
     after a backward, `codebook_param_grads` maps its gradient to the raw
@@ -130,7 +122,7 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
         factors = cbk.quantize_row_factors(zs.value, eff.value, indices, config.distance)
         z_q_rows = tape.row_scale(z_q_rows, factors)
 
-    commit = commitment_loss(tape, zs, z_q_rows, config.alpha, config.beta)
+    commit = tape.commitment(zs, z_q_rows, config.alpha, config.beta)
     z_q_full = tape.scale(tape.reshape(z_q_rows, n, d), 1.0 / np.sqrt(g))
     out = tape.straight_through(z_e, z_q_full, config.nu)
     return VQOutput(indices=indices, z_q=out, commit_loss=commit, distances=row_dists,
@@ -207,19 +199,10 @@ def kmeans_reset(cb: cbk.Codebook, sample, iters: int = 50) -> None:
     cb.codes = initialization.lloyd(cb.codes.copy(), sample, iters)
 
 
-def commitment_codebook_grads(cb: cbk.Codebook, z_rows, indices, config: VQConfig) -> dict:
-    """Closed-form gradient of the codebook-facing commitment term
-    alpha * beta * mean_rows(0.5 * ||sg(z) - e_k||^2), as `codebook_param_grads`
-    returns it. Used by the alternating-optimization inner step."""
-    z_rows = np.asarray(z_rows, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.int64)
-    n = z_rows.shape[0]
-    eff = cb.effective_codes(config.affine_mode, config.affine_lr_scale)
-    if config.distance == "euclidean":
-        factors = np.ones(n)
-    else:
-        # the re-norm factor is treated as a constant, mirroring the tape path
-        factors = cbk.quantize_row_factors(z_rows, eff, idx, config.distance)
-    z_q_final = eff[idx] * factors[:, None]
-    residual = (z_q_final - z_rows) * (config.alpha * config.beta / n) * factors[:, None]
-    return codebook_param_grads(cb, scatter_add_rows(idx, residual, cb.m), config)
+def commitment_codebook_grads(tape: Tape, out: VQOutput, cb: cbk.Codebook,
+                              config: VQConfig) -> dict:
+    """Gradient of the commitment loss of `quantize`'s output `out` (recorded on
+    `tape`) for the raw codebook parameters, as `codebook_param_grads` returns
+    it. Used by the alternating-optimization inner step."""
+    [eff_grad] = tape.vjp(out.commit_loss, np.ones((1, 1)), [out.effective_codes])
+    return codebook_param_grads(cb, eff_grad, config)

@@ -18,7 +18,6 @@ from vqkit import (
     collapse_config,
     activation_probability,
     assign,
-    commitment_loss,
     ema_update,
     finite_difference_gradient,
     nearest_code,
@@ -142,7 +141,7 @@ def test_criterion_02_finite_difference_gradients():
         nodes = {k: tape.leaf(v, param=True) for k, v in model.params.items()}
         codes_node = tape.leaf(codes, param=True)
         loss, z_e, z_q = graph(tape, nodes, codes_node, idx)
-        tape.backward(tape.add(loss, commitment_loss(tape, z_e, z_q, 1.5, 0.7)))
+        tape.backward(tape.add(loss, tape.commitment(z_e, z_q, 1.5, 0.7)))
 
         def value_with(name, arr):
             # the stop-gradient sides of the commitment loss are held at their
@@ -226,8 +225,7 @@ def test_criterion_04_commitment_upper_bound():
                            rng.standard_normal((extra, d))])
         _, z_q, _ = nearest_code(batch, codes, "euclidean")
         tape = Tape()
-        val = commitment_loss(tape, tape.leaf(batch), tape.leaf(z_q),
-                              1.0, 0.5).value[0, 0]
+        val = tape.commitment(tape.leaf(batch), tape.leaf(z_q), 1.0, 0.5).value[0, 0]
         half_var = 0.5 * float(((batch - batch.mean(axis=0)) ** 2).sum(axis=1).mean())
         assert val <= half_var + 1e-12
 
@@ -236,7 +234,7 @@ def test_criterion_04_commitment_upper_bound():
     codes = batch.mean(axis=0, keepdims=True)
     _, z_q, _ = nearest_code(batch, codes, "euclidean")
     tape = Tape()
-    val = commitment_loss(tape, tape.leaf(batch), tape.leaf(z_q), 1.0, 0.5).value[0, 0]
+    val = tape.commitment(tape.leaf(batch), tape.leaf(z_q), 1.0, 0.5).value[0, 0]
     half_var = 0.5 * float(((batch - batch.mean(axis=0)) ** 2).sum(axis=1).mean())
     assert abs(val - half_var) <= 1e-9
     _passed(4, "commitment loss bounded by half the embedding variance")

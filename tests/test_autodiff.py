@@ -152,6 +152,51 @@ def test_straight_through_routing(nu):
         assert np.allclose(q.grad, nu * g)
 
 
+def commitment_composite(tape, z_e, z_q, alpha, beta):
+    """The commitment loss as eight primitive nodes: two stop-gradients, two
+    mse, three scales and an add."""
+    encoder_term = tape.mse(z_e, tape.stop_gradient(z_q))
+    codebook_term = tape.mse(tape.stop_gradient(z_e), z_q)
+    mix = tape.add(tape.scale(encoder_term, 1.0 - beta), tape.scale(codebook_term, beta))
+    return tape.scale(mix, alpha)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_commitment_grads(seed):
+    # each input gets the whole gradient of the value when the other input's
+    # share is zero: z_e at beta = 0, z_q at beta = 1
+    rng = np.random.default_rng(seed)
+    z_e, z_q = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    for alpha in (0.5, 5.0):
+        check_grad(lambda t, n, a=alpha: t.commitment(n, t.leaf(z_q), a, 0.0), z_e)
+        check_grad(lambda t, n, a=alpha: t.commitment(t.leaf(z_e), n, a, 1.0), z_q)
+    tape = Tape()
+    with pytest.raises(ContractViolation):
+        tape.commitment(tape.leaf(z_e), tape.leaf(z_q[:4]), 1.0, 0.5)
+
+
+def test_commitment_bit_equals_the_composite():
+    """Value and both gradients of the one node have the bits of the
+    composite, for a unit and a random cotangent."""
+    rng = np.random.default_rng(17)
+    for rows, cols in [(1, 1), (1, 4), (3, 2), (12, 3), (64, 8), (257, 5)]:
+        z_e, z_q = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
+        for alpha in (0.3, 1.0, 5.0, 7.7):
+            for beta in (0.0, 0.25, 0.9, 1.0):
+                cotangent = rng.standard_normal((1, 1))
+                results = []
+                for build in (Tape.commitment, commitment_composite):
+                    tape = Tape()
+                    e, q = tape.leaf(z_e, param=True), tape.leaf(z_q, param=True)
+                    loss = build(tape, e, q, alpha, beta)
+                    pulled = tape.vjp(loss, cotangent, [e, q])
+                    tape.backward(loss)
+                    results.append([loss.value, e.grad, q.grad, *pulled])
+                for one, composite in zip(*results):
+                    assert np.array_equal(one, composite)
+                    assert np.array_equal(np.signbit(one), np.signbit(composite))
+
+
 def test_second_backward_rejected():
     tape = Tape()
     n = tape.leaf(np.ones((1, 1)), param=True)

@@ -91,12 +91,12 @@ def test_assign_matches_per_row_scan_and_every_caller(kind, monkeypatch):
     seen = []
     grads = vql.commitment_codebook_grads
 
-    def spy(cb_, z_rows, indices, config_):
-        seen.append(np.array(indices))
-        return grads(cb_, z_rows, indices, config_)
+    def spy(tape_, out_, cb_, config_):
+        seen.append(np.array(out_.indices))
+        return grads(tape_, out_, cb_, config_)
 
     monkeypatch.setattr(vql, "commitment_codebook_grads", spy)
-    _inner_step(model, cb, config, batch, 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
+    _inner_step(model, cb, config, rows, 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
     assert len(seen) == 1 and np.array_equal(seen[0], idx)
 
 

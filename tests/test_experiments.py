@@ -288,6 +288,22 @@ def test_cli_exit_codes(tmp_path):
     ("train", {"data": mixture(n=32)}),
     ("train", {"vq": []}),
     ("ablation", {"grid": []}),
+    ("train", {"codebook": {"init": "uniform", "low": 5.0, "high": 1.0}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "codebook": {"low": 0.5, "high": 0.0},
+                  "grid": {"init": ["normal_kaiming", "uniform"]}}),
+    ("train", {"codebook": {"m": 65, "init": "kmeans"}, "data": mixture(n=64)}),
+    ("train", {"vq": {"n_group": 2}, "codebook": {"m": 129, "init": "data_subset"},
+               "data": mixture(n=64)}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "codebook": {"m": 65},
+                  "data": mixture(n=64), "grid": {"init": ["kmeans"]}}),
+    ("ablation", {"steps": 2, "seeds_per_cell": 1, "vq": {"n_group": 2},
+                  "codebook": {"m": 100, "init": "kmeans"}, "data": mixture(n=64),
+                  "grid": {"n_group": [2, 1]}}),
+    ("init-study", {"init_study": {"n": 16, "m": 17, "methods": ["data_subset"]}}),
+    ("init-study", {"init_study": {"n": 16, "m": 17,
+                                   "methods": ["normal_kaiming", "kmeans"]}}),
+    ("train", {"optimizer": {"lr": -0.1}}),
+    ("init-study", {"init_study": {"methods": []}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -312,7 +328,11 @@ def test_cli_exit_codes(tmp_path):
         "schedule-milestones-int", "schedule-milestones-string", "schedule-base-lr-string",
         "schedule-factor-string", "schedule-warmup-steps-string", "schedule-int",
         "schedule-list", "data-n-negative", "data-cov-scales-string",
-        "data-dim-not-model-d-in", "batch-size-above-data-n", "vq-list", "grid-list"])
+        "data-dim-not-model-d-in", "batch-size-above-data-n", "vq-list", "grid-list",
+        "uniform-low-above-high", "grid-uniform-low-above-high", "kmeans-m-above-data-n",
+        "data-subset-m-above-grouped-rows", "grid-kmeans-m-above-data-n",
+        "grid-n-group-m-above-grouped-rows", "init-study-data-subset-m-above-n",
+        "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, **{"track_grad_gap": False, **overrides}))

@@ -230,7 +230,8 @@ def test_alternating_phase_isolation():
     data, model, cb = toy_setup(11)
     cfg = VQConfig(alpha=1.0)
     params_before = {k: v.copy() for k, v in model.params.items()}
-    _inner_step(model, cb, cfg, data[:32], 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
+    _inner_step(model, cb, cfg, model.encode_values(data[:32]), 0.1, 0,
+                np.random.default_rng(0), SGD(lr=0.1))
     for k in params_before:
         assert np.array_equal(model.params[k], params_before[k])
 
@@ -240,6 +241,22 @@ def test_alternating_phase_isolation():
     changed = any(not np.array_equal(model.params[k], params_before[k])
                   for k in params_before)
     assert changed
+
+
+def test_alternating_step_encodes_its_inner_rows_once():
+    """The encoder does not move during the inner steps: one alternating step
+    encodes the rows of all its inner sub-batches in one call."""
+    data, model, cb = toy_setup(12)
+    encode, calls = model.encode_values, []
+
+    def spy(x):
+        calls.append(x.shape[0])
+        return encode(x)
+
+    model.encode_values = spy
+    train_alternating(model, cb, VQConfig(alpha=1.0), data, steps=2, batch_size=60,
+                      inner_k=3, outer_k=2, track_grad_gap=False)
+    assert calls == [36, 36]
 
 
 def test_alternating_multi_inner_outer_runs():

@@ -1,5 +1,5 @@
 """Quantization layer: forward contract, commitment loss, EMA/affine/LRU
-updates, and the closed-form codebook gradient against the tape."""
+updates, and the codebook gradients against the tape composite."""
 import numpy as np
 import pytest
 
@@ -12,7 +12,6 @@ from vqkit import (
     affine_update_ema,
     codebook_param_grads,
     commitment_codebook_grads,
-    commitment_loss,
     ema_update,
     kmeans_reset,
     lru_replace,
@@ -21,6 +20,7 @@ from vqkit import (
     train_alternating,
     train_joint,
 )
+from vqkit.autodiff import scatter_add_rows
 from vqkit.codebook import assign, group_split, quantize_row_factors
 
 
@@ -69,7 +69,7 @@ def test_commitment_loss_value():
     z_e, z_q = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
     alpha, beta = 5.0, 0.9
     tape = Tape()
-    loss = commitment_loss(tape, tape.leaf(z_e), tape.leaf(z_q), alpha, beta)
+    loss = tape.commitment(tape.leaf(z_e), tape.leaf(z_q), alpha, beta)
     mse = 0.5 * ((z_e - z_q) ** 2).sum() / 5
     assert abs(loss.value[0, 0] - alpha * mse) < 1e-12  # terms share the value
 
@@ -81,7 +81,7 @@ def test_commitment_loss_gradient_split():
     tape = Tape()
     e = tape.leaf(z_e, param=True)
     q = tape.leaf(z_q, param=True)
-    tape.backward(commitment_loss(tape, e, q, alpha, beta))
+    tape.backward(tape.commitment(e, q, alpha, beta))
     assert np.allclose(e.grad, alpha * (1 - beta) / 4 * (z_e - z_q))
     assert np.allclose(q.grad, alpha * beta / 4 * (z_q - z_e))
 
@@ -285,10 +285,30 @@ def test_kmeans_reset_refits_centers():
 
 # -- codebook gradients vs the composite oracle ---------------------------------
 
+def commitment_composite(tape, z_e, z_q, alpha, beta):
+    """The commitment loss from primitives: two stop-gradients, two mse,
+    three scales and an add."""
+    encoder_term = tape.mse(z_e, tape.stop_gradient(z_q))
+    codebook_term = tape.mse(tape.stop_gradient(z_e), z_q)
+    mix = tape.add(tape.scale(encoder_term, 1.0 - beta), tape.scale(codebook_term, beta))
+    return tape.scale(mix, alpha)
+
+
+def closed_form_codebook_grads(cb, z_rows, indices, cfg):
+    """The codebook-facing commitment gradient in closed form: the residual
+    alpha * beta / n * (z_q - z) per row, through the cosine re-norm factor
+    (a constant of the step), summed per code."""
+    eff = cb.effective_codes(cfg.affine_mode, cfg.affine_lr_scale)
+    factors = quantize_row_factors(z_rows, eff, indices, cfg.distance)
+    z_q = eff[indices] * factors[:, None]
+    residual = (z_q - z_rows) * (cfg.alpha * cfg.beta / z_rows.shape[0]) * factors[:, None]
+    return codebook_param_grads(cb, scatter_add_rows(indices, residual, cb.m), cfg)
+
+
 def composite_oracle(cb, z, target, cfg, with_task):
     """The tape composite a quantizer with differentiable codes and affine
     parameters records: affine_rows -> gather_rows -> row_scale ->
-    commitment_loss -> straight_through. Backward of task + commit (or of
+    commitment composite -> straight_through. Backward of task + commit (or of
     commit alone); returns the gradients of z_e, codes, affine scale and bias."""
     tape = Tape()
     z_e = tape.leaf(z, param=True)
@@ -310,7 +330,7 @@ def composite_oracle(cb, z, target, cfg, with_task):
     if cfg.distance != "euclidean":
         rows = tape.row_scale(rows, quantize_row_factors(zs.value, eff.value, idx,
                                                          cfg.distance))
-    commit = commitment_loss(tape, zs, rows, cfg.alpha, cfg.beta)
+    commit = commitment_composite(tape, zs, rows, cfg.alpha, cfg.beta)
     z_q = tape.straight_through(z_e, tape.scale(tape.reshape(rows, n, d), 1.0 / np.sqrt(g)),
                                 cfg.nu)
     loss = tape.add(tape.mse(z_q, tape.leaf(target)), commit) if with_task else commit
@@ -322,10 +342,11 @@ def composite_oracle(cb, z, target, cfg, with_task):
 
 
 @pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
-@pytest.mark.parametrize("distance", ["euclidean", "cosine_renorm"])
+@pytest.mark.parametrize("distance", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
 def test_commitment_codebook_grads_match_tape(affine_mode, distance):
     """The joint path (quantize + codebook_param_grads) and the alternating
-    closed form both match the composite oracle, for every nu and n_group."""
+    pull-back (commitment_codebook_grads) both match the composite oracle, for
+    every nu and n_group; the pull-back has the bits of the closed form."""
     rng = np.random.default_rng(13)
     cb = Codebook(rng.standard_normal((5, 3)) + 0.2)
     cb.affine_scale = rng.standard_normal(3) * 0.1
@@ -352,10 +373,14 @@ def test_commitment_codebook_grads_match_tape(affine_mode, distance):
                 assert np.allclose(joint[name], grad, rtol=0, atol=1e-12), name
 
             _, commit_only, _ = composite_oracle(cb, z, target, cfg, with_task=False)
-            closed = commitment_codebook_grads(cb, group_split(z, n_group), idx, cfg)
-            assert closed.keys() == commit_only.keys()
+            tape = Tape()
+            out = quantize(tape, tape.leaf(z), cb, cfg)
+            pulled = commitment_codebook_grads(tape, out, cb, cfg)
+            closed = closed_form_codebook_grads(cb, group_split(z, n_group), idx, cfg)
+            assert pulled.keys() == commit_only.keys() == closed.keys()
             for name, grad in commit_only.items():
-                assert np.allclose(closed[name], grad, rtol=0, atol=1e-12), name
+                assert np.allclose(pulled[name], grad, rtol=0, atol=1e-12), name
+                assert np.array_equal(pulled[name], closed[name]), name
 
 
 def test_joint_ema_step_decodes_the_codes_it_assigned_with():
