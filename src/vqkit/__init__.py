@@ -3,7 +3,7 @@ codebook layer with straight-through gradient routing, commitment losses,
 EMA / affine / replacement codebook maintenance, training-health metrics, and
 joint / alternating training loops for desk-scale experiments."""
 
-from .autodiff import Node, Tape, as_matrix, finite_difference_gradient
+from .autodiff import Node, Tape, as_matrix
 from .codebook import (
     DISTANCE_KINDS,
     Codebook,

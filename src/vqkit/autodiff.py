@@ -6,15 +6,39 @@ list in reverse exactly once and accumulates gradients into parameter leaves.
 parameter gradients, so a tape can answer several pull-backs before its backward.
 Gradients accumulate additively across fan-out; the caller is responsible for
 building a fresh tape (or fresh leaves) per optimization step.
+
+Finiteness contract: a non-finite forward value raises ``NumericFailure`` when
+its node is recorded, and a non-finite gradient before ``backward`` or ``vjp``
+returns, naming the same first node as a test of every node would. Values are
+tested at every leaf and op except ``reshape``, ``gather_rows``,
+``slice_rows``, ``straight_through``, ``stop_gradient``, ``tanh`` and
+``relu``, which copy, select or squash entries already tested. A reverse walk
+tests, in one call, only the gradients where a non-finite entry stops
+spreading: the cotangent, the ``vjp`` results, and each node that passes no
+non-empty gradient to a parent inside the walk. That suffices because every
+gradient function turns a non-finite cotangent into a non-finite gradient for
+each parent it feeds (``0 * inf`` is nan); when the test fails, the walk runs
+again testing every node. ``training.SGD.step`` tests all of the optimizer's
+gradients in one call and names the first non-finite one.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ContractViolation, NumericFailure
+
+
+_add_reduce = np.add.reduce
+
+
+def _finite(a) -> bool:
+    """Exactly ``np.isfinite(a).all()``: a finite sum proves every entry
+    finite, and only a sum that is not finite (a non-finite entry, or finite
+    entries whose sum overflows) takes the entrywise test."""
+    return math.isfinite(_add_reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def as_matrix(value) -> np.ndarray:
@@ -73,9 +97,12 @@ class Tape:
     def leaf(self, value, param: bool = False, name: str | None = None) -> Node:
         return self._record(as_matrix(value).copy(), [], None, is_param=param, name=name)
 
-    def _record(self, value, parents, grad_fn, is_param=False, name=None) -> Node:
+    def _record(self, value, parents, grad_fn, is_param=False, name=None,
+                check=True) -> Node:
+        """Append a node. ``check=False`` is for values that only copy,
+        select or squash entries of recorded (hence finite) nodes."""
         node = Node(len(self.nodes), value, parents, grad_fn, is_param, name)
-        if not np.isfinite(value).all():
+        if check and not _finite(value):
             raise NumericFailure(f"non-finite forward value at node {node.idx} ({name or 'op'})")
         self.nodes.append(node)
         return node
@@ -121,13 +148,14 @@ class Tape:
 
     def tanh(self, a: Node) -> Node:
         out = np.tanh(a.value)
-        return self._record(out, [a], lambda g: [g * (1.0 - out * out)], name="tanh")
+        return self._record(out, [a], lambda g: [g * (1.0 - out * out)], name="tanh",
+                            check=False)
 
     def relu(self, a: Node) -> Node:
         out = np.maximum(a.value, 0.0)
         # subgradient at 0 is 0
         mask = (a.value > 0.0).astype(np.float64)
-        return self._record(out, [a], lambda g: [g * mask], name="relu")
+        return self._record(out, [a], lambda g: [g * mask], name="relu", check=False)
 
     def sum(self, a: Node) -> Node:
         out = np.array([[a.value.sum()]])
@@ -148,7 +176,8 @@ class Tape:
         return self._record(out, [a, b], grad_fn, name="mse")
 
     def stop_gradient(self, a: Node) -> Node:
-        return self._record(a.value.copy(), [a], lambda g: [None], name="stop_gradient")
+        return self._record(a.value.copy(), [a], lambda g: [None], name="stop_gradient",
+                            check=False)
 
     def straight_through(self, z_e: Node, z_q: Node, nu: float = 0.0) -> Node:
         """Forward equals z_q bit-exactly; backward routes the upstream gradient to
@@ -162,7 +191,8 @@ class Tape:
         def grad_fn(g):
             return [g, g * nu if nu != 0.0 else None]
 
-        return self._record(z_q.value.copy(), [z_e, z_q], grad_fn, name="straight_through")
+        return self._record(z_q.value.copy(), [z_e, z_q], grad_fn, name="straight_through",
+                            check=False)
 
     def commitment(self, z_e: Node, z_q: Node, alpha: float, beta: float) -> Node:
         """alpha * [(1-beta) * d(z_e, sg(z_q)) + beta * d(sg(z_e), z_q)], d the mean
@@ -194,7 +224,7 @@ class Tape:
         def grad_fn(g):
             return [scatter_add_rows(idx, g, a.shape[0])]
 
-        return self._record(out, [a], grad_fn, name="gather_rows")
+        return self._record(out, [a], grad_fn, name="gather_rows", check=False)
 
     def slice_rows(self, a: Node, start: int, stop: int) -> Node:
         if not (0 <= start <= stop <= a.shape[0]):
@@ -206,14 +236,14 @@ class Tape:
             acc[start:stop] = g
             return [acc]
 
-        return self._record(out, [a], grad_fn, name="slice_rows")
+        return self._record(out, [a], grad_fn, name="slice_rows", check=False)
 
     def reshape(self, a: Node, rows: int, cols: int) -> Node:
         if rows * cols != a.value.size:
             raise ContractViolation(f"reshape {a.shape} -> ({rows},{cols}) size mismatch")
         shape = a.shape
         return self._record(a.value.reshape(rows, cols).copy(), [a],
-                            lambda g: [g.reshape(shape)], name="reshape")
+                            lambda g: [g.reshape(shape)], name="reshape", check=False)
 
     def row_scale(self, a: Node, factors) -> Node:
         """Multiply each row by a per-row constant. The factors carry no gradient."""
@@ -268,52 +298,45 @@ class Tape:
             raise ContractViolation(
                 f"cotangent shape {cotangent.shape} does not match output {output.shape}")
         wanted = {node.idx: None for node in wrt}
-        for node, g in self._pull_back(output, cotangent, min(wanted)):
+        for node, g in self._pull_back(output, cotangent, min(wanted), wanted):
             if node.idx in wanted:
                 wanted[node.idx] = g
         return [np.zeros_like(node.value) if wanted[node.idx] is None else wanted[node.idx]
                 for node in wrt]
 
-    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int):
-        """The one reverse walk: yield (node, gradient) for every node in
-        ``nodes[start : output.idx + 1]`` that the cotangent reaches, in reverse
-        topological order, each gradient fully accumulated over fan-out."""
+    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int, keep=(),
+                   check_each: bool = False) -> list:
+        """The one reverse walk: the (node, gradient) pairs of every node in
+        ``nodes[start : output.idx + 1]`` that the cotangent reaches, in
+        reverse topological order, each gradient fully accumulated over
+        fan-out. Tests the cotangent, the gradients of the nodes in ``keep``
+        and those of the nodes that spread no gradient inside the walk (see
+        the module docstring); ``check_each`` tests every node as it is
+        reached."""
         pending: dict[int, np.ndarray] = {output.idx: cotangent}
+        reached = []
+        edges = [cotangent]
         for node in reversed(self.nodes[start: output.idx + 1]):
             g = pending.pop(node.idx, None)
             if g is None:
                 continue
-            if not np.isfinite(g).all():
+            if check_each and not _finite(g):
                 raise NumericFailure(f"non-finite gradient at node {node.idx} ({node.name})")
-            yield node, g
-            if node.grad_fn is None:
-                continue
-            for parent, pg in zip(node.parents, node.grad_fn(g)):
-                if pg is None:
-                    continue
-                if parent.idx in pending:
-                    pending[parent.idx] = pending[parent.idx] + pg
-                else:
-                    pending[parent.idx] = pg
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float],
-                               theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar-valued f, coordinate by coordinate."""
-    if h <= 0.0:
-        raise ContractViolation("finite differences require h > 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    flat = theta.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(theta))
-        flat[i] = orig - h
-        fm = float(f(theta))
-        flat[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericFailure(f"non-finite function value at coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
+            reached.append((node, g))
+            spreads = False
+            if node.grad_fn is not None:
+                for parent, pg in zip(node.parents, node.grad_fn(g)):
+                    if pg is None or parent.idx < start:
+                        continue
+                    # an empty gradient carries no entry a non-finite g could reach
+                    spreads = spreads or pg.size > 0
+                    if parent.idx in pending:
+                        pending[parent.idx] = pending[parent.idx] + pg
+                    else:
+                        pending[parent.idx] = pg
+            if not spreads or node.idx in keep:
+                edges.append(g)
+        if check_each or _finite(np.concatenate([g.ravel() for g in edges])):
+            return reached
+        # some gradient is non-finite: walk again to raise at the first one
+        return self._pull_back(output, cotangent, start, keep, check_each=True)

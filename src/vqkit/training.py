@@ -10,7 +10,7 @@ import numpy as np
 from . import codebook as cbk
 from . import metrics as mtr
 from . import vqlayer as vql
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, _finite
 from .errors import ContractViolation, NumericFailure, is_finite_number, is_int
 
 CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
@@ -28,11 +28,14 @@ class SGD:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              lr: Optional[float] = None) -> None:
         eta = self.lr if lr is None else lr
+        given = [g for g in map(grads.get, params) if g is not None]
+        # one test of every gradient; the loop tests again only to name the failing one
+        finite = not given or _finite(np.concatenate([g.ravel() for g in given]))
         for name, theta in params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(theta)
-            if not np.isfinite(g).all():
+            elif not finite and not _finite(g):
                 raise NumericFailure(f"non-finite gradient for parameter {name!r}")
             if self.weight_decay != 0.0 and name not in CODEBOOK_PARAM_NAMES:
                 g = g + self.weight_decay * theta

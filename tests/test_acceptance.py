@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vqkit.codebook as cbk_mod
+from finite_differences import finite_difference_gradient
 from vqkit import (
     Codebook,
     MLPAutoencoder,
@@ -19,7 +20,6 @@ from vqkit import (
     activation_probability,
     assign,
     ema_update,
-    finite_difference_gradient,
     nearest_code,
     pairwise_distances_chunked,
     perplexity,

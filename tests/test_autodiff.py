@@ -1,13 +1,19 @@
-"""Gradient checks for the tape engine against central finite differences."""
+"""Gradient checks for the tape engine against central finite differences,
+and its finiteness checks against a test of every node."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vqkit.autodiff as autodiff_mod
+from finite_differences import finite_difference_gradient
 from vqkit import (
     ContractViolation,
     NumericFailure,
     Tape,
     as_matrix,
-    finite_difference_gradient,
 )
 
 
@@ -322,3 +328,298 @@ def test_vjp_rejects_bad_cotangents_and_foreign_nodes():
     other = Tape()
     with pytest.raises(ContractViolation):
         tape.vjp(loss, np.ones((1, 1)), [other.leaf(np.ones((1, 1)))])
+
+
+# -- finiteness checks -------------------------------------------------------------
+
+INF, NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("a", [
+    np.ones((2, 3)), np.array([[INF]]), np.array([[-INF, 1.0]]), np.array([[1.0, NAN]]),
+    np.array([[INF, -INF]]), np.array([[1e308, 1e308]]), np.array([[-1e308], [-1e308]]),
+    np.zeros((0, 3)), np.zeros((2, 0)),
+], ids=["ones", "inf", "-inf", "nan", "inf-and--inf", "sum-overflows", "sum-overflows-neg",
+        "empty-rows", "empty-cols"])
+def test_finite_is_isfinite_all(a):
+    with np.errstate(all="ignore"):
+        assert autodiff_mod._finite(a) is bool(np.isfinite(a).all())
+
+
+def _primitive_cases():
+    """build(tape) functions, each recording one primitive on leaves and
+    returning its node. The leaves hold the values at which a gradient factor
+    is zero: zero weights, saturated tanh, masked relu, zero differences."""
+    a = np.array([[0.0, 1.5], [-2.0, 0.0], [0.5, 3.0]])
+    b = np.array([[0.0, 2.0, 0.0, 1.0], [0.0, 0.0, -1.0, 4.0]])
+    zeros = np.zeros((3, 2))
+
+    def leaf(tape, value):
+        return tape.leaf(value, param=True)
+
+    cases = [
+        ("matmul", lambda t: t.matmul(leaf(t, a), leaf(t, b))),
+        ("matmul-zero-weights", lambda t: t.matmul(leaf(t, zeros), leaf(t, np.zeros((2, 4))))),
+        ("add", lambda t: t.add(leaf(t, a), leaf(t, zeros))),
+        ("add-bias", lambda t: t.add(leaf(t, a), leaf(t, np.zeros((1, 2))))),
+        ("sub", lambda t: t.sub(leaf(t, a), leaf(t, a))),
+        ("mul", lambda t: t.mul(leaf(t, a), leaf(t, zeros))),
+        ("scale-0", lambda t: t.scale(leaf(t, a), 0.0)),
+        ("scale", lambda t: t.scale(leaf(t, a), -2.5)),
+        ("tanh-saturated", lambda t: t.tanh(leaf(t, np.array([[40.0, -40.0], [0.3, 25.0]])))),
+        ("relu-masked", lambda t: t.relu(leaf(t, a))),
+        ("sum", lambda t: t.sum(leaf(t, a))),
+        ("mse", lambda t: t.mse(leaf(t, a), leaf(t, zeros))),
+        ("mse-zero-difference", lambda t: t.mse(leaf(t, a), leaf(t, a))),
+        ("stop_gradient", lambda t: t.stop_gradient(leaf(t, a))),
+        ("gather_rows-repeated", lambda t: t.gather_rows(leaf(t, a), [2, 0, 2, 2, 1, 0])),
+        ("slice_rows", lambda t: t.slice_rows(leaf(t, a), 1, 3)),
+        ("reshape", lambda t: t.reshape(leaf(t, a), 2, 3)),
+        ("row_scale-0", lambda t: t.row_scale(leaf(t, a), [0.0, 2.0, 0.0])),
+        ("affine_rows-zero-scale", lambda t: t.affine_rows(
+            leaf(t, zeros), leaf(t, np.full((1, 2), -4.0)), leaf(t, np.zeros((1, 2))), 0.25)),
+    ]
+    for nu in (0.0, 0.5):
+        cases.append((f"straight_through-nu{nu}",
+                      lambda t, nu=nu: t.straight_through(leaf(t, a), leaf(t, zeros), nu)))
+    for alpha, beta in [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (5.0, 0.9)]:
+        for q in (zeros, a):
+            cases.append((f"commitment-a{alpha}-b{beta}-{'same' if q is a else 'diff'}",
+                          lambda t, al=alpha, be=beta, q=q: t.commitment(
+                              leaf(t, a), leaf(t, q), al, be)))
+    return [pytest.param(build, id=label) for label, build in cases]
+
+
+@pytest.mark.parametrize("build", _primitive_cases())
+def test_nonfinite_cotangent_reaches_every_parent(build):
+    """The reverse walk tests gradients only where they stop spreading; that
+    is exact because one non-finite cotangent entry gives every parent that
+    receives a gradient a non-finite one."""
+    tape = Tape()
+    node = build(tape)
+    assert node.grad_fn is not None
+    for bad in (INF, -INF, NAN):
+        for pos in np.ndindex(node.shape):
+            g = np.ones(node.shape)
+            g[pos] = bad
+            with np.errstate(all="ignore"):
+                grads = node.grad_fn(g)
+            assert len(grads) == len(node.parents)
+            for parent, pg in zip(node.parents, grads):
+                if pg is not None:
+                    assert pg.shape == parent.shape
+                    assert not np.isfinite(pg).all(), (bad, pos, parent)
+
+
+def _edge_cases():
+    """(run, message) cases: run() records a small tape and pulls a finite
+    cotangent back through it; the first non-finite gradient of the walk is
+    at a node of the kind the case's id names, above finite gradients only."""
+    big = 1e300
+
+    def stop_gradient():
+        tape = Tape()
+        x = tape.leaf(np.ones((2, 2)), param=True)
+        out = tape.mul(tape.stop_gradient(x), tape.leaf(np.full((2, 2), big)))
+        return tape.vjp(out, np.full((2, 2), big), [x])
+
+    def parents_below_start():
+        tape = Tape()
+        x, z = tape.leaf(np.ones((1, 1))), tape.leaf(np.ones((1, 1)))
+        p = tape.scale(x, 1.0)
+        out = tape.add(tape.mul(p, tape.leaf([[big]])), z)
+        return tape.vjp(out, [[big]], [z])
+
+    def empty_inner_dimension():
+        tape = Tape()
+        a, b = tape.leaf(np.zeros((2, 0))), tape.leaf(np.zeros((0, 3)))
+        out = tape.mul(tape.matmul(a, b), tape.leaf(np.full((2, 3), big)))
+        return tape.vjp(out, np.full((2, 3), big), [a, b])
+
+    def sum_of_empty():
+        tape = Tape()
+        a = tape.leaf(np.zeros((2, 0)))
+        out = tape.mul(tape.sum(a), tape.leaf([[big]]))
+        return tape.vjp(out, [[big]], [a])
+
+    def backward_overflow():
+        tape = Tape()
+        h = tape.add(tape.leaf([[1e-150]], param=True), tape.leaf([[0.0]]))
+        p = tape.mul(h, tape.leaf([[big]], param=True))
+        return tape.backward(tape.mse(p, tape.leaf([[0.0]])))
+
+    return [
+        pytest.param(stop_gradient, "node 1 (stop_gradient)", id="stop_gradient"),
+        pytest.param(parents_below_start, "node 2 (scale)", id="parents-below-start"),
+        pytest.param(empty_inner_dimension, "node 2 (matmul)", id="empty-inner-dimension"),
+        pytest.param(sum_of_empty, "node 1 (sum)", id="sum-of-empty"),
+        pytest.param(backward_overflow, "node 2 (add)", id="backward-overflow"),
+    ]
+
+
+@pytest.mark.parametrize("run, message", _edge_cases())
+def test_gradient_is_tested_where_it_stops_spreading(run, message):
+    with np.errstate(all="ignore"), pytest.raises(NumericFailure) as exc:
+        run()
+    assert str(exc.value) == f"non-finite gradient at {message}"
+
+
+# -- differential test: the tape's checks against a test of every node ------------
+
+def _values(shape, seed, special_odds):
+    """Random entries at one of several magnitudes (products of large
+    entries overflow; tiny entries keep a value finite whose gradient
+    overflows); with probability `special_odds` one entry is inf, -inf, nan
+    or 1e308."""
+    rng = np.random.default_rng(seed)
+    value = rng.standard_normal(shape) * rng.choice((1.0, 1e-150, 1e300))
+    if rng.random() < special_odds:
+        value.flat[rng.integers(value.size)] = rng.choice((INF, -INF, NAN, 1e308))
+    return value
+
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def programs(draw):
+    """A small tape as data: ("leaf", shape, seed) and (op, node indices,
+    extra args) steps, ending in a scaled mse loss."""
+    steps, shapes = [], []
+
+    def new_leaf(shape):
+        steps.append(("leaf", shape, draw(_seeds)))
+        shapes.append(shape)
+        return len(shapes) - 1
+
+    def pick(fits):
+        """A recorded node whose shape `fits`, or None."""
+        found = [i for i, s in enumerate(shapes) if fits(s)]
+        return draw(st.sampled_from(found)) if found and draw(st.booleans()) else None
+
+    def operand(shape):
+        idx = pick(lambda s: s == shape)
+        return new_leaf(shape) if idx is None else idx
+
+    dims = st.integers(1, 3)
+    new_leaf((draw(dims), draw(dims)))
+    kinds = ("matmul", "add", "mul", "scale", "tanh", "relu", "reshape", "gather_rows",
+             "stop_gradient", "straight_through", "mse", "leaf")
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(st.integers(0, len(shapes) - 1))
+        rows, cols = shapes[a]
+        if kind == "leaf":
+            new_leaf((draw(dims), draw(dims)))
+            continue
+        if kind == "matmul":
+            b = pick(lambda s: s[0] == cols)
+            b = new_leaf((cols, draw(dims))) if b is None else b
+            step, shape = (kind, (a, b), ()), (rows, shapes[b][1])
+        elif kind == "add" and draw(st.booleans()):
+            step, shape = (kind, (a, operand((1, cols))), ()), (rows, cols)
+        elif kind in ("add", "mul", "straight_through", "mse"):
+            extra = (draw(st.sampled_from((0.0, 0.5))),) if kind == "straight_through" else ()
+            step = (kind, (a, operand((rows, cols))), extra)
+            shape = (1, 1) if kind == "mse" else (rows, cols)
+        elif kind == "scale":
+            factor = draw(st.sampled_from((0.0, -2.0, 1e154, 1e308)))
+            step, shape = (kind, (a,), (factor,)), (rows, cols)
+        elif kind == "reshape":
+            shape = draw(st.sampled_from(((rows * cols, 1), (1, rows * cols), (cols, rows))))
+            step = (kind, (a,), shape)
+        elif kind == "gather_rows":
+            idx = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=4))
+            step, shape = (kind, (a,), (idx,)), (len(idx), cols)
+        else:
+            step, shape = (kind, (a,), ()), (rows, cols)
+        steps.append(step)
+        shapes.append(shape)
+    last = len(shapes) - 1
+    steps.append(("mse", (last, operand(shapes[last])), ()))
+    shapes.append((1, 1))
+    # a large loss scale makes gradients overflow where values do not
+    steps.append(("scale", (len(shapes) - 1,), (draw(st.sampled_from((1.0, 1e150, 1e308))),)))
+    shapes.append((1, 1))
+    return steps, shapes
+
+
+def _build(tape, steps):
+    """Record the steps; returns the message of the NumericFailure raised
+    while recording, or None."""
+    nodes = []
+    try:
+        for kind, *args in steps:
+            if kind == "leaf":
+                shape, seed = args
+                nodes.append(tape.leaf(_values(shape, seed, 0.05), param=True))
+            else:
+                parents, extra = args
+                nodes.append(getattr(tape, kind)(*(nodes[i] for i in parents), *extra))
+    except NumericFailure as exc:
+        return str(exc)
+    return None
+
+
+def _checked_walk(tape, output, cotangent, start):
+    """The reverse walk that tests every node it reaches: (message, grads by
+    node index)."""
+    pending = {output.idx: cotangent}
+    grads = {}
+    for node in reversed(tape.nodes[start:output.idx + 1]):
+        g = pending.pop(node.idx, None)
+        if g is None:
+            continue
+        if not np.isfinite(g).all():
+            return f"non-finite gradient at node {node.idx} ({node.name})", None
+        grads[node.idx] = g
+        for parent, pg in zip(node.parents, node.grad_fn(g) if node.grad_fn else []):
+            if pg is not None:
+                pending[parent.idx] = pending[parent.idx] + pg if parent.idx in pending else pg
+    return None, grads
+
+
+def _failure(call):
+    try:
+        return None, call()
+    except NumericFailure as exc:
+        return str(exc), None
+
+
+@given(programs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_tape_checks_match_a_test_of_every_node(program, data):
+    steps, shapes = program
+    reference, tape = Tape(), Tape()
+    with np.errstate(all="ignore"):
+        with mock.patch.object(autodiff_mod, "_finite", lambda a: True):
+            assert _build(reference, steps) is None
+        first_bad = next((node for node in reference.nodes
+                          if not np.isfinite(node.value).all()), None)
+        expected = None if first_bad is None else (
+            f"non-finite forward value at node {first_bad.idx} ({first_bad.name or 'op'})")
+        assert _build(tape, steps) == expected
+        if expected is not None:
+            return
+
+        # vjp from a drawn node, with a drawn cotangent, to nodes above node 0
+        out = data.draw(st.integers(1, len(shapes) - 1))
+        wrt = data.draw(st.lists(st.integers(1, out), min_size=1, max_size=3))
+        cotangent = _values(shapes[out], data.draw(_seeds), 0.3)
+        message, pulled = _failure(lambda: tape.vjp(tape.nodes[out], cotangent,
+                                                    [tape.nodes[i] for i in wrt]))
+        want, grads = _checked_walk(reference, reference.nodes[out], cotangent, min(wrt))
+        assert message == want
+        if want is None:
+            for i, g in zip(wrt, pulled):
+                assert np.array_equal(g, grads.get(i, np.zeros(shapes[i])))
+
+        loss = tape.nodes[-1]
+        message, _ = _failure(lambda: tape.backward(loss))
+        want, grads = _checked_walk(reference, reference.nodes[-1], np.ones((1, 1)), 0)
+        assert message == want
+        if want is None:
+            for node in tape.nodes:
+                if node.is_param:
+                    assert np.array_equal(node.grad, grads.get(node.idx)) \
+                        if node.idx in grads else node.grad is None

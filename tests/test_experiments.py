@@ -346,7 +346,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
 @pytest.mark.parametrize("overrides", [
     {"optimizer": {"lr": 1e308}},
     {"data": mixture(means=[[1e308] * 16], cov_scales=[1e308])},
-], ids=["lr-1e308", "data-1e308"])
+    {"train_mode": "alternating", "inner_k": 2, "outer_k": 1, "batch_size": 63,
+     "optimizer": {"lr": 0.5, "momentum": 0.9}, "vq": {"affine_mode": "learnable"}},
+], ids=["lr-1e308", "data-1e308", "alternating-learnable-diverges"])
 def test_cli_numeric_failure_prints_one_line(tmp_path, overrides):
     """numpy's overflow warnings do not reach stderr ahead of the report."""
     cfgp = write_cfg(tmp_path, "big.json", minimal(**overrides))

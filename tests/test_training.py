@@ -68,6 +68,19 @@ def test_sgd_rejects_nonfinite_gradient():
         opt.step({"w": np.zeros((1, 1))}, {"w": np.array([[np.nan]])})
 
 
+def test_sgd_names_the_first_nonfinite_gradient():
+    params = {"a": np.zeros((1, 2)), "b": np.zeros((2, 1)), "c": np.zeros((1, 1))}
+    grads = {"a": np.ones((1, 2)), "b": np.array([[1.0], [np.inf]]),
+             "c": np.array([[np.nan]])}
+    with pytest.raises(NumericFailure, match="parameter 'b'$"):
+        SGD().step(params, grads)
+    # finite gradients whose sum overflows are finite
+    params = {"a": np.zeros((1, 1)), "b": np.zeros((1, 1))}
+    with np.errstate(over="ignore"):
+        SGD(lr=1e-300).step(params, {"a": np.array([[1e308]]), "b": np.array([[1e308]])})
+    assert params["a"][0, 0] == params["b"][0, 0] == -1e8
+
+
 # -- schedules ------------------------------------------------------------------
 
 def test_constant_schedule():
