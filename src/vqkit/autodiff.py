@@ -13,13 +13,15 @@ returns, naming the same first node as a test of every node would. Values are
 tested at every leaf and op except ``reshape``, ``gather_rows``,
 ``slice_rows``, ``straight_through``, ``stop_gradient``, ``tanh`` and
 ``relu``, which copy, select or squash entries already tested. A reverse walk
-tests, in one call, only the gradients where a non-finite entry stops
-spreading: the cotangent, the ``vjp`` results, and each node that passes no
-non-empty gradient to a parent inside the walk. That suffices because every
-gradient function turns a non-finite cotangent into a non-finite gradient for
-each parent it feeds (``0 * inf`` is nan); when the test fails, the walk runs
-again testing every node. ``training.SGD.step`` tests all of the optimizer's
-gradients in one call and names the first non-finite one.
+tests all its gradients in one call after it ends; when that test fails, it
+tests them in walk order and raises at the first non-finite one, whose
+gradient and those before it are the ones a walk that stops there computes.
+``training.SGD.step`` tests all of the optimizer's gradients in one call and
+names the first non-finite one. The checks assume numpy's default or
+``ignore`` floating-point error state (the CLI sets ``ignore``): since a walk
+tests after it ends, an op that meets a non-finite gradient may warn first,
+or under a ``raise`` state raise ``FloatingPointError`` instead of
+``NumericFailure``.
 """
 from __future__ import annotations
 
@@ -35,10 +37,16 @@ _add_reduce = np.add.reduce
 
 
 def _finite(a) -> bool:
-    """Exactly ``np.isfinite(a).all()``: a finite sum proves every entry
-    finite, and only a sum that is not finite (a non-finite entry, or finite
-    entries whose sum overflows) takes the entrywise test."""
-    return math.isfinite(_add_reduce(a, axis=None)) or bool(np.isfinite(a).all())
+    """Exactly ``np.isfinite(a).all()``, under any numpy error state: a finite
+    sum proves every entry finite, and only a sum that is not finite (a
+    non-finite entry, or finite entries whose sum overflows) or that numpy
+    raises on takes the entrywise test."""
+    try:
+        if math.isfinite(_add_reduce(a, axis=None)):
+            return True
+    except FloatingPointError:
+        pass
+    return bool(np.isfinite(a).all())
 
 
 def as_matrix(value) -> np.ndarray:
@@ -298,45 +306,36 @@ class Tape:
             raise ContractViolation(
                 f"cotangent shape {cotangent.shape} does not match output {output.shape}")
         wanted = {node.idx: None for node in wrt}
-        for node, g in self._pull_back(output, cotangent, min(wanted), wanted):
+        for node, g in self._pull_back(output, cotangent, min(wanted)):
             if node.idx in wanted:
                 wanted[node.idx] = g
         return [np.zeros_like(node.value) if wanted[node.idx] is None else wanted[node.idx]
                 for node in wrt]
 
-    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int, keep=(),
-                   check_each: bool = False) -> list:
+    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int) -> list:
         """The one reverse walk: the (node, gradient) pairs of every node in
         ``nodes[start : output.idx + 1]`` that the cotangent reaches, in
         reverse topological order, each gradient fully accumulated over
-        fan-out. Tests the cotangent, the gradients of the nodes in ``keep``
-        and those of the nodes that spread no gradient inside the walk (see
-        the module docstring); ``check_each`` tests every node as it is
-        reached."""
+        fan-out. Tests all the gradients in one call and, if one is not
+        finite, raises at the first in walk order."""
         pending: dict[int, np.ndarray] = {output.idx: cotangent}
         reached = []
-        edges = [cotangent]
         for node in reversed(self.nodes[start: output.idx + 1]):
             g = pending.pop(node.idx, None)
             if g is None:
                 continue
-            if check_each and not _finite(g):
-                raise NumericFailure(f"non-finite gradient at node {node.idx} ({node.name})")
             reached.append((node, g))
-            spreads = False
-            if node.grad_fn is not None:
-                for parent, pg in zip(node.parents, node.grad_fn(g)):
-                    if pg is None or parent.idx < start:
-                        continue
-                    # an empty gradient carries no entry a non-finite g could reach
-                    spreads = spreads or pg.size > 0
-                    if parent.idx in pending:
-                        pending[parent.idx] = pending[parent.idx] + pg
-                    else:
-                        pending[parent.idx] = pg
-            if not spreads or node.idx in keep:
-                edges.append(g)
-        if check_each or _finite(np.concatenate([g.ravel() for g in edges])):
-            return reached
-        # some gradient is non-finite: walk again to raise at the first one
-        return self._pull_back(output, cotangent, start, keep, check_each=True)
+            if node.grad_fn is None:
+                continue
+            for parent, pg in zip(node.parents, node.grad_fn(g)):
+                if pg is None:
+                    continue
+                if parent.idx in pending:
+                    pending[parent.idx] = pending[parent.idx] + pg
+                else:
+                    pending[parent.idx] = pg
+        if not _finite(np.concatenate([g.ravel() for _, g in reached])):
+            for node, g in reached:
+                if not _finite(g):
+                    raise NumericFailure(f"non-finite gradient at node {node.idx} ({node.name})")
+        return reached

@@ -341,80 +341,34 @@ INF, NAN = np.inf, np.nan
     np.zeros((0, 3)), np.zeros((2, 0)),
 ], ids=["ones", "inf", "-inf", "nan", "inf-and--inf", "sum-overflows", "sum-overflows-neg",
         "empty-rows", "empty-cols"])
-def test_finite_is_isfinite_all(a):
-    with np.errstate(all="ignore"):
-        assert autodiff_mod._finite(a) is bool(np.isfinite(a).all())
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+def test_finite_is_isfinite_all(a, state):
+    expected = bool(np.isfinite(a).all())
+    with np.errstate(all=state):
+        assert autodiff_mod._finite(a) is expected
 
 
-def _primitive_cases():
-    """build(tape) functions, each recording one primitive on leaves and
-    returning its node. The leaves hold the values at which a gradient factor
-    is zero: zero weights, saturated tanh, masked relu, zero differences."""
-    a = np.array([[0.0, 1.5], [-2.0, 0.0], [0.5, 3.0]])
-    b = np.array([[0.0, 2.0, 0.0, 1.0], [0.0, 0.0, -1.0, 4.0]])
-    zeros = np.zeros((3, 2))
-
-    def leaf(tape, value):
-        return tape.leaf(value, param=True)
-
-    cases = [
-        ("matmul", lambda t: t.matmul(leaf(t, a), leaf(t, b))),
-        ("matmul-zero-weights", lambda t: t.matmul(leaf(t, zeros), leaf(t, np.zeros((2, 4))))),
-        ("add", lambda t: t.add(leaf(t, a), leaf(t, zeros))),
-        ("add-bias", lambda t: t.add(leaf(t, a), leaf(t, np.zeros((1, 2))))),
-        ("sub", lambda t: t.sub(leaf(t, a), leaf(t, a))),
-        ("mul", lambda t: t.mul(leaf(t, a), leaf(t, zeros))),
-        ("scale-0", lambda t: t.scale(leaf(t, a), 0.0)),
-        ("scale", lambda t: t.scale(leaf(t, a), -2.5)),
-        ("tanh-saturated", lambda t: t.tanh(leaf(t, np.array([[40.0, -40.0], [0.3, 25.0]])))),
-        ("relu-masked", lambda t: t.relu(leaf(t, a))),
-        ("sum", lambda t: t.sum(leaf(t, a))),
-        ("mse", lambda t: t.mse(leaf(t, a), leaf(t, zeros))),
-        ("mse-zero-difference", lambda t: t.mse(leaf(t, a), leaf(t, a))),
-        ("stop_gradient", lambda t: t.stop_gradient(leaf(t, a))),
-        ("gather_rows-repeated", lambda t: t.gather_rows(leaf(t, a), [2, 0, 2, 2, 1, 0])),
-        ("slice_rows", lambda t: t.slice_rows(leaf(t, a), 1, 3)),
-        ("reshape", lambda t: t.reshape(leaf(t, a), 2, 3)),
-        ("row_scale-0", lambda t: t.row_scale(leaf(t, a), [0.0, 2.0, 0.0])),
-        ("affine_rows-zero-scale", lambda t: t.affine_rows(
-            leaf(t, zeros), leaf(t, np.full((1, 2), -4.0)), leaf(t, np.zeros((1, 2))), 0.25)),
-    ]
-    for nu in (0.0, 0.5):
-        cases.append((f"straight_through-nu{nu}",
-                      lambda t, nu=nu: t.straight_through(leaf(t, a), leaf(t, zeros), nu)))
-    for alpha, beta in [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (5.0, 0.9)]:
-        for q in (zeros, a):
-            cases.append((f"commitment-a{alpha}-b{beta}-{'same' if q is a else 'diff'}",
-                          lambda t, al=alpha, be=beta, q=q: t.commitment(
-                              leaf(t, a), leaf(t, q), al, be)))
-    return [pytest.param(build, id=label) for label, build in cases]
-
-
-@pytest.mark.parametrize("build", _primitive_cases())
-def test_nonfinite_cotangent_reaches_every_parent(build):
-    """The reverse walk tests gradients only where they stop spreading; that
-    is exact because one non-finite cotangent entry gives every parent that
-    receives a gradient a non-finite one."""
+def test_checks_under_a_raising_error_state():
+    """Under np.errstate(all="raise") values are tested as under numpy's
+    default state. A walk runs to its end before it tests its gradients, so
+    an op that meets a non-finite gradient (inf * 0 in a saturated tanh's
+    pull-back) raises numpy's FloatingPointError before the tape's test."""
     tape = Tape()
-    node = build(tape)
-    assert node.grad_fn is not None
-    for bad in (INF, -INF, NAN):
-        for pos in np.ndindex(node.shape):
-            g = np.ones(node.shape)
-            g[pos] = bad
-            with np.errstate(all="ignore"):
-                grads = node.grad_fn(g)
-            assert len(grads) == len(node.parents)
-            for parent, pg in zip(node.parents, grads):
-                if pg is not None:
-                    assert pg.shape == parent.shape
-                    assert not np.isfinite(pg).all(), (bad, pos, parent)
+    with np.errstate(all="raise"):
+        tape.leaf([[1e308, 1e308]])
+        with pytest.raises(NumericFailure, match=r"^non-finite forward value at node 1 \(op\)$"):
+            tape.leaf([[INF, -INF]])
+        x = tape.leaf([[40.0]])
+        with pytest.raises(NumericFailure, match=r"^non-finite gradient at node 2 \(scale\)$"):
+            tape.vjp(tape.scale(x, 2.0), [[INF]], [x])
+        with pytest.raises(FloatingPointError):
+            tape.vjp(tape.tanh(x), [[INF]], [x])
 
 
-def _edge_cases():
+def _first_failures():
     """(run, message) cases: run() records a small tape and pulls a finite
     cotangent back through it; the first non-finite gradient of the walk is
-    at a node of the kind the case's id names, above finite gradients only."""
+    at the node the message names."""
     big = 1e300
 
     def stop_gradient():
@@ -423,24 +377,12 @@ def _edge_cases():
         out = tape.mul(tape.stop_gradient(x), tape.leaf(np.full((2, 2), big)))
         return tape.vjp(out, np.full((2, 2), big), [x])
 
-    def parents_below_start():
+    def above_start():
         tape = Tape()
         x, z = tape.leaf(np.ones((1, 1))), tape.leaf(np.ones((1, 1)))
         p = tape.scale(x, 1.0)
         out = tape.add(tape.mul(p, tape.leaf([[big]])), z)
         return tape.vjp(out, [[big]], [z])
-
-    def empty_inner_dimension():
-        tape = Tape()
-        a, b = tape.leaf(np.zeros((2, 0))), tape.leaf(np.zeros((0, 3)))
-        out = tape.mul(tape.matmul(a, b), tape.leaf(np.full((2, 3), big)))
-        return tape.vjp(out, np.full((2, 3), big), [a, b])
-
-    def sum_of_empty():
-        tape = Tape()
-        a = tape.leaf(np.zeros((2, 0)))
-        out = tape.mul(tape.sum(a), tape.leaf([[big]]))
-        return tape.vjp(out, [[big]], [a])
 
     def backward_overflow():
         tape = Tape()
@@ -450,15 +392,13 @@ def _edge_cases():
 
     return [
         pytest.param(stop_gradient, "node 1 (stop_gradient)", id="stop_gradient"),
-        pytest.param(parents_below_start, "node 2 (scale)", id="parents-below-start"),
-        pytest.param(empty_inner_dimension, "node 2 (matmul)", id="empty-inner-dimension"),
-        pytest.param(sum_of_empty, "node 1 (sum)", id="sum-of-empty"),
+        pytest.param(above_start, "node 2 (scale)", id="above-start"),
         pytest.param(backward_overflow, "node 2 (add)", id="backward-overflow"),
     ]
 
 
-@pytest.mark.parametrize("run, message", _edge_cases())
-def test_gradient_is_tested_where_it_stops_spreading(run, message):
+@pytest.mark.parametrize("run, message", _first_failures())
+def test_walk_names_the_first_nonfinite_gradient(run, message):
     with np.errstate(all="ignore"), pytest.raises(NumericFailure) as exc:
         run()
     assert str(exc.value) == f"non-finite gradient at {message}"
