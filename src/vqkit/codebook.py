@@ -18,8 +18,8 @@ _VERSION = 1
 
 
 class Codebook:
-    """m code-vectors of dimension d, shared affine parameters, usage counters,
-    and running embedding/code statistics.
+    """m code-vectors of dimension d, shared affine parameters, the step each
+    code was last used, and running embedding/code statistics.
 
     The raw affine parameters start at zero so the effective codes equal the
     raw codes at initialization (identity reparameterization)."""
@@ -33,7 +33,6 @@ class Codebook:
         self.affine_scale = np.zeros(d)
         self.affine_bias = np.zeros(d)
         self.last_used = np.zeros(codes.shape[0], dtype=np.int64)
-        self.counts = np.zeros(codes.shape[0], dtype=np.int64)
         # running moments of z_e and z_q for the EMA affine variant
         self.ema_mean_e = np.zeros(d)
         self.ema_var_e = np.ones(d)
@@ -69,9 +68,7 @@ class Codebook:
         raise ContractViolation(f"unknown affine mode {affine_mode!r}")
 
     def mark_used(self, indices, step: int) -> None:
-        idx = np.asarray(indices, dtype=np.int64)
-        self.last_used[idx] = step
-        self.counts += np.bincount(idx, minlength=self.m)
+        self.last_used[np.asarray(indices, dtype=np.int64)] = step
 
     # -- serialization -------------------------------------------------------
 
@@ -86,7 +83,6 @@ class Codebook:
             fh.write(np.ascontiguousarray(self.affine_bias, dtype="<f8").tobytes())
         sidecar = {
             "last_used": self.last_used.tolist(),
-            "counts": self.counts.tolist(),
             "ema_mean_e": self.ema_mean_e.tolist(),
             "ema_var_e": self.ema_var_e.tolist(),
             "ema_mean_q": self.ema_mean_q.tolist(),
@@ -124,8 +120,8 @@ class Codebook:
         if sidecar_path.exists():
             with open(sidecar_path) as fh:
                 sidecar = json.load(fh)
-            for key in ("last_used", "counts", "ema_mean_e", "ema_var_e",
-                        "ema_mean_q", "ema_var_q"):
+            # the "counts" key that older sidecars carry is ignored
+            for key in ("last_used", "ema_mean_e", "ema_var_e", "ema_mean_q", "ema_var_q"):
                 # a fresh codebook's array has the shape and dtype the file must give
                 fresh = getattr(cb, key)
                 try:

@@ -141,7 +141,8 @@ def resolve_config(raw: dict) -> dict:
 
     cfg = copy.deepcopy(_DEFAULTS)
     for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        # a grid the user sets replaces the default grid
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "grid":
             merged = dict(cfg[key])
             merged.update(value)
             cfg[key] = merged
@@ -163,6 +164,8 @@ def resolve_config(raw: dict) -> dict:
     for value in cfg["grid"].get("inner_k", []):
         if not is_int(value) or value < 0:
             raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
+    if cfg["scenario"] == "ablation" and not cfg["grid"]:
+        raise ConfigError("ablation grid must be nonempty")
     if not isinstance(cfg["track_grad_gap"], bool):
         raise ConfigError(f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
     for key in ("steps", "batch_size", "seeds_per_cell", "inner_k", "outer_k"):
@@ -188,6 +191,8 @@ def resolve_config(raw: dict) -> dict:
             or not all(is_finite_number(v) for v in target):
         raise ConfigError(f"toy.target must be a list of two finite numbers, got {target!r}")
     at = cfg["affine_toy"]
+    if not 0.0 < at["lr"] <= 1.0:
+        raise ConfigError("affine_toy.lr must lie in (0, 1]")
     if not 0.0 < at["momentum"] <= 1.0:
         raise ConfigError("affine_toy.momentum must lie in (0, 1]")
     if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
@@ -196,17 +201,15 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
     if not is_finite_number(cfg["smooth_gamma"]):
         raise ConfigError(f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
-    if cfg["smooth_gamma"] and (cfg["train_mode"] == "alternating"
-                                or any(k >= 1 for k in cfg["grid"].get("inner_k", []))):
+    if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
         raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
-                          "train_mode is 'alternating' or a grid inner_k is >= 1")
+                          "train_mode is 'alternating'")
     if cfg["data"] is None:
         cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
     try:
         cfg["vq"] = vql.VQConfig.from_dict(cfg["vq"]).to_dict()
-        for field in sorted(_GRID_FIELDS & set(vql.VQConfig.__dataclass_fields__)):
-            for value in cfg["grid"].get(field, []):
-                vql.VQConfig.from_dict({**cfg["vq"], field: value})
+        # the toy trajectory's commitment and straight-through knobs obey the VQ rules
+        vql.VQConfig(**{key: cfg["toy"][key] for key in ("alpha", "beta", "nu")})
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             Schedule.from_dict(cfg["schedule"])
@@ -218,40 +221,40 @@ def resolve_config(raw: dict) -> dict:
     if cfg["batch_size"] > cfg["data"]["n"]:
         raise ConfigError(f"batch_size={cfg['batch_size']} exceeds data.n={cfg['data']['n']}")
     # an alternating run splits each batch into inner_k + outer_k sub-batches
-    alternating = [k for k in cfg["grid"].get("inner_k", []) if k >= 1]
-    if cfg["train_mode"] == "alternating":
-        alternating.append(cfg["inner_k"])
-    for inner_k in alternating:
-        if cfg["batch_size"] % (inner_k + cfg["outer_k"]):
-            raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
-                              f"outer_k = {inner_k + cfg['outer_k']} sub-batches")
-    d_code = cfg["model"]["d_code"]
-    n_groups = [cfg["vq"]["n_group"], *cfg["grid"].get("n_group", [])]
-    for n_group in n_groups:
-        if d_code % n_group:
-            raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
+    sub_batches = cfg["inner_k"] + cfg["outer_k"]
+    if cfg["train_mode"] == "alternating" and cfg["batch_size"] % sub_batches:
+        raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
+                          f"outer_k = {sub_batches} sub-batches")
+    d_code, n_group = cfg["model"]["d_code"], cfg["vq"]["n_group"]
+    if d_code % n_group:
+        raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
     study, cb_cfg = cfg["init_study"], cfg["codebook"]
     methods = study["methods"]
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"init_study.methods must be a non-empty list, got {methods!r}")
-    inits = [cb_cfg["init"], *cfg["grid"].get("init", [])]
-    for method in [*inits, *methods]:
+    for method in [cb_cfg["init"], *methods]:
         if method not in initialization.INIT_METHODS:
             raise ConfigError(f"unknown init method {method!r}; expected one of "
                               f"{initialization.INIT_METHODS}")
     # the checks init_codebook makes, before anything is written
     low, high = cb_cfg.get("low", -1.0), cb_cfg.get("high", 1.0)
-    if "uniform" in inits and low > high:
+    if cb_cfg["init"] == "uniform" and low > high:
         raise ConfigError(f"uniform init needs codebook.low <= codebook.high, "
                           f"got {low} > {high}")
     # a data-driven init draws m distinct codes from data.n * n_group encoder rows
-    rows = cfg["data"]["n"] * min(n_groups)
-    if _DATA_INITS & set(inits) and cb_cfg["m"] > rows:
+    rows = cfg["data"]["n"] * n_group
+    if cb_cfg["init"] in _DATA_INITS and cb_cfg["m"] > rows:
         raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
                           f"(data.n x n_group) a kmeans or data_subset init draws from")
     if _DATA_INITS & set(methods) and study["m"] > study["n"]:
         raise ConfigError(f"init_study.m={study['m']} exceeds the init_study.n={study['n']} "
                           f"sample rows a kmeans or data_subset init draws from")
+    if cfg["scenario"] == "ablation":
+        for cell, cell_cfg in _grid_cells(cfg):
+            try:
+                resolve_config(cell_cfg)
+            except ConfigError as exc:
+                raise ConfigError(f"grid cell {cell}: {exc}") from exc
     return cfg
 
 
@@ -433,39 +436,43 @@ def run_affine_toy(seed: int, *, n_points: int = 512, m: int = 128,
 # ---------------------------------------------------------------------------
 # ablation grid
 
-def run_ablation(cfg: dict) -> list[dict]:
-    """Cartesian product over the grid; each cell trains the toy autoencoder
-    with `seeds_per_cell` seeds and reports mean/sd of the final task loss,
-    perplexity, and active ratio."""
-    grid = cfg["grid"]
-    if not grid:
-        raise ConfigError("ablation grid must be nonempty")
-    fields = sorted(grid)
-    results = []
-    for cell_id, combo in enumerate(itertools.product(*(grid[f] for f in fields))):
+def _grid_cells(cfg: dict):
+    """Yield (cell, cell_cfg) for each cell of the grid's Cartesian product, in
+    sorted-field order. cell_cfg is the `train` config the cell runs: `init`
+    goes to `codebook`, an `inner_k` >= 1 trains alternating with that inner_k
+    and 0 trains joint, every other field goes to `vq`, and the gap is off."""
+    fields = sorted(cfg["grid"])
+    for combo in itertools.product(*(cfg["grid"][f] for f in fields)):
         cell = dict(zip(fields, combo))
-        finals = {"task_loss": [], "perplexity": [], "active_ratio": []}
+        cell_cfg = copy.deepcopy(cfg)
+        cell_cfg.update(scenario="train", track_grad_gap=False)
+        for f, v in cell.items():
+            if f == "init":
+                cell_cfg["codebook"]["init"] = v
+            elif f == "inner_k" and v >= 1:
+                cell_cfg.update(train_mode="alternating", inner_k=v)
+            elif f == "inner_k":
+                cell_cfg["train_mode"] = "joint"
+            else:
+                cell_cfg["vq"][f] = v
+        yield cell, cell_cfg
+
+
+def run_ablation(cfg: dict) -> list[dict]:
+    """Each cell of the grid trains the toy autoencoder with `seeds_per_cell`
+    seeds and reports mean/sd of the final task loss, perplexity, and active
+    ratio."""
+    results = []
+    for cell_id, (cell, cell_cfg) in enumerate(_grid_cells(cfg)):
+        lasts = []
         for s in range(cfg["seeds_per_cell"]):
-            cell_cfg = copy.deepcopy(cfg)
-            for f, v in cell.items():
-                if f == "init":
-                    cell_cfg["codebook"]["init"] = v
-                elif f == "inner_k":
-                    cell_cfg["inner_k"] = v
-                    cell_cfg["train_mode"] = "alternating" if v >= 1 else "joint"
-                else:
-                    cell_cfg["vq"][f] = v
-            cell_cfg["track_grad_gap"] = False
             seed = int(np.random.SeedSequence([cfg["seed"], cell_id, s]).generate_state(1)[0])
-            result = run_training(cell_cfg, seed=seed)
-            last = result.records[-1]
-            finals["task_loss"].append(last.task_loss)
-            finals["perplexity"].append(last.perplexity)
-            finals["active_ratio"].append(last.active_ratio)
+            lasts.append(run_training(cell_cfg, seed=seed).records[-1])
         row = dict(cell)
-        for key, vals in finals.items():
-            row[f"{key}_mean"] = float(np.mean(vals))
-            row[f"{key}_sd"] = float(np.std(vals))
+        for key in ("task_loss", "perplexity", "active_ratio"):
+            values = [getattr(last, key) for last in lasts]
+            row[f"{key}_mean"] = float(np.mean(values))
+            row[f"{key}_sd"] = float(np.std(values))
         results.append(row)
     return results
 

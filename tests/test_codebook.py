@@ -394,7 +394,6 @@ def test_ema_transform_floors_sigma():
 def test_mark_used_updates_counters():
     cb = Codebook(np.zeros((5, 2)))
     cb.mark_used([1, 1, 3], step=7)
-    assert cb.counts[1] == 2 and cb.counts[3] == 1
     assert cb.last_used[1] == 7 and cb.last_used[3] == 7
     assert cb.last_used[0] == 0
 
@@ -414,7 +413,6 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.affine_scale, cb.affine_scale)
     assert np.array_equal(back.affine_bias, cb.affine_bias)
     assert np.array_equal(back.last_used, cb.last_used)
-    assert np.array_equal(back.counts, cb.counts)
     assert np.array_equal(back.ema_mean_e, cb.ema_mean_e)
     assert np.array_equal(back.ema_var_q, cb.ema_var_q)
 
@@ -446,7 +444,7 @@ def test_load_rejects_a_payload_of_the_wrong_length(tmp_path):
             Codebook.load(path)
 
 
-@pytest.mark.parametrize("key,length", [("last_used", 2), ("counts", 4), ("ema_mean_e", 1),
+@pytest.mark.parametrize("key,length", [("last_used", 2), ("ema_mean_e", 1),
                                         ("ema_var_e", 3), ("ema_mean_q", 0),
                                         ("ema_var_q", 3)])
 def test_load_rejects_sidecar_arrays_of_the_wrong_length(tmp_path, key, length):
@@ -468,6 +466,20 @@ def test_load_rejects_sidecar_arrays_of_the_wrong_length(tmp_path, key, length):
     sidecar_path.write_text(json.dumps(sidecar))
     with pytest.raises(ContractViolation, match=key):
         Codebook.load(path)
+
+
+def test_load_reads_a_sidecar_that_still_carries_usage_counts(tmp_path):
+    cb = Codebook(np.arange(6.0).reshape(3, 2))
+    cb.mark_used([2, 0], step=4)
+    path = tmp_path / "cb.bin"
+    cb.save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    assert "counts" not in sidecar
+    sidecar_path.write_text(json.dumps({**sidecar, "counts": [1, 0, 1]}))
+    back = Codebook.load(path)
+    assert np.array_equal(back.last_used, [4, 0, 4])
+    assert not hasattr(back, "counts")
 
 
 # -- distance kernel: halved formula, precomputed norms, two-core row split ------

@@ -1,23 +1,32 @@
 """Config resolution, data generation, scenario runners, and the command-line
 entry point (exit codes and byte-identical reruns)."""
+import contextlib
+import copy
 import filecmp
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqkit import (
     ConfigError,
     ContractViolation,
     MetricsRecord,
     MixtureSpec,
+    VQConfig,
     collapse_config,
     gen_mixture,
     resolve_config,
+    run_ablation,
     run_affine_toy,
     run_init_study,
     run_toy_trajectory,
@@ -25,6 +34,7 @@ from vqkit import (
 )
 from vqkit.artifacts import atomic_open
 from vqkit.cli import main as cli_main
+from vqkit.experiments import _DEFAULTS, SCENARIOS
 
 
 def minimal(scenario="train", **extra):
@@ -304,6 +314,12 @@ def test_cli_exit_codes(tmp_path):
                                    "methods": ["normal_kaiming", "kmeans"]}}),
     ("train", {"optimizer": {"lr": -0.1}}),
     ("init-study", {"init_study": {"methods": []}}),
+    ("affine-toy", {"affine_toy": {"lr": 7}}),
+    ("affine-toy", {"affine_toy": {"lr": 0}}),
+    ("affine-toy", {"affine_toy": {"lr": -0.5}}),
+    ("toy-trajectory", {"toy": {"nu": -0.5}}),
+    ("toy-trajectory", {"toy": {"beta": 1.5}}),
+    ("ablation", {"grid": {}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -332,7 +348,9 @@ def test_cli_exit_codes(tmp_path):
         "uniform-low-above-high", "grid-uniform-low-above-high", "kmeans-m-above-data-n",
         "data-subset-m-above-grouped-rows", "grid-kmeans-m-above-data-n",
         "grid-n-group-m-above-grouped-rows", "init-study-data-subset-m-above-n",
-        "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty"])
+        "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty",
+        "affine-toy-lr-7", "affine-toy-lr-0", "affine-toy-lr-negative", "toy-nu-negative",
+        "toy-beta-above-1", "grid-empty"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, **{"track_grad_gap": False, **overrides}))
@@ -491,3 +509,98 @@ def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
                      "--metrics", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: metrics CSV line 3") and err.count("\n") == 1
+
+
+# -- ablation grid -------------------------------------------------------------------
+
+def test_ablation_rows_equal_train_runs_of_hand_written_cell_configs():
+    """Each cell of a grid over init, inner_k, n_group and a vq field is a
+    `train` run: its row is the mean and sd over seeds of run_training on the
+    cell's config, written out by hand."""
+    grid = {"init": ["normal_kaiming", "kmeans"], "inner_k": [0, 1], "n_group": [1, 2],
+            "nu": [0.0, 0.5]}
+    common = {"seed": 7, "steps": 3, "batch_size": 16, "data": mixture(n=64)}
+    rows = run_ablation(resolve_config({"scenario": "ablation", "seeds_per_cell": 2,
+                                        "grid": grid, **common}))
+    fields = sorted(grid)
+    assert [tuple(row[f] for f in fields) for row in rows] == \
+        list(itertools.product(*(grid[f] for f in fields)))
+    for cell_id, row in enumerate(rows):
+        raw = {"scenario": "train", "track_grad_gap": False, **common,
+               "codebook": {"init": row["init"]},
+               "vq": {"n_group": row["n_group"], "nu": row["nu"]}}
+        if row["inner_k"] >= 1:
+            raw.update(train_mode="alternating", inner_k=row["inner_k"])
+        cfg = resolve_config(raw)
+        finals = []
+        for s in range(2):
+            seed = int(np.random.SeedSequence([7, cell_id, s]).generate_state(1)[0])
+            finals.append(run_training(cfg, seed=seed).records[-1])
+        for key in ("task_loss", "perplexity", "active_ratio"):
+            values = [getattr(final, key) for final in finals]
+            assert row[f"{key}_mean"] == float(np.mean(values))
+            assert row[f"{key}_sd"] == float(np.std(values))
+
+
+def test_a_grid_the_user_sets_replaces_the_default_grid(tmp_path):
+    raw = minimal("ablation", steps=2, seeds_per_cell=1, grid={"nu": [0.0, 0.5]})
+    assert resolve_config(raw)["grid"] == {"nu": [0.0, 0.5]}
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["ablation", "--config", write_cfg(tmp_path, "abl.json", raw),
+                     "--out", str(a)]) == 0
+    header, *rows = (a / "ablation.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert "nu" in header.split(",") and "affine_mode" not in header.split(",")
+    # config.json records the whole grid, so a rerun from it runs the same cells
+    assert cli_main(["ablation", "--config", str(a / "config.json"), "--out", str(b)]) == 0
+    assert run_dirs_identical(a, b)
+    full = resolve_config(minimal("ablation"))
+    assert resolve_config(full)["grid"] == full["grid"] == _DEFAULTS["grid"]
+
+
+def test_a_failing_grid_cell_names_itself():
+    with pytest.raises(ConfigError, match=r"^grid cell \{'inner_k': 2\}: batch_size=64 "):
+        resolve_config(minimal("ablation", grid={"inner_k": [0, 2]}))
+    with pytest.raises(ConfigError, match=r"^grid cell \{'init': 'bogus', 'nu': 0.0\}: "):
+        resolve_config(minimal("ablation", grid={"nu": [0.0], "init": ["kmeans", "bogus"]}))
+
+
+# -- CLI fuzz: every config exits 0, 2 or 3, and a failure prints one line ------------
+
+_FUZZ_BASE = {
+    "steps": 2, "batch_size": 8, "seeds_per_cell": 1,
+    "model": {"d_in": 4, "hidden": 4, "d_code": 2}, "codebook": {"m": 4},
+    "data": {"dim": 4, "n": 32, "means": [[0.0] * 4], "cov_scales": [0.1], "weights": [1.0]},
+    "toy": {"steps": 5}, "affine_toy": {"n_points": 8, "m": 4, "updates": 2},
+    "init_study": {"n": 16, "d": 2, "m": 4, "n_seeds": 1}, "grid": {"inner_k": [0, 1]},
+}
+_FUZZ_KEYS = sorted({(key,) for key in _DEFAULTS}
+                    | {(key, sub) for key, value in _DEFAULTS.items()
+                       if isinstance(value, dict) for sub in value}
+                    | {("vq", field) for field in VQConfig.__dataclass_fields__})
+_FUZZ_VALUES = [True, False, None, 0, 1, 2, -1, -0.5, 0.5, 1e308, "", "x", "kmeans",
+                "alternating", [], [0], [1, 2], {}]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(SCENARIOS),
+       mutations=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
+                                    st.sampled_from(_FUZZ_VALUES)), max_size=3))
+def test_cli_fuzzed_config_exits_0_2_or_3_with_one_line(scenario, mutations):
+    raw = {"scenario": scenario, "seed": 0, **copy.deepcopy(_FUZZ_BASE)}
+    for path, value in mutations:
+        section = raw
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = copy.deepcopy(value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps(raw))
+        with contextlib.redirect_stderr(err):
+            code = cli_main([scenario, "--config", str(cfgp), "--out", str(Path(tmp) / "o")])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert err.count("\n") == (code != 0) and "Traceback" not in err

@@ -111,15 +111,15 @@ def trainer_setup(seed=4, m=8, n_group=1):
 @pytest.mark.parametrize("sampling", ["deterministic", "stochastic"])
 @pytest.mark.parametrize("mode", ["joint", "alternating"])
 def test_usage_is_marked_by_the_trainers_not_quantize(mode, sampling):
-    """quantize leaves usage alone; each trainer marks every row it assigns
-    once, with the gap on (whose own forward marks nothing)."""
+    """quantize leaves usage alone; each trainer marks the rows it assigns,
+    with the gap on (whose own forward marks nothing)."""
     data, model, cb = trainer_setup(n_group=2)
     config = VQConfig(n_group=2, sampling=sampling)
-    last_used, counts = cb.last_used.copy(), cb.counts.copy()
+    last_used = cb.last_used.copy()
     tape = Tape()
     quantize(tape, tape.leaf(model.encode_values(data[:10])), cb, config,
              step=5, rng=np.random.default_rng(0))
-    assert np.array_equal(cb.last_used, last_used) and np.array_equal(cb.counts, counts)
+    assert np.array_equal(cb.last_used, last_used)
 
     steps, batch = 4, 24
     if mode == "joint":
@@ -129,7 +129,6 @@ def test_usage_is_marked_by_the_trainers_not_quantize(mode, sampling):
         result = train_alternating(model, cb, config, data, steps=steps, batch_size=batch,
                                    inner_k=2, outer_k=1, track_grad_gap=True)
     assert all(r.grad_gap > 0.0 for r in result.records)
-    assert cb.counts.sum() == steps * batch * config.n_group
     assert cb.last_used.max() == steps - 1
 
 
