@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,19 +28,28 @@ EXIT_NUMERIC = 3
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write `obj` as strict JSON. A NaN or infinite value is a
+    NumericFailure, and `path` is not written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"{path.name}: {exc}") from exc
     with atomic_open(path) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write `rows`, float cells with 17 significant digits. A NaN or
+    infinite float is a NumericFailure, and `path` is not written."""
+    bad = next((v for row in rows for v in row
+                if isinstance(v, float) and not math.isfinite(v)), None)
+    if bad is not None:
+        raise NumericFailure(f"{path.name}: non-finite value {bad}")
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+        writer.writerows([format(float(v), ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
@@ -50,7 +60,7 @@ def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
                                       lr=toy["lr"], alpha=toy["alpha"],
                                       beta=toy["beta"], nu=toy["nu"],
                                       target=tuple(toy["target"]), tol=toy["tol"])
-        rows = [[step] + [_fmt(v) for v in row] for step, row in enumerate(traj.rows)]
+        rows = [[step, *row] for step, row in enumerate(traj.rows)]
         _write_csv(out / f"trajectory_{mode}.csv",
                    ["step", "z_e_x", "z_e_y", "z_q_x", "z_q_y", "task_loss"], rows)
         summary[mode] = {"path_length": traj.path_length,
@@ -66,7 +76,7 @@ def cmd_affine_toy(cfg: dict, out: Path) -> None:
                                 momentum=at["momentum"], point_cov=at["point_cov"],
                                 code_cov=at["code_cov"])
     for variant in ("standard", "affine"):
-        rows = [[i, _fmt(g)] for i, g in enumerate(result[variant]["gap_history"])]
+        rows = [[i, g] for i, g in enumerate(result[variant]["gap_history"])]
         _write_csv(out / f"gap_{variant}.csv", ["update", "codebook_mean_gap"], rows)
     summary = {variant: {k: v for k, v in result[variant].items() if k != "gap_history"}
                for variant in result}
@@ -76,9 +86,7 @@ def cmd_affine_toy(cfg: dict, out: Path) -> None:
 def cmd_ablation(cfg: dict, out: Path) -> None:
     rows = exp.run_ablation(cfg)
     header = sorted(rows[0])
-    _write_csv(out / "ablation.csv", header,
-               [[_fmt(r[k]) if isinstance(r[k], float) else r[k] for k in header]
-                for r in rows])
+    _write_csv(out / "ablation.csv", header, [[r[k] for k in header] for r in rows])
     _write_json(out / "summary.json", rows)
 
 
@@ -104,7 +112,7 @@ def cmd_init_study(cfg: dict, out: Path) -> None:
     rows = exp.run_init_study(cfg)
     methods = cfg["init_study"]["methods"]
     _write_csv(out / "init_study.csv", ["seed"] + list(methods),
-               [[r["seed"]] + [_fmt(r[m]) for m in methods] for r in rows])
+               [[r["seed"]] + [r[m] for m in methods] for r in rows])
     summary = {m: {"mean": float(np.mean([r[m] for r in rows])),
                    "sd": float(np.std([r[m] for r in rows]))} for m in methods}
     _write_json(out / "summary.json", summary)
@@ -121,11 +129,16 @@ def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
             rows = []
             for row in reader:
                 try:
-                    rows.append({k: float(v) for k, v in row.items()})
+                    values = {k: float(v) for k, v in row.items()}
                 except (TypeError, ValueError) as exc:
                     # a short row leaves None values, a long one a None key
                     raise ConfigError(
                         f"metrics CSV line {reader.line_num}: {exc}") from exc
+                bad = next((k for k, v in values.items() if not math.isfinite(v)), None)
+                if bad is not None:
+                    raise ConfigError(f"metrics CSV line {reader.line_num}: "
+                                      f"non-finite {bad} {row[bad]!r}")
+                rows.append(values)
     except OSError as exc:
         raise ConfigError(f"cannot read metrics CSV: {exc}") from exc
     if not rows:

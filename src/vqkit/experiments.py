@@ -259,8 +259,12 @@ def resolve_config(raw: dict) -> dict:
 
 
 def load_config(path) -> dict:
+    """Read and resolve a strict-JSON config: NaN and Infinity are rejected."""
+    def reject(constant):
+        raise ConfigError(f"cannot read config {path}: {constant} is not a JSON value")
+
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=reject)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_config(raw)

@@ -1,5 +1,6 @@
 """Distance, search, sampling, grouping, and serialization checks against
 naive full-matrix oracles."""
+import contextlib
 import json
 import tracemalloc
 from collections import Counter
@@ -242,6 +243,137 @@ def test_stochastic_assign_draws_the_stream_of_one_draw_of_n(monkeypatch):
     assign(q, c, "euclidean", tau=1.0, rng=blocked)
     whole.random(50)
     assert blocked.bit_generator.state == whole.bit_generator.state
+
+
+# -- the block search: every row's index is the exact rule's ---------------------
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Rows the sampler sent through its exact rule, one count per call."""
+    counts = []
+    original = cbk_mod._first_reach
+
+    def spy(weights, u):
+        counts.append(weights.shape[0])
+        return original(weights, u)
+
+    monkeypatch.setattr(cbk_mod, "_first_reach", spy)
+    return counts
+
+
+@contextlib.contextmanager
+def search_on_any_block():
+    """Let the block search take every block of 16 or more codes, however
+    small, instead of leaving small ones to the exact rule."""
+    saved = cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS
+    cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS = 16, 0
+    try:
+        yield
+    finally:
+        cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS = saved
+
+
+@pytest.fixture
+def search_all():
+    with search_on_any_block():
+        yield
+
+
+def gaussian_dists(n, m, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, 3)) + 0.1
+    c = rng.standard_normal((m, 3)) + 0.1
+    return pairwise_distances_chunked(q, c)
+
+
+@pytest.mark.parametrize("forced", [False, True])  # False: the module's own bounds
+@pytest.mark.parametrize("tau", [1e-300, 1e-6, 1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("n,m", [(300, 5), (300, 16), (300, 32), (300, 256), (300, 300),
+                                 (40, 4096)])
+def test_block_search_equals_the_oracles(n, m, tau, forced):
+    rng = np.random.default_rng(m)
+    q = rng.standard_normal((n, 3)) + 0.1
+    c = rng.standard_normal((m, 3)) + 0.1
+    dists = pairwise_distances_chunked(q, c)
+    want = one_matrix_sample(dists, tau, np.random.default_rng(4))
+    assert np.array_equal(two_pass_sample(q, c, "euclidean", tau, np.random.default_rng(4)), want)
+    with search_on_any_block() if forced else contextlib.nullcontext():
+        got = sample_code_stochastic(dists, tau, np.random.default_rng(4))
+        idx, _ = assign(q, c, tau=tau, rng=np.random.default_rng(4))
+    assert np.array_equal(got, want) and np.array_equal(idx, want)
+    assert np.array_equal(two_pass_sample(q, c, "euclidean", tau, np.random.default_rng(4)), want)
+
+
+def oracle_cdf(dists, tau):
+    buf = np.exp((dists - dists.min(axis=1, keepdims=True)) / -tau)
+    buf /= buf.sum(axis=1, keepdims=True)
+    return np.cumsum(buf, axis=1)
+
+
+@pytest.mark.parametrize("m", [100, 256])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_draws_on_a_cdf_value_take_the_exact_rule(search_all, exact_rows, m, step):
+    """u exactly on an oracle cdf value, or one double either side, is within
+    the check's margin of it: the row takes the exact rule and its index is
+    the oracle's."""
+    dists = gaussian_dists(50, m, m)
+    for row, col in [(0, 0), (3, m // 2), (7, m - 2)]:
+        value = oracle_cdf(dists, 0.5)[row, col]
+        u = np.nextafter(value, value + step) if step else value
+        exact_rows.clear()
+        idx = sample_code_stochastic(dists, 0.5, ConstantDraws(u))
+        assert np.array_equal(idx, one_matrix_sample(dists, 0.5, ConstantDraws(u)))
+        assert sum(exact_rows) >= 1
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("m", [64, 256, 300])
+def test_draws_at_the_ends_of_the_cdf(search_all, exact_rows, m, u):
+    dists = gaussian_dists(200, m, 1)
+    idx = sample_code_stochastic(dists, 1.0, ConstantDraws(u))
+    assert np.array_equal(idx, one_matrix_sample(dists, 1.0, ConstantDraws(u)))
+    if u == 0.0:  # every row's first cdf value reaches 0, within the margin
+        assert np.all(idx == 0) and exact_rows == [200]
+
+
+@pytest.mark.parametrize("m", [64, 300])
+def test_rows_with_inf_and_nan_distances(search_all, exact_rows, m):
+    dists = gaussian_dists(20, m, 2)
+    dists[1, 5] = np.inf    # weight 0: the row stays in the search
+    dists[2, :] = np.inf    # inf - inf: a NaN row
+    dists[3, 9] = np.nan
+    dists[4, ::2] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = sample_code_stochastic(dists, 0.7, np.random.default_rng(3))
+        want = one_matrix_sample(dists, 0.7, np.random.default_rng(3))
+    assert np.array_equal(got, want)
+    assert got[2] == got[3] == m - 1 and exact_rows == [2]
+
+
+@pytest.mark.parametrize("m", [256, 300])
+def test_no_row_of_a_random_block_takes_the_exact_rule(exact_rows, m):
+    """At the training block size, the margin is far below the spacing of the
+    draws: the block search places every row, a ragged last block included."""
+    dists = gaussian_dists(512, m, 8)
+    idx = sample_code_stochastic(dists, 1.0, np.random.default_rng(0))
+    assert np.array_equal(idx, one_matrix_sample(dists, 1.0, np.random.default_rng(0)))
+    assert exact_rows == []
+    if m % 16:
+        assert np.any(idx >= m - m % 16)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 200), seed=st.integers(0, 2 ** 16),
+       log_tau=st.floats(-12.0, 3.0), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_block_search_equals_exact_rule_on_any_block(n, m, seed, log_tau, scale):
+    rng = np.random.default_rng(seed)
+    dists = scale * rng.random((n, m))
+    dists[rng.random((n, m)) < 0.1] = 0.0  # ties at the minimum
+    tau = 10.0 ** log_tau
+    want = one_matrix_sample(dists, tau, np.random.default_rng(seed))
+    with search_on_any_block():
+        got = sample_code_stochastic(dists, tau, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
 
 
 def test_assign_reuses_one_block_buffer(monkeypatch):

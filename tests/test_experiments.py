@@ -490,7 +490,7 @@ def test_cli_metrics_replay(tmp_path):
                      "--metrics", str(mangled)]) == 2
 
 
-@pytest.mark.parametrize("mangle", ["non_numeric", "short_row"])
+@pytest.mark.parametrize("mangle", ["non_numeric", "short_row", "nan", "-inf"])
 def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
     cfgp = write_cfg(tmp_path, "train.json", minimal(steps=3, track_grad_gap=False))
     run = tmp_path / "run"
@@ -499,8 +499,10 @@ def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
     cells = lines[2].split(",")
     if mangle == "non_numeric":
         cells[1] = "oops"
-    else:
+    elif mangle == "short_row":
         cells = cells[:4]
+    else:
+        cells[2] = mangle
     lines[2] = ",".join(cells)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
@@ -601,6 +603,61 @@ def test_cli_fuzzed_config_exits_0_2_or_3_with_one_line(scenario, mutations):
         cfgp.write_text(json.dumps(raw))
         with contextlib.redirect_stderr(err):
             code = cli_main([scenario, "--config", str(cfgp), "--out", str(Path(tmp) / "o")])
+        if code == 0:
+            assert_strict_outputs(Path(tmp) / "o")
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def assert_strict_outputs(out):
+    """Every JSON file is strict JSON (no NaN or Infinity), and every CSV
+    cell that reads as a number is finite."""
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_no_constant)
+        elif path.suffix == ".csv":
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(value), f"{path.name}: {line}"
+
+
+def test_affine_toy_with_overflowing_points_exits_3_and_writes_no_nan(tmp_path, capsys):
+    """Points drawn with covariance 1e308 overflow to inf: the run is a numeric
+    failure, not a success whose summary holds NaN and Infinity."""
+    raw = {"scenario": "affine-toy", "seed": 0,
+           "affine_toy": {"point_cov": 1e308, "n_points": 16, "m": 4, "updates": 2}}
+    out = tmp_path / "o"
+    assert cli_main(["affine-toy", "--config", write_cfg(tmp_path, "at.json", raw),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+    assert not [p for p in out.iterdir() if p.name.startswith(".")]  # no temporary file
+    assert_strict_outputs(out)
+
+
+def test_non_finite_json_output_is_a_numeric_failure(tmp_path):
+    from vqkit.cli import _write_json
+    from vqkit.errors import NumericFailure
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericFailure, match="^s.json: Out of range float"):
+            _write_json(tmp_path / "s.json", {"a": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_config_constant_is_a_config_error(tmp_path, capsys, constant):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"scenario": "train", "seed": 0, "optimizer": {"lr": %s}}' % constant)
+    assert cli_main(["train", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and constant in err
