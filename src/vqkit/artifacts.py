@@ -1,9 +1,16 @@
-"""Artifact files are written whole or not at all."""
+"""Artifact files, the one module that serializes them: each is written whole
+or not at all, and a NaN or infinite value is a NumericFailure before anything
+is written, so a run that exits 0 leaves only strict JSON and finite CSV."""
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import NumericFailure
 
 
 @contextmanager
@@ -20,3 +27,43 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as strict JSON. A NaN or infinite value is a
+    NumericFailure, and `path` is not written."""
+    path = Path(path)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"{path.name}: {exc}") from exc
+    with atomic_open(path) as fh:
+        fh.write(text + "\n")
+
+
+def write_jsonl(path, records) -> None:
+    """Write one compact, strict JSON object per line. A NaN or infinite
+    value is a NumericFailure, and `path` is not written."""
+    path = Path(path)
+    try:
+        lines = [json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records]
+    except ValueError as exc:
+        raise NumericFailure(f"{path.name}: {exc}") from exc
+    with atomic_open(path) as fh:
+        fh.writelines(lines)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `rows`, float cells with 17 significant digits and lines ended by
+    "\\n". A NaN or infinite float is a NumericFailure, and `path` is not
+    written."""
+    path = Path(path)
+    bad = next((v for row in rows for v in row
+                if isinstance(v, float) and not math.isfinite(v)), None)
+    if bad is not None:
+        raise NumericFailure(f"{path.name}: non-finite value {bad}")
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(float(v), ".17g") if isinstance(v, float) else v
+                          for v in row] for row in rows)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,37 +18,12 @@ import numpy as np
 
 from . import experiments as exp
 from . import metrics as mtr
-from .artifacts import atomic_open
+from .artifacts import write_csv, write_json, write_jsonl
 from .errors import ConfigError, NumericFailure, VQKitError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _write_json(path: Path, obj) -> None:
-    """Write `obj` as strict JSON. A NaN or infinite value is a
-    NumericFailure, and `path` is not written."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericFailure(f"{path.name}: {exc}") from exc
-    with atomic_open(path) as fh:
-        fh.write(text + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """Write `rows`, float cells with 17 significant digits. A NaN or
-    infinite float is a NumericFailure, and `path` is not written."""
-    bad = next((v for row in rows for v in row
-                if isinstance(v, float) and not math.isfinite(v)), None)
-    if bad is not None:
-        raise NumericFailure(f"{path.name}: non-finite value {bad}")
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format(float(v), ".17g") if isinstance(v, float) else v
-                          for v in row] for row in rows)
 
 
 def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
@@ -61,12 +35,12 @@ def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
                                       beta=toy["beta"], nu=toy["nu"],
                                       target=tuple(toy["target"]), tol=toy["tol"])
         rows = [[step, *row] for step, row in enumerate(traj.rows)]
-        _write_csv(out / f"trajectory_{mode}.csv",
-                   ["step", "z_e_x", "z_e_y", "z_q_x", "z_q_y", "task_loss"], rows)
+        write_csv(out / f"trajectory_{mode}.csv",
+                  ["step", "z_e_x", "z_e_y", "z_q_x", "z_q_y", "task_loss"], rows)
         summary[mode] = {"path_length": traj.path_length,
                          "steps_to_tol": traj.steps_to_tol,
                          "final_task_loss": traj.rows[-1][4]}
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
 
 
 def cmd_affine_toy(cfg: dict, out: Path) -> None:
@@ -77,28 +51,26 @@ def cmd_affine_toy(cfg: dict, out: Path) -> None:
                                 code_cov=at["code_cov"])
     for variant in ("standard", "affine"):
         rows = [[i, g] for i, g in enumerate(result[variant]["gap_history"])]
-        _write_csv(out / f"gap_{variant}.csv", ["update", "codebook_mean_gap"], rows)
+        write_csv(out / f"gap_{variant}.csv", ["update", "codebook_mean_gap"], rows)
     summary = {variant: {k: v for k, v in result[variant].items() if k != "gap_history"}
                for variant in result}
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
 
 
 def cmd_ablation(cfg: dict, out: Path) -> None:
     rows = exp.run_ablation(cfg)
     header = sorted(rows[0])
-    _write_csv(out / "ablation.csv", header, [[r[k] for k in header] for r in rows])
-    _write_json(out / "summary.json", rows)
+    write_csv(out / "ablation.csv", header, [[r[k] for k in header] for r in rows])
+    write_json(out / "summary.json", rows)
 
 
 def cmd_train(cfg: dict, out: Path) -> None:
     result = exp.run_training(cfg)
     mtr.write_metrics_csv(result.records, out / "metrics.csv")
     result.codebook.save(out / "codebook.bin")
-    with atomic_open(out / "replacements.jsonl") as fh:
-        for event in result.replacement_events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+    write_jsonl(out / "replacements.jsonl", result.replacement_events)
     last = result.records[-1]
-    _write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "steps": len(result.records),
         "final_task_loss": last.task_loss,
         "final_commit_loss": last.commit_loss,
@@ -111,18 +83,18 @@ def cmd_train(cfg: dict, out: Path) -> None:
 def cmd_init_study(cfg: dict, out: Path) -> None:
     rows = exp.run_init_study(cfg)
     methods = cfg["init_study"]["methods"]
-    _write_csv(out / "init_study.csv", ["seed"] + list(methods),
-               [[r["seed"]] + [r[m] for m in methods] for r in rows])
+    write_csv(out / "init_study.csv", ["seed"] + list(methods),
+              [[r["seed"]] + [r[m] for m in methods] for r in rows])
     summary = {m: {"mean": float(np.mean([r[m] for r in rows])),
                    "sd": float(np.std([r[m] for r in rows]))} for m in methods}
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
 
 
 def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
     """Summarize an existing metrics CSV: per-column min/max/final plus the
     step of the best task loss."""
     try:
-        with open(metrics_path, newline="") as fh:
+        with open(metrics_path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(mtr.METRICS_HEADER):
                 raise ConfigError(f"unexpected metrics header {reader.fieldnames}")
@@ -139,7 +111,7 @@ def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
                     raise ConfigError(f"metrics CSV line {reader.line_num}: "
                                       f"non-finite {bad} {row[bad]!r}")
                 rows.append(values)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read metrics CSV: {exc}") from exc
     if not rows:
         raise ConfigError("metrics CSV has no data rows")
@@ -150,7 +122,7 @@ def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
     best = min(rows, key=lambda r: r["task_loss"])
     summary["best_task_loss_step"] = int(best["step"])
     summary["n_steps"] = len(rows)
-    _write_json(out / "replay_summary.json", summary)
+    write_json(out / "replay_summary.json", summary)
 
 
 def main(argv=None) -> int:
@@ -181,7 +153,7 @@ def main(argv=None) -> int:
                 cfg["seed"] = args.seed
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            _write_json(out / "config.json", cfg)
+            write_json(out / "config.json", cfg)
             if args.command == "toy-trajectory":
                 cmd_toy_trajectory(cfg, out)
             elif args.command == "affine-toy":

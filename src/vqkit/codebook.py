@@ -3,12 +3,13 @@ stochastic), grouped views, and binary serialization."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, write_json
 from .errors import ContractViolation, DegenerateInput
 
 DISTANCE_KINDS = ("euclidean", "cosine_unit_norm", "cosine_renorm")
@@ -73,7 +74,16 @@ class Codebook:
     # -- serialization -------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write `path` (`VQKB` binary) after its strict-JSON sidecar `path` +
+        ".json", so a non-finite moment fails before either file is written."""
         path = Path(path)
+        write_json(Path(str(path) + ".json"), {
+            "last_used": self.last_used.tolist(),
+            "ema_mean_e": self.ema_mean_e.tolist(),
+            "ema_var_e": self.ema_var_e.tolist(),
+            "ema_mean_q": self.ema_mean_q.tolist(),
+            "ema_var_q": self.ema_var_q.tolist(),
+        })
         with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
@@ -81,21 +91,13 @@ class Codebook:
             fh.write(np.ascontiguousarray(self.codes, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(self.affine_scale, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(self.affine_bias, dtype="<f8").tobytes())
-        sidecar = {
-            "last_used": self.last_used.tolist(),
-            "ema_mean_e": self.ema_mean_e.tolist(),
-            "ema_var_e": self.ema_var_e.tolist(),
-            "ema_mean_q": self.ema_mean_q.tolist(),
-            "ema_var_q": self.ema_var_q.tolist(),
-        }
-        with atomic_open(Path(str(path) + ".json")) as fh:
-            json.dump(sidecar, fh, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "Codebook":
         """Read a codebook written by `save`. A payload that is not exactly
-        m x d codes plus the two affine vectors, or a sidecar array of the
-        wrong length, raises ContractViolation."""
+        m x d codes plus the two affine vectors, a sidecar that is not strict
+        JSON (NaN and Infinity included), or a sidecar array of the wrong
+        length raises ContractViolation."""
         path = Path(path)
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -107,6 +109,8 @@ class Codebook:
             version, m, d = struct.unpack("<IQQ", header)
             if version != _VERSION:
                 raise ContractViolation(f"unsupported codebook version {version}")
+            if m < 1 or d < 1:
+                raise ContractViolation(f"codebook must have m, d >= 1, got m={m}, d={d}")
             payload = fh.read()
         if len(payload) != 8 * (m * d + 2 * d):
             raise ContractViolation(
@@ -118,15 +122,18 @@ class Codebook:
         cb.affine_bias = values[m * d + d:].copy()
         sidecar_path = Path(str(path) + ".json")
         if sidecar_path.exists():
-            with open(sidecar_path) as fh:
-                sidecar = json.load(fh)
+            try:
+                sidecar = json.loads(sidecar_path.read_bytes(), parse_constant=_finite_float,
+                                     parse_float=_finite_float)
+            except ValueError as exc:
+                raise ContractViolation(f"bad codebook sidecar: {exc}") from exc
             # the "counts" key that older sidecars carry is ignored
             for key in ("last_used", "ema_mean_e", "ema_var_e", "ema_mean_q", "ema_var_q"):
                 # a fresh codebook's array has the shape and dtype the file must give
                 fresh = getattr(cb, key)
                 try:
                     value = np.asarray(sidecar[key], dtype=fresh.dtype)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ContractViolation(f"bad codebook sidecar {key!r}: {exc}") from exc
                 if value.shape != fresh.shape:
                     raise ContractViolation(
@@ -134,6 +141,13 @@ class Codebook:
                         f"got {value.shape}")
                 setattr(cb, key, value)
         return cb
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

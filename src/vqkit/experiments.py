@@ -265,7 +265,7 @@ def load_config(path) -> dict:
 
     try:
         raw = json.loads(Path(path).read_text(), parse_constant=reject)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_config(raw)
 

@@ -3,19 +3,16 @@ activation probability, active ratio, and the metrics CSV format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import codebook as cbk
-from .artifacts import atomic_open
+from .artifacts import write_csv
 from .autodiff import Node, Tape
 from .errors import ContractViolation
 from .vqlayer import VQConfig, VQOutput, quantize
-
-METRICS_HEADER = ("step", "task_loss", "commit_loss", "perplexity", "active_ratio",
-                  "quant_error", "grad_gap", "divergence_cq")
 
 
 @dataclass
@@ -29,16 +26,15 @@ class MetricsRecord:
     grad_gap: float
     divergence_cq: float
 
-    def row(self) -> str:
-        vals = [format(getattr(self, name), ".17g") for name in METRICS_HEADER[1:]]
-        return ",".join([str(self.step)] + vals)
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
 
 
 def write_metrics_csv(records, path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        for r in records:
-            fh.write(r.row() + "\n")
+    """Write one row per record under METRICS_HEADER. A non-finite value is
+    a NumericFailure, and `path` is not written."""
+    write_csv(path, METRICS_HEADER,
+              [[getattr(r, name) for name in METRICS_HEADER] for r in records])
 
 
 def perplexity(usage_counts) -> float:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import vqkit.codebook as cbk_mod
+from vqkit.metrics import write_metrics_csv
 
 
 @pytest.fixture
@@ -30,3 +31,14 @@ def row_pieces(monkeypatch):
     pieces = Pieces()
     monkeypatch.setattr(cbk_mod, "_row_blocks", pieces.row_blocks)
     return pieces
+
+
+@pytest.fixture
+def metrics_bytes(tmp_path):
+    """`metrics_bytes(records)`: the bytes `write_metrics_csv` writes for
+    `records`, so runs compare as bit-strictly as their artifact."""
+    def write(records):
+        path = tmp_path / "compare.csv"
+        write_metrics_csv(records, path)
+        return path.read_bytes()
+    return write

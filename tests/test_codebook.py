@@ -1,13 +1,16 @@
 """Distance, search, sampling, grouping, and serialization checks against
 naive full-matrix oracles."""
 import contextlib
+import functools
 import json
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vqkit.codebook as cbk_mod
@@ -19,6 +22,7 @@ from vqkit import (
     ContractViolation,
     DegenerateInput,
     MLPAutoencoder,
+    NumericFailure,
     Tape,
     VQConfig,
     assign,
@@ -612,6 +616,83 @@ def test_load_reads_a_sidecar_that_still_carries_usage_counts(tmp_path):
     back = Codebook.load(path)
     assert np.array_equal(back.last_used, [4, 0, 4])
     assert not hasattr(back, "counts")
+
+
+@pytest.mark.parametrize("raw", [b"", b"not json", b"{", b"\xff", b'{"last_used": [0, 0, 0]'])
+def test_load_rejects_a_sidecar_that_is_not_json(tmp_path, raw):
+    path = tmp_path / "cb.bin"
+    Codebook(np.arange(6.0).reshape(3, 2)).save(path)
+    (tmp_path / "cb.bin.json").write_bytes(raw)
+    with pytest.raises(ContractViolation, match="^bad codebook sidecar: "):
+        Codebook.load(path)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_rejects_a_non_finite_sidecar_number(tmp_path, number):
+    """The sidecar is strict JSON both ways: `save` refuses to write a
+    non-finite number and `load` refuses to read one."""
+    path = tmp_path / "cb.bin"
+    Codebook(np.arange(6.0).reshape(3, 2)).save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, "ema_mean_e": "X"})
+                            .replace('"X"', f"[{number}, 0]"))
+    with pytest.raises(ContractViolation, match=f"non-finite number {number}$"):
+        Codebook.load(path)
+
+
+def test_load_rejects_a_last_used_step_past_int64(tmp_path):
+    path = tmp_path / "cb.bin"
+    Codebook(np.arange(6.0).reshape(3, 2)).save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, "last_used": [2 ** 70, 0, 0]}))
+    with pytest.raises(ContractViolation, match="'last_used'"):
+        Codebook.load(path)
+
+
+def test_save_with_a_non_finite_moment_writes_neither_file(tmp_path):
+    cb = Codebook(np.arange(6.0).reshape(3, 2))
+    cb.ema_var_q[1] = np.inf
+    with pytest.raises(NumericFailure, match="^cb.bin.json: Out of range float"):
+        cb.save(tmp_path / "cb.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+@functools.cache
+def _saved_codebook() -> dict:
+    """{file name: bytes} that `save` writes for a 3 x 2 codebook with used
+    codes, affine parameters and EMA moments."""
+    cb = Codebook(np.arange(6.0).reshape(3, 2) / 7.0)
+    cb.mark_used([2, 0], step=4)
+    cb.affine_scale = np.array([0.5, -0.25])
+    cb.ema_mean_e = np.array([1.5, -2.0])
+    cb.ema_var_q = np.array([0.125, 3.0])
+    with tempfile.TemporaryDirectory() as tmp:
+        cb.save(Path(tmp) / "cb.bin")
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(["cb.bin", "cb.bin.json"]),
+       flips=st.lists(st.tuples(st.integers(0, 1 << 12), st.integers(1, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 1 << 12))
+# m = 2^63 + 3 and d = 0 in a header with no payload
+@example(target="cb.bin", flips=[(15, 0x80), (16, 0x02)], cut=24)
+def test_a_truncated_or_byte_flipped_codebook_loads_or_raises_contract_violation(
+        target, flips, cut):
+    files = dict(_saved_codebook())
+    data = bytearray(files[target])
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    files[target] = bytes(data[:cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, raw in files.items():
+            (Path(tmp) / name).write_bytes(raw)
+        try:
+            Codebook.load(Path(tmp) / "cb.bin")
+        except ContractViolation:
+            pass
 
 
 # -- distance kernel: halved formula, precomputed norms, two-core row split ------

@@ -3,6 +3,7 @@ entry point (exit codes and byte-identical reruns)."""
 import contextlib
 import copy
 import filecmp
+import functools
 import io
 import itertools
 import json
@@ -14,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vqkit import (
     ConfigError,
     ContractViolation,
-    MetricsRecord,
     MixtureSpec,
     VQConfig,
     collapse_config,
@@ -32,9 +32,11 @@ from vqkit import (
     run_toy_trajectory,
     run_training,
 )
-from vqkit.artifacts import atomic_open
+from vqkit import experiments as exp
+from vqkit.artifacts import atomic_open, write_json
 from vqkit.cli import main as cli_main
 from vqkit.experiments import _DEFAULTS, SCENARIOS
+from vqkit.metrics import write_metrics_csv
 
 
 def minimal(scenario="train", **extra):
@@ -165,11 +167,11 @@ def test_init_study_rows_cover_methods():
     assert all(r["kmeans"] >= 0.0 for r in rows)
 
 
-def test_run_training_deterministic_for_seed():
+def test_run_training_deterministic_for_seed(metrics_bytes):
     cfg = resolve_config(minimal(steps=8, track_grad_gap=False))
     a = run_training(cfg)
     b = run_training(cfg)
-    assert [r.row() for r in a.records] == [r.row() for r in b.records]
+    assert metrics_bytes(a.records) == metrics_bytes(b.records)
     assert np.array_equal(a.codebook.codes, b.codebook.codes)
 
 
@@ -420,19 +422,22 @@ def test_artifact_writer_failing_mid_file_leaves_nothing_behind(tmp_path, monkey
             raise ValueError("mid-file")
     assert list(tmp_path.iterdir()) == [target] and target.read_text() == "old\n"
 
-    # through the CLI: the metrics writer raises after two of its rows
-    out, rows = tmp_path / "o", []
+    # through the CLI: the metrics writer raises on the third of its rows
+    out, real_run_training = tmp_path / "o", exp.run_training
 
-    def row_then_fail(record):
-        if len(rows) == 2:
-            # the header and two rows are in the temp file, under no final name
+    class FailsWhenWritten:
+        def __str__(self):
+            # the header and two rows went to the temp file, under no final name
             assert len(list(out.glob(".metrics.csv.*.tmp"))) == 1
             assert not (out / "metrics.csv").exists()
             raise ValueError("mid-file")
-        rows.append(record.step)
-        return str(record.step)
 
-    monkeypatch.setattr(MetricsRecord, "row", row_then_fail)
+    def run_training(cfg):
+        result = real_run_training(cfg)
+        result.records[2].divergence_cq = FailsWhenWritten()
+        return result
+
+    monkeypatch.setattr(exp, "run_training", run_training)
     cfgp = write_cfg(tmp_path, "train.json", minimal(steps=4, track_grad_gap=False))
     with pytest.raises(ValueError, match="mid-file"):
         cli_main(["train", "--config", cfgp, "--out", str(out)])
@@ -511,6 +516,68 @@ def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
                      "--metrics", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: metrics CSV line 3") and err.count("\n") == 1
+
+
+def test_cli_metrics_replay_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, "train.json", minimal())
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"step,task_loss\xff\n")
+    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(tmp_path / "r"),
+                     "--metrics", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read metrics CSV: ") and err.count("\n") == 1
+
+
+@functools.cache
+def _real_metrics_csv() -> bytes:
+    """The metrics.csv of a six-step default run."""
+    records = run_training(resolve_config(minimal(steps=6))).records
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metrics.csv"
+        write_metrics_csv(records, path)
+        return path.read_bytes()
+
+
+_CELL_EDITS = st.tuples(st.sampled_from(["drop", "extra", "nan", "inf", "-inf", "NaN",
+                                         "Infinity"]),
+                        st.integers(0, 63), st.integers(0, 63))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_CELL_EDITS, max_size=3),
+       flips=st.lists(st.tuples(st.integers(0, 1 << 12), st.integers(1, 255)), max_size=3),
+       cut=st.none() | st.integers(0, 1 << 12))
+@example(edits=[], flips=[], cut=None)  # the file as written
+def test_cli_metrics_replay_of_a_mutated_csv_exits_0_or_2_with_one_line(edits, flips, cut):
+    """Cell edits (a dropped or extra cell, a nan or inf cell) on a line,
+    then byte flips (XOR masks), then truncation."""
+    lines = [line.split(b",") for line in _real_metrics_csv().split(b"\n")]
+    for edit, line, cell in edits:
+        cells = lines[line % len(lines)]
+        j = cell % (len(cells) + 1)
+        if edit == "drop":
+            del cells[j:j + 1]
+        elif edit == "extra":
+            cells.insert(j, b"1")
+        else:
+            cells[j:j + 1] = [edit.encode()]
+    data = bytearray(b"\n".join(b",".join(cells) for cells in lines))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        metrics = Path(tmp) / "metrics.csv"
+        metrics.write_bytes(bytes(data[:cut]))
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps(minimal()))
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["metrics-replay", "--config", str(cfgp),
+                             "--out", str(Path(tmp) / "o"), "--metrics", str(metrics)])
+        if code == 0:
+            assert_strict_outputs(Path(tmp) / "o")
+    err = err.getvalue()
+    assert code in (0, 2)
+    assert err.count("\n") == (code != 0) and "Traceback" not in err
 
 
 # -- ablation grid -------------------------------------------------------------------
@@ -645,13 +712,51 @@ def test_affine_toy_with_overflowing_points_exits_3_and_writes_no_nan(tmp_path, 
     assert_strict_outputs(out)
 
 
+@pytest.mark.parametrize("distance", ["cosine_renorm", "cosine_unit_norm"])
+def test_train_with_overflowing_code_norms_exits_3_and_writes_no_metrics(
+        tmp_path, capsys, distance):
+    """Codes uniform in +-1e154 overflow the kernel's half squared norms, so
+    `divergence_cq` is NaN at every step: the run is a numeric failure, not a
+    success whose metrics.csv holds nan."""
+    raw = {"scenario": "train", "seed": 0, "steps": 3, "vq": {"distance": distance},
+           "codebook": {"m": 32, "init": "uniform", "low": -1e154, "high": 1e154}}
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", write_cfg(tmp_path, "t.json", raw),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: metrics.csv: ") and err.count("\n") == 1
+    # no metrics.csv, summary.json or temporary file
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_csv_the_cli_writes_ends_its_lines_with_newline_only(tmp_path, scenario):
+    raw = {"scenario": scenario, "seed": 0, **copy.deepcopy(_FUZZ_BASE)}
+    out = tmp_path / "o"
+    assert cli_main([scenario, "--config", write_cfg(tmp_path, "c.json", raw),
+                     "--out", str(out)]) == 0
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for path in written:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
 def test_non_finite_json_output_is_a_numeric_failure(tmp_path):
-    from vqkit.cli import _write_json
     from vqkit.errors import NumericFailure
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NumericFailure, match="^s.json: Out of range float"):
-            _write_json(tmp_path / "s.json", {"a": [1.0, value]})
+            write_json(tmp_path / "s.json", {"a": [1.0, value]})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_bytes(b'{"scenario": "train", "seed": 0\xff}')
+    assert cli_main(["train", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
