@@ -46,7 +46,7 @@ from .metrics import (
     perplexity,
     write_metrics_csv,
 )
-from .models import LinearEncoderIdentityDecoder, MLPAutoencoder
+from .models import MLPAutoencoder
 from .training import (
     SGD,
     Schedule,

@@ -26,14 +26,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
-    toy = cfg["toy"]
+def cmd_toy_trajectory(cfg: dict, out: Path, args) -> None:
     summary = {}
     for mode in exp.TOY_MODES:
-        traj = exp.run_toy_trajectory(mode, cfg["seed"], steps=toy["steps"],
-                                      lr=toy["lr"], alpha=toy["alpha"],
-                                      beta=toy["beta"], nu=toy["nu"],
-                                      target=tuple(toy["target"]), tol=toy["tol"])
+        traj = exp.run_toy_trajectory(mode, cfg["seed"], **cfg["toy"])
         rows = [[step, *row] for step, row in enumerate(traj.rows)]
         write_csv(out / f"trajectory_{mode}.csv",
                   ["step", "z_e_x", "z_e_y", "z_q_x", "z_q_y", "task_loss"], rows)
@@ -43,12 +39,8 @@ def cmd_toy_trajectory(cfg: dict, out: Path) -> None:
     write_json(out / "summary.json", summary)
 
 
-def cmd_affine_toy(cfg: dict, out: Path) -> None:
-    at = cfg["affine_toy"]
-    result = exp.run_affine_toy(cfg["seed"], n_points=at["n_points"], m=at["m"],
-                                updates=at["updates"], lr=at["lr"],
-                                momentum=at["momentum"], point_cov=at["point_cov"],
-                                code_cov=at["code_cov"])
+def cmd_affine_toy(cfg: dict, out: Path, args) -> None:
+    result = exp.run_affine_toy(cfg["seed"], **cfg["affine_toy"])
     for variant in ("standard", "affine"):
         rows = [[i, g] for i, g in enumerate(result[variant]["gap_history"])]
         write_csv(out / f"gap_{variant}.csv", ["update", "codebook_mean_gap"], rows)
@@ -57,14 +49,14 @@ def cmd_affine_toy(cfg: dict, out: Path) -> None:
     write_json(out / "summary.json", summary)
 
 
-def cmd_ablation(cfg: dict, out: Path) -> None:
+def cmd_ablation(cfg: dict, out: Path, args) -> None:
     rows = exp.run_ablation(cfg)
     header = sorted(rows[0])
     write_csv(out / "ablation.csv", header, [[r[k] for k in header] for r in rows])
     write_json(out / "summary.json", rows)
 
 
-def cmd_train(cfg: dict, out: Path) -> None:
+def cmd_train(cfg: dict, out: Path, args) -> None:
     result = exp.run_training(cfg)
     mtr.write_metrics_csv(result.records, out / "metrics.csv")
     result.codebook.save(out / "codebook.bin")
@@ -80,7 +72,7 @@ def cmd_train(cfg: dict, out: Path) -> None:
     })
 
 
-def cmd_init_study(cfg: dict, out: Path) -> None:
+def cmd_init_study(cfg: dict, out: Path, args) -> None:
     rows = exp.run_init_study(cfg)
     methods = cfg["init_study"]["methods"]
     write_csv(out / "init_study.csv", ["seed"] + list(methods),
@@ -90,11 +82,11 @@ def cmd_init_study(cfg: dict, out: Path) -> None:
     write_json(out / "summary.json", summary)
 
 
-def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
-    """Summarize an existing metrics CSV: per-column min/max/final plus the
-    step of the best task loss."""
+def cmd_metrics_replay(cfg: dict, out: Path, args) -> None:
+    """Summarize the metrics CSV `args.metrics`: per-column min/max/final plus
+    the step of the best task loss."""
     try:
-        with open(metrics_path, newline="", encoding="utf-8") as fh:
+        with open(args.metrics, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != list(mtr.METRICS_HEADER):
                 raise ConfigError(f"unexpected metrics header {reader.fieldnames}")
@@ -125,27 +117,39 @@ def cmd_metrics_replay(cfg: dict, out: Path, metrics_path: Path) -> None:
     write_json(out / "replay_summary.json", summary)
 
 
+# subcommand -> (the scenario its config must name, the handler, called with
+# the resolved config, the output directory and the parsed arguments, and the
+# subcommand's own required options with their help)
+COMMANDS = {
+    "toy-trajectory": ("toy-trajectory", cmd_toy_trajectory, {}),
+    "affine-toy": ("affine-toy", cmd_affine_toy, {}),
+    "ablation": ("ablation", cmd_ablation, {}),
+    "train": ("train", cmd_train, {}),
+    "init-study": ("init-study", cmd_init_study, {}),
+    "metrics-replay": ("train", cmd_metrics_replay,
+                       {"--metrics": "path to an existing metrics CSV to summarize"}),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="vqkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("toy-trajectory", "affine-toy", "ablation", "train",
-                 "init-study", "metrics-replay"):
+    for name, (_, _, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        if name == "metrics-replay":
-            p.add_argument("--metrics", required=True,
-                           help="path to an existing metrics CSV to summarize")
+        for flag, help_text in options.items():
+            p.add_argument(flag, required=True, help=help_text)
     args = parser.parse_args(argv)
+    scenario, run, _ = COMMANDS[args.command]
 
     try:
         # numpy's floating-point warnings would precede the one-line report;
         # ignoring them changes no value, and the finiteness checks still raise
         with np.errstate(all="ignore"):
             cfg = exp.load_config(args.config)
-            expected = args.command if args.command != "metrics-replay" else "train"
-            if cfg["scenario"] != expected:
+            if cfg["scenario"] != scenario:
                 raise ConfigError(
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
@@ -154,18 +158,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             write_json(out / "config.json", cfg)
-            if args.command == "toy-trajectory":
-                cmd_toy_trajectory(cfg, out)
-            elif args.command == "affine-toy":
-                cmd_affine_toy(cfg, out)
-            elif args.command == "ablation":
-                cmd_ablation(cfg, out)
-            elif args.command == "train":
-                cmd_train(cfg, out)
-            elif args.command == "init-study":
-                cmd_init_study(cfg, out)
-            else:
-                cmd_metrics_replay(cfg, out, Path(args.metrics))
+            run(cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import atomic_open, write_json
-from .errors import ContractViolation, DegenerateInput
+from .errors import ContractViolation, DegenerateInput, NumericFailure
 
 DISTANCE_KINDS = ("euclidean", "cosine_unit_norm", "cosine_renorm")
 
 _MAGIC = b"VQKB"
 _VERSION = 1
+# the arrays the strict-JSON sidecar holds, beside the binary codes and affine vectors
+_SIDECAR_KEYS = ("last_used", "ema_mean_e", "ema_var_e", "ema_mean_q", "ema_var_q")
 
 
 class Codebook:
@@ -77,13 +79,8 @@ class Codebook:
         """Write `path` (`VQKB` binary) after its strict-JSON sidecar `path` +
         ".json", so a non-finite moment fails before either file is written."""
         path = Path(path)
-        write_json(Path(str(path) + ".json"), {
-            "last_used": self.last_used.tolist(),
-            "ema_mean_e": self.ema_mean_e.tolist(),
-            "ema_var_e": self.ema_var_e.tolist(),
-            "ema_mean_q": self.ema_mean_q.tolist(),
-            "ema_var_q": self.ema_var_q.tolist(),
-        })
+        write_json(Path(str(path) + ".json"),
+                   {key: getattr(self, key).tolist() for key in _SIDECAR_KEYS})
         with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
@@ -128,7 +125,7 @@ class Codebook:
             except ValueError as exc:
                 raise ContractViolation(f"bad codebook sidecar: {exc}") from exc
             # the "counts" key that older sidecars carry is ignored
-            for key in ("last_used", "ema_mean_e", "ema_var_e", "ema_mean_q", "ema_var_q"):
+            for key in _SIDECAR_KEYS:
                 # a fresh codebook's array has the shape and dtype the file must give
                 fresh = getattr(cb, key)
                 try:
@@ -151,8 +148,11 @@ def _finite_float(text: str) -> float:
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (unit rows, norms). Zero-norm rows are degenerate under cosine."""
+    """Return (unit rows, norms). Zero-norm rows are degenerate under cosine,
+    and a norm that is not finite is a NumericFailure."""
     norms = np.linalg.norm(x, axis=1)
+    if not np.isfinite(norms).all():
+        raise NumericFailure("non-finite norm under cosine distance")
     if np.any(norms == 0.0):
         raise DegenerateInput("zero-norm vector under cosine distance")
     return x / norms[:, None], norms
@@ -218,7 +218,8 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
     when given (an n x m float64 array, such as a block buffer the caller
     reuses) and returned. `query_half_sq` (euclidean only) is
     `half_sq_norms(queries)`, for a caller that queries the same rows many
-    times."""
+    times. A query or code half squared norm that is not finite is a
+    NumericFailure."""
     if kind not in DISTANCE_KINDS:
         raise ContractViolation(f"unknown distance kind {kind!r}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -246,6 +247,9 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
         query_half_sq = half_sq_norms(queries)
 
     code_half_sq = half_sq_norms(codes)
+    # an infinite norm would make inf - inf = NaN entries
+    if not (np.isfinite(query_half_sq).all() and np.isfinite(code_half_sq).all()):
+        raise NumericFailure("non-finite half squared norm in the distance kernel")
     for lo, hi in _row_blocks(n, m):
         # a strided block could make numpy leave BLAS, and with it the bits
         block = out[lo:hi]

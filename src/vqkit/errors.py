@@ -1,5 +1,6 @@
 """The vqkit exception hierarchy and the type checks that config and
 argument validation share."""
+import dataclasses
 import math
 import numbers
 
@@ -33,3 +34,26 @@ def is_finite_number(value) -> bool:
     """A finite real number that is not a bool."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def strict_keys(raw, allowed, name: str) -> dict:
+    """`raw` itself when it is a dict whose keys all lie in `allowed`;
+    otherwise a ContractViolation naming `name`."""
+    if not isinstance(raw, dict):
+        raise ContractViolation(f"{name} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ContractViolation(f"unknown {name} keys: {sorted(unknown)}")
+    return raw
+
+
+def from_strict_dict(cls, raw, name: str):
+    """`cls(**raw)` for a dataclass `cls`, when `raw` passes `strict_keys` and
+    sets every field that has no default; otherwise a ContractViolation."""
+    strict_keys(raw, cls.__dataclass_fields__, name)
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ContractViolation(f"{name} keys missing: {missing}")
+    return cls(**raw)

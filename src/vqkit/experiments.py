@@ -13,7 +13,8 @@ import numpy as np
 from . import initialization, metrics as mtr, vqlayer as vql
 from .autodiff import Tape
 from .codebook import Codebook, group_split, nearest_code
-from .errors import ConfigError, ContractViolation, is_finite_number, is_int
+from .errors import (ConfigError, ContractViolation, from_strict_dict, is_finite_number,
+                     is_int, strict_keys)
 from .models import MLPAutoencoder
 from .training import SGD, Schedule, TrainResult, train_alternating, train_joint
 
@@ -55,8 +56,7 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MixtureSpec":
-        _strict(raw, {"dim", "n", "means", "cov_scales", "weights"}, "data")
-        return cls(**raw)
+        return from_strict_dict(cls, raw, "data")
 
 
 def gen_mixture(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
@@ -81,6 +81,29 @@ def _default_mixture(dim: int = 16, n: int = 1024) -> dict:
 # ---------------------------------------------------------------------------
 # config handling
 
+# Each config section's keys, as key -> (kind, default). resolve_config checks
+# a set key of kind _INT (an integer >= 1) or _REAL (a finite number); a key of
+# kind None is checked on its own. A key without a default is optional: the
+# codebook's are init_codebook's options, and the grid's are fields a grid may
+# sweep.
+_INT, _REAL = "an integer >= 1", "a finite number"
+_SECTIONS = {
+    "optimizer": {"lr": (_REAL, 0.05), "momentum": (_REAL, 0.0), "weight_decay": (_REAL, 0.0)},
+    "model": {"d_in": (_INT, 16), "hidden": (_INT, 32), "d_code": (_INT, 8)},
+    "codebook": {"m": (_INT, 32), "init": (None, "normal_kaiming"), "fan": (_INT,),
+                 "low": (_REAL,), "high": (_REAL,), "iters": (_INT,)},
+    "toy": {"steps": (_INT, 500), "lr": (_REAL, 0.1), "alpha": (_REAL, 1.0),
+            "beta": (_REAL, 0.95), "nu": (_REAL, 0.5), "target": (None, [2.0, 1.0]),
+            "tol": (_REAL, 1e-3)},
+    "affine_toy": {"n_points": (_INT, 512), "m": (_INT, 128), "updates": (_INT, 20),
+                   "lr": (_REAL, 0.1), "momentum": (_REAL, 0.1), "point_cov": (_REAL, 0.1),
+                   "code_cov": (_REAL, 0.05)},
+    "init_study": {"n": (_INT, 2048), "d": (_INT, 8), "m": (_INT, 64), "n_seeds": (_INT, 5),
+                   "methods": (None, ["kmeans", "data_subset", "normal_kaiming"])},
+    "grid": {"affine_mode": (None, ["off", "learnable"]), "replacement": (None, ["off", "lru"]),
+             **dict.fromkeys(("init", "nu", "inner_k", "distance", "n_group"), (None,))},
+}
+
 _DEFAULTS = {
     "steps": 300,
     "batch_size": 64,
@@ -90,165 +113,136 @@ _DEFAULTS = {
     "track_grad_gap": True,
     "smooth_gamma": 0.0,
     "vq": {},
-    "optimizer": {"lr": 0.05, "momentum": 0.0, "weight_decay": 0.0},
     "schedule": None,
-    "model": {"d_in": 16, "hidden": 32, "d_code": 8},
-    "codebook": {"m": 32, "init": "normal_kaiming"},
     "data": None,
-    "toy": {"steps": 500, "lr": 0.1, "alpha": 1.0, "beta": 0.95, "nu": 0.5,
-            "target": [2.0, 1.0], "tol": 1e-3},
-    "affine_toy": {"n_points": 512, "m": 128, "updates": 20, "lr": 0.1,
-                   "momentum": 0.1, "point_cov": 0.1, "code_cov": 0.05},
-    "grid": {"affine_mode": ["off", "learnable"], "replacement": ["off", "lru"]},
     "seeds_per_cell": 5,
-    "init_study": {"n": 2048, "d": 8, "m": 64, "n_seeds": 5,
-                   "methods": ["kmeans", "data_subset", "normal_kaiming"]},
+    **{section: {key: spec[1] for key, spec in keys.items() if len(spec) == 2}
+       for section, keys in _SECTIONS.items()},
 }
 
 _TOP_LEVEL_KEYS = {"scenario", "seed"} | set(_DEFAULTS)
 
 _DATA_INITS = {"data_subset", "kmeans"}
 
-_GRID_FIELDS = {"init", "affine_mode", "nu", "inner_k", "replacement",
-                "distance", "n_group"}
 
-
-def _strict(raw: dict, allowed: set, ctx: str) -> None:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ctx} section must be an object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {ctx} keys: {sorted(unknown)}")
-
-
-# per section: integer fields (>= 1) and finite real fields, checked when set
-_SECTION_INTS = {"model": ("d_in", "hidden", "d_code"), "toy": ("steps",),
-                 "affine_toy": ("n_points", "m", "updates"),
-                 "codebook": ("m", "iters", "fan"), "init_study": ("n", "d", "m", "n_seeds")}
-_SECTION_REALS = {"toy": ("lr", "alpha", "beta", "nu", "tol"),
-                  "affine_toy": ("lr", "momentum", "point_cov", "code_cov"),
-                  "codebook": ("low", "high")}
+def _init_options(cb_cfg: dict) -> dict:
+    """The optional codebook keys `cb_cfg` sets: init_codebook's options."""
+    return {key: cb_cfg[key] for key, spec in _SECTIONS["codebook"].items()
+            if len(spec) == 1 and key in cb_cfg}
 
 
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in defaults. Unknown keys anywhere
-    are rejected; seed and scenario are mandatory."""
-    _strict(raw, _TOP_LEVEL_KEYS, "config")
-    if "scenario" not in raw or raw["scenario"] not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}")
-    if "seed" not in raw or not is_int(raw["seed"]):
-        raise ConfigError("an integer seed is mandatory")
-
-    cfg = copy.deepcopy(_DEFAULTS)
-    for key, value in raw.items():
-        # a grid the user sets replaces the default grid
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "grid":
-            merged = dict(cfg[key])
-            merged.update(value)
-            cfg[key] = merged
-        else:
-            cfg[key] = copy.deepcopy(value)
-    cfg["scenario"] = raw["scenario"]
-    cfg["seed"] = raw["seed"]
-
-    _strict(cfg["optimizer"], {"lr", "momentum", "weight_decay"}, "optimizer")
-    _strict(cfg["model"], {"d_in", "hidden", "d_code"}, "model")
-    _strict(cfg["codebook"], {"m", "init", "fan", "low", "high", "iters"}, "codebook")
-    _strict(cfg["toy"], set(_DEFAULTS["toy"]), "toy")
-    _strict(cfg["affine_toy"], set(_DEFAULTS["affine_toy"]), "affine_toy")
-    _strict(cfg["init_study"], set(_DEFAULTS["init_study"]), "init_study")
-    _strict(cfg["grid"], _GRID_FIELDS, "grid")
-    for field, values in cfg["grid"].items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"grid field {field!r} must be a non-empty list")
-    for value in cfg["grid"].get("inner_k", []):
-        if not is_int(value) or value < 0:
-            raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
-    if cfg["scenario"] == "ablation" and not cfg["grid"]:
-        raise ConfigError("ablation grid must be nonempty")
-    if not isinstance(cfg["track_grad_gap"], bool):
-        raise ConfigError(f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
-    for key in ("steps", "batch_size", "seeds_per_cell", "inner_k", "outer_k"):
-        if not is_int(cfg[key]) or cfg[key] < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    for key, value in cfg["optimizer"].items():
-        if not is_finite_number(value):
-            raise ConfigError(f"optimizer.{key} must be a finite number, got {value!r}")
-    if cfg["optimizer"]["lr"] < 0.0:
-        raise ConfigError(f"optimizer.lr must be >= 0, got {cfg['optimizer']['lr']!r}")
-    for section, keys in _SECTION_INTS.items():
-        for key in keys:
-            value = cfg[section].get(key, 1)
-            if not is_int(value) or value < 1:
-                raise ConfigError(f"{section}.{key} must be an integer >= 1, got {value!r}")
-    for section, keys in _SECTION_REALS.items():
-        for key in keys:
-            value = cfg[section].get(key, 0.0)
-            if not is_finite_number(value):
-                raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
-    target = cfg["toy"]["target"]
-    if not isinstance(target, list) or len(target) != 2 \
-            or not all(is_finite_number(v) for v in target):
-        raise ConfigError(f"toy.target must be a list of two finite numbers, got {target!r}")
-    at = cfg["affine_toy"]
-    if not 0.0 < at["lr"] <= 1.0:
-        raise ConfigError("affine_toy.lr must lie in (0, 1]")
-    if not 0.0 < at["momentum"] <= 1.0:
-        raise ConfigError("affine_toy.momentum must lie in (0, 1]")
-    if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
-        raise ConfigError("affine_toy covariances must be >= 0")
-    if cfg["train_mode"] not in ("joint", "alternating"):
-        raise ConfigError(f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
-    if not is_finite_number(cfg["smooth_gamma"]):
-        raise ConfigError(f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
-    if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
-        raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
-                          "train_mode is 'alternating'")
-    if cfg["data"] is None:
-        cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
+    are rejected; seed and scenario are mandatory. Every failed check is a
+    ConfigError."""
     try:
+        strict_keys(raw, _TOP_LEVEL_KEYS, "config")
+        if "scenario" not in raw or raw["scenario"] not in SCENARIOS:
+            raise ConfigError(f"scenario must be one of {SCENARIOS}")
+        if "seed" not in raw or not is_int(raw["seed"]):
+            raise ConfigError("an integer seed is mandatory")
+
+        cfg = copy.deepcopy(_DEFAULTS)
+        for key, value in raw.items():
+            # a grid the user sets replaces the default grid
+            if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "grid":
+                merged = dict(cfg[key])
+                merged.update(value)
+                cfg[key] = merged
+            else:
+                cfg[key] = copy.deepcopy(value)
+        cfg["scenario"] = raw["scenario"]
+        cfg["seed"] = raw["seed"]
+
+        for section, keys in _SECTIONS.items():
+            for key, value in strict_keys(cfg[section], keys, section).items():
+                kind = keys[key][0]
+                if (kind == _INT and not (is_int(value) and value >= 1)
+                        or kind == _REAL and not is_finite_number(value)):
+                    raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+        for field, values in cfg["grid"].items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"grid field {field!r} must be a non-empty list")
+        for value in cfg["grid"].get("inner_k", []):
+            if not is_int(value) or value < 0:
+                raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
+        if cfg["scenario"] == "ablation" and not cfg["grid"]:
+            raise ConfigError("ablation grid must be nonempty")
+        if not isinstance(cfg["track_grad_gap"], bool):
+            raise ConfigError(
+                f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
+        for key in ("steps", "batch_size", "seeds_per_cell", "inner_k", "outer_k"):
+            if not is_int(cfg[key]) or cfg[key] < 1:
+                raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+        if cfg["optimizer"]["lr"] < 0.0:
+            raise ConfigError(f"optimizer.lr must be >= 0, got {cfg['optimizer']['lr']!r}")
+        target = cfg["toy"]["target"]
+        if not isinstance(target, list) or len(target) != 2 \
+                or not all(is_finite_number(v) for v in target):
+            raise ConfigError(
+                f"toy.target must be a list of two finite numbers, got {target!r}")
+        at = cfg["affine_toy"]
+        if not 0.0 < at["lr"] <= 1.0:
+            raise ConfigError("affine_toy.lr must lie in (0, 1]")
+        if not 0.0 < at["momentum"] <= 1.0:
+            raise ConfigError("affine_toy.momentum must lie in (0, 1]")
+        if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
+            raise ConfigError("affine_toy covariances must be >= 0")
+        if cfg["train_mode"] not in ("joint", "alternating"):
+            raise ConfigError(
+                f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
+        if not is_finite_number(cfg["smooth_gamma"]):
+            raise ConfigError(
+                f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
+        if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
+            raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
+                              "train_mode is 'alternating'")
+        if cfg["data"] is None:
+            cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
         cfg["vq"] = vql.VQConfig.from_dict(cfg["vq"]).to_dict()
         # the toy trajectory's commitment and straight-through knobs obey the VQ rules
         vql.VQConfig(**{key: cfg["toy"][key] for key in ("alpha", "beta", "nu")})
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             Schedule.from_dict(cfg["schedule"])
+        if cfg["data"]["dim"] != cfg["model"]["d_in"]:
+            raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
+                              f"model.d_in={cfg['model']['d_in']}")
+        if cfg["batch_size"] > cfg["data"]["n"]:
+            raise ConfigError(
+                f"batch_size={cfg['batch_size']} exceeds data.n={cfg['data']['n']}")
+        # an alternating run splits each batch into inner_k + outer_k sub-batches
+        sub_batches = cfg["inner_k"] + cfg["outer_k"]
+        if cfg["train_mode"] == "alternating" and cfg["batch_size"] % sub_batches:
+            raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
+                              f"outer_k = {sub_batches} sub-batches")
+        d_code, n_group = cfg["model"]["d_code"], cfg["vq"]["n_group"]
+        if d_code % n_group:
+            raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
+        study, cb_cfg = cfg["init_study"], cfg["codebook"]
+        methods = study["methods"]
+        if not isinstance(methods, list) or not methods:
+            raise ConfigError(
+                f"init_study.methods must be a non-empty list, got {methods!r}")
+        for method in [cb_cfg["init"], *methods]:
+            if method not in initialization.INIT_METHODS:
+                raise ConfigError(f"unknown init method {method!r}; expected one of "
+                                  f"{initialization.INIT_METHODS}")
+        # init_codebook's check of the uniform bounds, before anything is written
+        if cb_cfg["init"] == "uniform":
+            initialization.init_codebook("uniform", 1, 1, rng=np.random.default_rng(0),
+                                         **_init_options(cb_cfg))
+        # a data-driven init draws m distinct codes from data.n * n_group encoder rows
+        rows = cfg["data"]["n"] * n_group
+        if cb_cfg["init"] in _DATA_INITS and cb_cfg["m"] > rows:
+            raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
+                              f"(data.n x n_group) a kmeans or data_subset init draws from")
+        if _DATA_INITS & set(methods) and study["m"] > study["n"]:
+            raise ConfigError(f"init_study.m={study['m']} exceeds the "
+                              f"init_study.n={study['n']} sample rows a kmeans or "
+                              f"data_subset init draws from")
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["data"]["dim"] != cfg["model"]["d_in"]:
-        raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
-                          f"model.d_in={cfg['model']['d_in']}")
-    if cfg["batch_size"] > cfg["data"]["n"]:
-        raise ConfigError(f"batch_size={cfg['batch_size']} exceeds data.n={cfg['data']['n']}")
-    # an alternating run splits each batch into inner_k + outer_k sub-batches
-    sub_batches = cfg["inner_k"] + cfg["outer_k"]
-    if cfg["train_mode"] == "alternating" and cfg["batch_size"] % sub_batches:
-        raise ConfigError(f"batch_size={cfg['batch_size']} must divide into inner_k + "
-                          f"outer_k = {sub_batches} sub-batches")
-    d_code, n_group = cfg["model"]["d_code"], cfg["vq"]["n_group"]
-    if d_code % n_group:
-        raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
-    study, cb_cfg = cfg["init_study"], cfg["codebook"]
-    methods = study["methods"]
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError(f"init_study.methods must be a non-empty list, got {methods!r}")
-    for method in [cb_cfg["init"], *methods]:
-        if method not in initialization.INIT_METHODS:
-            raise ConfigError(f"unknown init method {method!r}; expected one of "
-                              f"{initialization.INIT_METHODS}")
-    # the checks init_codebook makes, before anything is written
-    low, high = cb_cfg.get("low", -1.0), cb_cfg.get("high", 1.0)
-    if cb_cfg["init"] == "uniform" and low > high:
-        raise ConfigError(f"uniform init needs codebook.low <= codebook.high, "
-                          f"got {low} > {high}")
-    # a data-driven init draws m distinct codes from data.n * n_group encoder rows
-    rows = cfg["data"]["n"] * n_group
-    if cb_cfg["init"] in _DATA_INITS and cb_cfg["m"] > rows:
-        raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
-                          f"(data.n x n_group) a kmeans or data_subset init draws from")
-    if _DATA_INITS & set(methods) and study["m"] > study["n"]:
-        raise ConfigError(f"init_study.m={study['m']} exceeds the init_study.n={study['n']} "
-                          f"sample rows a kmeans or data_subset init draws from")
     if cfg["scenario"] == "ablation":
         for cell, cell_cfg in _grid_cells(cfg):
             try:
@@ -278,17 +272,15 @@ def _cell_rng(base_seed: int, *keys: int) -> np.random.Generator:
 
 
 def build_codebook(cfg: dict, data: np.ndarray, model: MLPAutoencoder,
-                   rng: np.random.Generator, init_override: str | None = None) -> Codebook:
+                   rng: np.random.Generator) -> Codebook:
     cb_cfg = cfg["codebook"]
     vq = vql.VQConfig.from_dict(cfg["vq"])
-    method = init_override or cb_cfg["init"]
     d_code = cfg["model"]["d_code"] // vq.n_group
     sample = None
-    if method in ("data_subset", "kmeans"):
+    if cb_cfg["init"] in _DATA_INITS:
         sample = group_split(model.encode_values(data), vq.n_group)
-    kwargs = {k: cb_cfg[k] for k in ("fan", "low", "high", "iters") if k in cb_cfg}
-    codes = initialization.init_codebook(method, cb_cfg["m"], d_code,
-                                         sample=sample, rng=rng, **kwargs)
+    codes = initialization.init_codebook(cb_cfg["init"], cb_cfg["m"], d_code, sample=sample,
+                                         rng=rng, **_init_options(cb_cfg))
     return Codebook(codes)
 
 

@@ -1,4 +1,4 @@
-"""Small encoder/decoder stacks used by the desk-scale experiments."""
+"""The small encoder/decoder stack used by the desk-scale experiments."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,23 +6,7 @@ import numpy as np
 from .autodiff import Node, Tape
 
 
-class _TapeModel:
-    """Shared parameter registration; subclasses fill `self.params`."""
-
-    params: dict[str, np.ndarray]
-
-    def make_nodes(self, tape: Tape) -> dict[str, Node]:
-        """Register every parameter on a tape as a parameter leaf."""
-        return {name: tape.leaf(value, param=True, name=name)
-                for name, value in self.params.items()}
-
-    def encode_values(self, x) -> np.ndarray:
-        """Encoder output for the rows `x`, recorded on a throwaway tape."""
-        tape = Tape()
-        return self.encode(tape, tape.leaf(x), self.make_nodes(tape)).value
-
-
-class MLPAutoencoder(_TapeModel):
+class MLPAutoencoder:
     """Two-layer tanh autoencoder. The default desk-scale task quantizes the
     bottleneck of a 16 -> 32 -> 8 -> 32 -> 16 reconstruction network."""
 
@@ -46,7 +30,16 @@ class MLPAutoencoder(_TapeModel):
         }
 
     encoder_param_names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2")
-    decoder_param_names = ("dec_w1", "dec_b1", "dec_w2", "dec_b2")
+
+    def make_nodes(self, tape: Tape) -> dict[str, Node]:
+        """Register every parameter on a tape as a parameter leaf."""
+        return {name: tape.leaf(value, param=True, name=name)
+                for name, value in self.params.items()}
+
+    def encode_values(self, x) -> np.ndarray:
+        """Encoder output for the rows `x`, recorded on a throwaway tape."""
+        tape = Tape()
+        return self.encode(tape, tape.leaf(x), self.make_nodes(tape)).value
 
     def encode(self, tape: Tape, x: Node, nodes: dict[str, Node]) -> Node:
         h = tape.tanh(tape.add(tape.matmul(x, nodes["enc_w1"]), nodes["enc_b1"]))
@@ -55,21 +48,3 @@ class MLPAutoencoder(_TapeModel):
     def decode(self, tape: Tape, z: Node, nodes: dict[str, Node]) -> Node:
         h = tape.tanh(tape.add(tape.matmul(z, nodes["dec_w1"]), nodes["dec_b1"]))
         return tape.add(tape.matmul(h, nodes["dec_w2"]), nodes["dec_b2"])
-
-
-class LinearEncoderIdentityDecoder(_TapeModel):
-    """Linear encoder, identity decoder. The gradient gap of this model has a
-    closed form, which the tests exploit as an oracle."""
-
-    def __init__(self, d_in: int, d_code: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
-        self.params = {"enc_w": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_code))}
-
-    encoder_param_names = ("enc_w",)
-    decoder_param_names = ()
-
-    def encode(self, tape: Tape, x: Node, nodes: dict[str, Node]) -> Node:
-        return tape.matmul(x, nodes["enc_w"])
-
-    def decode(self, tape: Tape, z: Node, nodes: dict[str, Node]) -> Node:
-        return z

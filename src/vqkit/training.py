@@ -11,7 +11,7 @@ from . import codebook as cbk
 from . import metrics as mtr
 from . import vqlayer as vql
 from .autodiff import Node, Tape, _finite
-from .errors import ContractViolation, NumericFailure, is_finite_number, is_int
+from .errors import ContractViolation, NumericFailure, from_strict_dict, is_finite_number, is_int
 
 CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
 
@@ -77,12 +77,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":
-        if not isinstance(raw, dict):
-            raise ContractViolation(f"a schedule must be an object, got {raw!r}")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ContractViolation(f"unknown Schedule keys: {sorted(unknown)}")
-        return cls(**raw)
+        return from_strict_dict(cls, raw, "schedule")
 
 
 def lr_at(schedule: Schedule, t: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from . import codebook as cbk
 from . import initialization
 from .autodiff import Node, Tape, scatter_add_rows
-from .errors import ContractViolation, is_finite_number, is_int
+from .errors import ContractViolation, from_strict_dict, is_finite_number, is_int
 
 
 @dataclass
@@ -73,12 +73,7 @@ class VQConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VQConfig":
-        if not isinstance(raw, dict):
-            raise ContractViolation(f"a VQConfig must be an object, got {raw!r}")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ContractViolation(f"unknown VQConfig keys: {sorted(unknown)}")
-        return cls(**raw)
+        return from_strict_dict(cls, raw, "vq")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

@@ -457,6 +457,28 @@ def test_zero_norm_is_degenerate_under_cosine():
     assert nearest_code(q, c, "euclidean")[0].shape == (2,)
 
 
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+@pytest.mark.parametrize("side", ["queries", "codes"])
+def test_norms_past_the_float_range_are_a_numeric_failure(kind, side):
+    """Rows uniform in +-1e154 have squared norms past the float range, which
+    would make NaN distances and arbitrary assignments."""
+    rng = np.random.default_rng(0)
+    big = rng.uniform(-1e154, 1e154, size=(32, 8))
+    small = rng.standard_normal((32, 8))
+    q, c = (big, small) if side == "queries" else (small, big)
+    with np.errstate(over="ignore"):
+        for call in (pairwise_distances_chunked, assign, nearest_code):
+            with pytest.raises(NumericFailure, match="non-finite"):
+                call(q, c, kind)
+        with pytest.raises(NumericFailure, match="non-finite"):
+            assign(q, c, kind, tau=1.0, rng=np.random.default_rng(0))
+        with pytest.raises(NumericFailure, match="^non-finite norm under cosine distance$"):
+            normalize_rows(big)
+    # a query half squared norm that the caller passes is checked too
+    with pytest.raises(NumericFailure, match="^non-finite half squared norm"):
+        pairwise_distances_chunked(small, small, query_half_sq=np.full(32, np.inf))
+
+
 def test_normalize_rows_returns_norms():
     x = np.array([[3.0, 4.0], [0.0, 2.0]])
     unit, norms = normalize_rows(x)

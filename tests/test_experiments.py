@@ -22,6 +22,7 @@ from vqkit import (
     ConfigError,
     ContractViolation,
     MixtureSpec,
+    Schedule,
     VQConfig,
     collapse_config,
     gen_mixture,
@@ -35,7 +36,7 @@ from vqkit import (
 from vqkit import experiments as exp
 from vqkit.artifacts import atomic_open, write_json
 from vqkit.cli import main as cli_main
-from vqkit.experiments import _DEFAULTS, SCENARIOS
+from vqkit.experiments import _DEFAULTS, _SECTIONS, SCENARIOS
 from vqkit.metrics import write_metrics_csv
 
 
@@ -79,6 +80,18 @@ def test_config_rejects_unknown_keys_at_every_level():
         resolve_config(minimal(data={"dim": 2, "n": 4, "means": [[0, 0]],
                                      "cov_scales": [1.0], "weights": [1.0],
                                      "skew": 3}))
+
+
+def test_every_from_dict_is_strict_and_raises_contract_violation():
+    for cls, name, raw in ((VQConfig, "vq", {"alpha": 1.0}), (Schedule, "schedule", {}),
+                           (MixtureSpec, "data", mixture())):
+        assert cls.from_dict(raw) == cls(**raw)
+        with pytest.raises(ContractViolation, match=rf"^unknown {name} keys: \['skew'\]$"):
+            cls.from_dict({**raw, "skew": 3})
+        with pytest.raises(ContractViolation, match=f"^{name} must be an object, got list$"):
+            cls.from_dict([raw])
+    with pytest.raises(ContractViolation, match=r"^data keys missing: \['n', 'means'"):
+        MixtureSpec.from_dict({"dim": 16})
 
 
 def test_config_fills_defaults_and_keeps_overrides():
@@ -322,6 +335,7 @@ def test_cli_exit_codes(tmp_path):
     ("toy-trajectory", {"toy": {"nu": -0.5}}),
     ("toy-trajectory", {"toy": {"beta": 1.5}}),
     ("ablation", {"grid": {}}),
+    ("train", {"data": {"dim": 16, "n": 256}}),
 ], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
@@ -352,7 +366,7 @@ def test_cli_exit_codes(tmp_path):
         "grid-n-group-m-above-grouped-rows", "init-study-data-subset-m-above-n",
         "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty",
         "affine-toy-lr-7", "affine-toy-lr-0", "affine-toy-lr-negative", "toy-nu-negative",
-        "toy-beta-above-1", "grid-empty"])
+        "toy-beta-above-1", "grid-empty", "data-keys-missing"])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
     cfgp = write_cfg(tmp_path, "bad.json",
                      minimal(command, **{"track_grad_gap": False, **overrides}))
@@ -644,11 +658,10 @@ _FUZZ_BASE = {
     "init_study": {"n": 16, "d": 2, "m": 4, "n_seeds": 1}, "grid": {"inner_k": [0, 1]},
 }
 _FUZZ_KEYS = sorted({(key,) for key in _DEFAULTS}
-                    | {(key, sub) for key, value in _DEFAULTS.items()
-                       if isinstance(value, dict) for sub in value}
+                    | {(section, key) for section, keys in _SECTIONS.items() for key in keys}
                     | {("vq", field) for field in VQConfig.__dataclass_fields__})
-_FUZZ_VALUES = [True, False, None, 0, 1, 2, -1, -0.5, 0.5, 1e308, "", "x", "kmeans",
-                "alternating", [], [0], [1, 2], {}]
+_FUZZ_VALUES = [True, False, None, 0, 1, 2, -1, -0.5, 0.5, 1e154, -1e154, 1e308, "", "x",
+                "kmeans", "alternating", [], [0], [1, 2], {}]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -712,19 +725,23 @@ def test_affine_toy_with_overflowing_points_exits_3_and_writes_no_nan(tmp_path, 
     assert_strict_outputs(out)
 
 
-@pytest.mark.parametrize("distance", ["cosine_renorm", "cosine_unit_norm"])
+@pytest.mark.parametrize("distance, message", [
+    ("cosine_renorm", "non-finite norm under cosine distance"),
+    ("cosine_unit_norm", "non-finite norm under cosine distance"),
+    ("euclidean", "non-finite half squared norm in the distance kernel"),
+], ids=["cosine_renorm", "cosine_unit_norm", "euclidean"])
 def test_train_with_overflowing_code_norms_exits_3_and_writes_no_metrics(
-        tmp_path, capsys, distance):
-    """Codes uniform in +-1e154 overflow the kernel's half squared norms, so
-    `divergence_cq` is NaN at every step: the run is a numeric failure, not a
-    success whose metrics.csv holds nan."""
+        tmp_path, capsys, distance, message):
+    """Codes uniform in +-1e154 overflow the kernel's norms, which would give
+    NaN distances and arbitrary assignments: the first kernel call is a
+    numeric failure, not a run whose metrics.csv holds nan."""
     raw = {"scenario": "train", "seed": 0, "steps": 3, "vq": {"distance": distance},
            "codebook": {"m": 32, "init": "uniform", "low": -1e154, "high": 1e154}}
     out = tmp_path / "o"
     assert cli_main(["train", "--config", write_cfg(tmp_path, "t.json", raw),
                      "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: metrics.csv: ") and err.count("\n") == 1
+    assert err == f"numeric failure: {message}\n"
     # no metrics.csv, summary.json or temporary file
     assert [p.name for p in out.iterdir()] == ["config.json"]
 

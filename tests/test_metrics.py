@@ -13,9 +13,9 @@ from vqkit import (
     Codebook,
     ContractViolation,
     SGD,
-    LinearEncoderIdentityDecoder,
     MLPAutoencoder,
     MetricsRecord,
+    Tape,
     VQConfig,
     activation_probability,
     active_ratio,
@@ -135,6 +135,26 @@ def test_activation_probability_matches_exact_binomial_tail(h, w, b, m_codes, n_
 
 
 # -- gradient gap -----------------------------------------------------------------
+
+class LinearEncoderIdentityDecoder:
+    """Linear encoder, identity decoder: a model whose gradient gap has a
+    closed form, the oracle of the tests below."""
+
+    encoder_param_names = ("enc_w",)
+
+    def __init__(self, d_in: int, d_code: int, rng: np.random.Generator):
+        self.params = {"enc_w": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_code))}
+
+    def make_nodes(self, tape: Tape) -> dict:
+        return {name: tape.leaf(value, param=True, name=name)
+                for name, value in self.params.items()}
+
+    def encode(self, tape: Tape, x, nodes: dict):
+        return tape.matmul(x, nodes["enc_w"])
+
+    def decode(self, tape: Tape, z, nodes: dict):
+        return z
+
 
 def test_gradient_gap_zero_when_quantization_exact():
     rng = np.random.default_rng(1)
