@@ -176,8 +176,6 @@ def half_sq_norms(x) -> np.ndarray:
     CHUNK_ROWS rows at a time so no n x d temporary is made. A row's value
     does not depend on the chunking."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] <= CHUNK_ROWS:
-        return 0.5 * (x * x).sum(axis=1)
     out = np.empty(x.shape[0])
     for start in range(0, x.shape[0], CHUNK_ROWS):
         rows = x[start:start + CHUNK_ROWS]

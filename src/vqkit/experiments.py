@@ -332,48 +332,50 @@ class ToyTrajectory:
 def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.1,
                        alpha: float = 1.0, beta: float = 0.95, nu: float = 0.5,
                        target=(2.0, 1.0), tol: float = 1e-3) -> ToyTrajectory:
-    """Single 2-D embedding chasing a stationary target through one code-vector,
-    SGD with a fixed learning rate. Modes: no_vq bypasses quantization; joint
-    optimizes task + commitment together; alternated takes a codebook-only
-    commitment step then a task-only embedding step; lookahead is the joint
-    update with the synchronized (nu) codebook term."""
+    """Single 2-D embedding chasing a stationary target through the code of a
+    one-code codebook, SGD with a fixed learning rate; every update is a tape
+    pull-back through `quantize`. Modes: no_vq bypasses quantization; joint
+    descends task + commitment; alternated takes the alternating trainer's
+    inner commitment step on the code, then a task-only embedding step;
+    lookahead is joint with the synchronized (nu) codebook term."""
     if mode not in TOY_MODES:
         raise ContractViolation(f"unknown toy mode {mode!r}")
     rng = _cell_rng(seed, 3)
     z_e = rng.normal(0.0, 1.0, size=(1, 2))
-    z_q = rng.normal(0.0, 1.0, size=(1, 2))
+    cb = Codebook(rng.normal(0.0, 1.0, size=(1, 2)))
+    config = vql.VQConfig(alpha=alpha, beta=beta, nu=nu if mode == "lookahead" else 0.0)
     tgt = np.asarray(target, dtype=np.float64).reshape(1, 2)
 
     rows = []
     path_length = 0.0
     for t in range(steps):
-        if mode == "no_vq":
-            task_val = 0.5 * float(((z_e - tgt) ** 2).sum())
-            z_e_new = z_e - lr * (z_e - tgt)
-            z_q_new = z_e_new.copy()
-        elif mode == "alternated":
-            # inner: codebook-facing commitment step on the code
-            z_q_new = z_q - lr * alpha * beta * (z_q - z_e)
-            # outer: task-only step on the embedding through straight-through
-            task_val = 0.5 * float(((z_q_new - tgt) ** 2).sum())
-            z_e_new = z_e - lr * (z_q_new - tgt)
-        else:  # joint / lookahead share one loss; lookahead adds the nu path
-            nu_eff = nu if mode == "lookahead" else 0.0
+        z_q = cb.codes
+        if mode == "alternated":
+            # train_alternating's inner step: the code against a constant embedding
             tape = Tape()
-            ze_node = tape.leaf(z_e, param=True)
-            zq_node = tape.leaf(z_q, param=True)
-            st = tape.straight_through(ze_node, zq_node, nu_eff)
-            task = tape.mse(st, tape.leaf(tgt))
-            commit = tape.commitment(ze_node, zq_node, alpha, beta)
-            tape.backward(tape.add(task, commit))
-            task_val = float(task.value[0, 0])
-            z_e_new = z_e - lr * ze_node.grad
-            z_q_new = z_q - lr * (zq_node.grad if zq_node.grad is not None else 0.0)
+            out = vql.quantize(tape, tape.leaf(z_e), cb, config)
+            cb.codes = z_q - lr * vql.commitment_codebook_grads(tape, out, cb, config)["codes"]
+        tape = Tape()
+        ze_node = tape.leaf(z_e, param=True)
+        if mode == "no_vq":
+            task = loss = tape.mse(ze_node, tape.leaf(tgt))
+        else:
+            out = vql.quantize(tape, ze_node, cb, config)
+            task = tape.mse(out.z_q, tape.leaf(tgt))
+            # alternated: task only, through straight-through to the embedding
+            loss = task if mode == "alternated" else tape.add(task, out.commit_loss)
+        tape.backward(loss)
+        z_e_new = z_e - lr * ze_node.grad
+        if mode == "no_vq":
+            cb.codes = z_e_new
+        elif mode != "alternated":
+            cb.codes = z_q - lr * vql.codebook_param_grads(
+                cb, out.effective_codes.grad, config)["codes"]
 
         rows.append((float(z_e[0, 0]), float(z_e[0, 1]),
-                     float(z_q[0, 0]), float(z_q[0, 1]), task_val))
+                     float(z_q[0, 0]), float(z_q[0, 1]), float(task.value[0, 0])))
         path_length += float(np.linalg.norm(z_e_new - z_e))
-        z_e, z_q = z_e_new, z_q_new
+        z_e = z_e_new
 
     steps_to_tol = steps
     for t in range(steps - 1, -1, -1):

@@ -112,25 +112,20 @@ class TrainResult:
     replacement_events: list
 
 
-class _BatchStream:
-    """Deterministic shuffled batch iterator; reshuffles each epoch."""
+def _batches(data: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Deterministic shuffled batches: whole batches of one permutation of the
+    rows, then of a fresh one each epoch. batch_size is checked at the call."""
+    n = data.shape[0]
+    if batch_size < 1 or batch_size > n:
+        raise ContractViolation("batch_size must be in [1, len(data)]")
 
-    def __init__(self, data: np.ndarray, batch_size: int, rng: np.random.Generator):
-        if batch_size < 1 or batch_size > data.shape[0]:
-            raise ContractViolation("batch_size must be in [1, len(data)]")
-        self.data = data
-        self.batch_size = batch_size
-        self.rng = rng
-        self._order = rng.permutation(data.shape[0])
-        self._pos = 0
+    def stream():
+        while True:
+            order = rng.permutation(n)
+            for start in range(0, n - batch_size + 1, batch_size):
+                yield data[order[start:start + batch_size]]
 
-    def next(self) -> np.ndarray:
-        if self._pos + self.batch_size > self.data.shape[0]:
-            self._order = self.rng.permutation(self.data.shape[0])
-            self._pos = 0
-        idx = self._order[self._pos:self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return self.data[idx]
+    return stream()
 
 
 def _collect_grads(nodes: dict[str, Node]) -> dict[str, np.ndarray]:
@@ -194,13 +189,13 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
     window = max(1, data.shape[0] // batch_size)
     if config.replacement == "lru":
         window = max(window, config.lifespan + 1)
-    stream = _BatchStream(data, batch_size, np.random.default_rng(
+    batches = _batches(data, batch_size, np.random.default_rng(
         np.random.SeedSequence([seed, 1])))
     rng_vq = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
     records, events = [], []
     for t in range(steps):
-        out, task, gap = step_fn(stream.next(), t, lr_at(schedule, t), rng_vq)
+        out, task, gap = step_fn(next(batches), t, lr_at(schedule, t), rng_vq)
         _post_step_hooks(cb, config, out.z_e_grouped.value, out.z_q_grouped.value, t,
                          rng_vq, events)
         records.append(_record(t, out, task, gap, cb, config, window))

@@ -19,9 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vqkit import (
+    SGD,
+    Codebook,
     ConfigError,
     ContractViolation,
     MixtureSpec,
+    NumericFailure,
     Schedule,
     VQConfig,
     collapse_config,
@@ -34,9 +37,11 @@ from vqkit import (
     run_training,
 )
 from vqkit import experiments as exp
+from vqkit import training
 from vqkit.artifacts import atomic_open, write_json
 from vqkit.cli import main as cli_main
-from vqkit.experiments import _DEFAULTS, _SECTIONS, SCENARIOS
+from vqkit.codebook import DISTANCE_KINDS
+from vqkit.experiments import _DEFAULTS, _SECTIONS, SCENARIOS, TOY_MODES
 from vqkit.metrics import write_metrics_csv
 
 
@@ -160,6 +165,25 @@ def test_toy_trajectory_quantized_modes_track_target():
         traj = run_toy_trajectory(mode, seed=1)
         assert traj.rows[-1][4] < traj.rows[0][4]
         assert traj.path_length > 0.0
+
+
+@pytest.mark.parametrize("mode", TOY_MODES)
+def test_every_toy_mode_that_overflows_is_a_numeric_failure(mode):
+    """Every mode steps through the tape, so every mode meets its finiteness
+    checks instead of returning rows of inf."""
+    with np.errstate(all="ignore"), pytest.raises(NumericFailure):
+        run_toy_trajectory(mode, 0, lr=1e154)
+
+
+def test_the_toy_alternated_code_step_is_the_alternating_inner_step():
+    """On a one-code codebook, the alternating trainer's inner step with plain
+    SGD moves each recorded code to exactly the one the toy records next."""
+    traj = run_toy_trajectory("alternated", 3, steps=40, lr=0.3, alpha=2.0, beta=0.8)
+    for before, after in zip(traj.rows, traj.rows[1:]):
+        cb = Codebook([before[2:4]])
+        training._inner_step(None, cb, VQConfig(alpha=2.0, beta=0.8), np.array([before[:2]]),
+                             0.3, 0, None, SGD(lr=0.3))
+        assert cb.codes.tolist() == [list(after[2:4])]
 
 
 def test_affine_toy_recloses_the_gap():
@@ -662,15 +686,25 @@ _FUZZ_KEYS = sorted({(key,) for key in _DEFAULTS}
                     | {("vq", field) for field in VQConfig.__dataclass_fields__})
 _FUZZ_VALUES = [True, False, None, 0, 1, 2, -1, -0.5, 0.5, 1e154, -1e154, 1e308, "", "x",
                 "kmeans", "alternating", [], [0], [1, 2], {}]
+# hazard moves: keys that must change together to reach a numeric hazard, each
+# a list of (key path, value) pairs applied as one mutation
+_FUZZ_HAZARDS = [
+    *[[(("codebook", "init"), "uniform"), (("codebook", "low"), -1e154),
+       (("codebook", "high"), 1e154), (("vq", "distance"), kind)] for kind in DISTANCE_KINDS],
+    [(("affine_toy", "point_cov"), 1e308)],
+    [(("optimizer", "lr"), 1e154), (("vq", "affine_mode"), "ema")],
+]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(scenario=st.sampled_from(SCENARIOS),
-       mutations=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
-                                    st.sampled_from(_FUZZ_VALUES)), max_size=3))
+       mutations=st.lists(st.one_of(
+           st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)).map(
+               lambda move: [move]),
+           st.sampled_from(_FUZZ_HAZARDS)), max_size=3))
 def test_cli_fuzzed_config_exits_0_2_or_3_with_one_line(scenario, mutations):
     raw = {"scenario": scenario, "seed": 0, **copy.deepcopy(_FUZZ_BASE)}
-    for path, value in mutations:
+    for path, value in itertools.chain.from_iterable(mutations):
         section = raw
         for key in path[:-1]:
             if not isinstance(section.get(key), dict):
@@ -688,6 +722,37 @@ def test_cli_fuzzed_config_exits_0_2_or_3_with_one_line(scenario, mutations):
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert err.count("\n") == (code != 0) and "Traceback" not in err
+
+
+class _TrustingFinite:
+    """A stand-in for a module whose finiteness test always passes."""
+
+    def __init__(self, module, **overrides):
+        self._module, self._overrides = module, overrides
+
+    def __getattr__(self, name):
+        return self._overrides.get(name, getattr(self._module, name))
+
+
+def test_the_fuzz_search_finds_a_non_finite_output_once_the_finiteness_checks_are_gone(
+        monkeypatch):
+    """The fuzz test can catch something: with the artifact writers' and the
+    distance kernel's finiteness checks made no-ops, the same derandomized
+    search reaches a run that exits 0 and writes a non-finite value."""
+    import math
+
+    import vqkit.artifacts as artifacts_mod
+    import vqkit.codebook as cbk_mod
+
+    def dumps(obj, **kwargs):
+        return json.dumps(obj, **{**kwargs, "allow_nan": True})
+
+    monkeypatch.setattr(artifacts_mod, "math", _TrustingFinite(math, isfinite=lambda v: True))
+    monkeypatch.setattr(artifacts_mod, "json", _TrustingFinite(json, dumps=dumps))
+    monkeypatch.setattr(cbk_mod, "np", _TrustingFinite(
+        np, isfinite=lambda a: np.ones(np.shape(a), dtype=bool)))
+    with pytest.raises(AssertionError, match=r"in JSON output|\.csv: "):
+        test_cli_fuzzed_config_exits_0_2_or_3_with_one_line()
 
 
 def _no_constant(name):
@@ -723,6 +788,16 @@ def test_affine_toy_with_overflowing_points_exits_3_and_writes_no_nan(tmp_path, 
     assert not (out / "summary.json").exists()
     assert not [p for p in out.iterdir() if p.name.startswith(".")]  # no temporary file
     assert_strict_outputs(out)
+
+
+def test_toy_trajectory_that_overflows_exits_3_and_leaves_only_its_config(tmp_path, capsys):
+    raw = {"scenario": "toy-trajectory", "seed": 0, "toy": {"lr": 1e154}}
+    out = tmp_path / "o"
+    assert cli_main(["toy-trajectory", "--config", write_cfg(tmp_path, "toy.json", raw),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "numeric failure: non-finite forward value at node 2 (mse)\n"
+    assert [p.name for p in out.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("distance, message", [
