@@ -8,7 +8,6 @@ from .codebook import (
     DISTANCE_KINDS,
     Codebook,
     assign,
-    group_split,
     nearest_code,
     normalize_rows,
     pairwise_distances_chunked,

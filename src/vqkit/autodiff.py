@@ -1,11 +1,11 @@
 """Minimal reverse-mode differentiation over dense 2-D float64 matrices.
 
-A ``Tape`` records a topologically ordered list of nodes; ``backward`` walks the
-list in reverse exactly once and accumulates gradients into parameter leaves.
-``vjp`` runs the same reverse walk from any node to any nodes without touching
-parameter gradients, so a tape can answer several pull-backs before its backward.
-Gradients accumulate additively across fan-out; the caller is responsible for
-building a fresh tape (or fresh leaves) per optimization step.
+A ``Tape`` records a topologically ordered list of nodes and stores values
+only. ``vjp`` pulls a cotangent back from any node to any nodes in one reverse
+walk and returns their gradients; ``backward`` is ``vjp`` from a 1x1 loss with
+cotangent 1. A node the output does not reach gets None. Gradients accumulate
+additively across fan-out; the tape keeps none of them, so it answers any
+number of pull-backs, and the caller builds a fresh tape per optimization step.
 
 Finiteness contract: a non-finite forward value raises ``NumericFailure`` when
 its node is recorded, and a non-finite gradient before ``backward`` or ``vjp``
@@ -73,15 +73,13 @@ def scatter_add_rows(indices, rows, m: int) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("idx", "value", "parents", "grad_fn", "grad", "is_param", "name")
+    __slots__ = ("idx", "value", "parents", "grad_fn", "name")
 
-    def __init__(self, idx, value, parents, grad_fn, is_param=False, name=None):
+    def __init__(self, idx, value, parents, grad_fn, name=None):
         self.idx = idx
         self.value = value
         self.parents = parents
         self.grad_fn = grad_fn
-        self.grad: Optional[np.ndarray] = None
-        self.is_param = is_param
         self.name = name
 
     @property
@@ -89,27 +87,24 @@ class Node:
         return self.value.shape
 
     def __repr__(self):
-        tag = self.name or ("param" if self.is_param else "node")
-        return f"<Node {self.idx} {tag} {self.value.shape}>"
+        return f"<Node {self.idx} {self.name or 'node'} {self.value.shape}>"
 
 
 class Tape:
-    """Single-use computation-graph record. One backward pass per tape."""
+    """Computation-graph record of values; every pull-back returns its gradients."""
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._backward_done = False
 
     # -- graph construction ------------------------------------------------
 
-    def leaf(self, value, param: bool = False, name: str | None = None) -> Node:
-        return self._record(as_matrix(value).copy(), [], None, is_param=param, name=name)
+    def leaf(self, value, name: str | None = None) -> Node:
+        return self._record(as_matrix(value).copy(), [], None, name=name)
 
-    def _record(self, value, parents, grad_fn, is_param=False, name=None,
-                check=True) -> Node:
+    def _record(self, value, parents, grad_fn, name=None, check=True) -> Node:
         """Append a node. ``check=False`` is for values that only copy,
         select or squash entries of recorded (hence finite) nodes."""
-        node = Node(len(self.nodes), value, parents, grad_fn, is_param, name)
+        node = Node(len(self.nodes), value, parents, grad_fn, name)
         if check and not _finite(value):
             raise NumericFailure(f"non-finite forward value at node {node.idx} ({name or 'op'})")
         self.nodes.append(node)
@@ -278,23 +273,22 @@ class Tape:
 
         return self._record(out, [codes, scale_row, bias_row], grad_fn, name="affine_rows")
 
-    # -- backward -----------------------------------------------------------
+    # -- pull-backs ---------------------------------------------------------
 
-    def backward(self, loss: Node) -> None:
-        if self._backward_done:
-            raise ContractViolation("backward was already run on this tape")
+    def backward(self, loss: Node, wrt) -> list[Optional[np.ndarray]]:
+        """The gradient of the 1x1 ``loss`` for each node of ``wrt``:
+        ``vjp(loss, [[1]], wrt)``."""
         if loss.shape != (1, 1):
             raise ContractViolation(f"loss must be a 1x1 scalar, got {loss.shape}")
-        self._backward_done = True
-        for node, g in self._pull_back(loss, np.ones((1, 1)), 0):
-            if node.is_param:
-                node.grad = g if node.grad is None else node.grad + g
+        return self.vjp(loss, np.ones((1, 1)), wrt)
 
-    def vjp(self, output: Node, cotangent, wrt) -> list[np.ndarray]:
+    def vjp(self, output: Node, cotangent, wrt) -> list[Optional[np.ndarray]]:
         """Pull ``cotangent`` back from ``output`` to each node of ``wrt``
-        (leaves or intermediates). Writes no ``node.grad`` and leaves the tape
-        open, so it may run any number of times before ``backward``. A node
-        ``output`` does not depend on gets zeros."""
+        (leaves or intermediates): the one reverse walk, over the nodes from
+        the first of ``wrt`` to ``output``, each gradient fully accumulated
+        over fan-out. A node ``output`` does not reach gets None. Tests all
+        the gradients the walk computes in one call and, if one is not
+        finite, raises at the first in walk order."""
         wrt = list(wrt)
         if not wrt:
             raise ContractViolation("vjp needs at least one node to differentiate against")
@@ -306,25 +300,15 @@ class Tape:
             raise ContractViolation(
                 f"cotangent shape {cotangent.shape} does not match output {output.shape}")
         wanted = {node.idx: None for node in wrt}
-        for node, g in self._pull_back(output, cotangent, min(wanted)):
-            if node.idx in wanted:
-                wanted[node.idx] = g
-        return [np.zeros_like(node.value) if wanted[node.idx] is None else wanted[node.idx]
-                for node in wrt]
-
-    def _pull_back(self, output: Node, cotangent: np.ndarray, start: int) -> list:
-        """The one reverse walk: the (node, gradient) pairs of every node in
-        ``nodes[start : output.idx + 1]`` that the cotangent reaches, in
-        reverse topological order, each gradient fully accumulated over
-        fan-out. Tests all the gradients in one call and, if one is not
-        finite, raises at the first in walk order."""
         pending: dict[int, np.ndarray] = {output.idx: cotangent}
         reached = []
-        for node in reversed(self.nodes[start: output.idx + 1]):
+        for node in reversed(self.nodes[min(output.idx, *wanted): output.idx + 1]):
             g = pending.pop(node.idx, None)
             if g is None:
                 continue
             reached.append((node, g))
+            if node.idx in wanted:
+                wanted[node.idx] = g
             if node.grad_fn is None:
                 continue
             for parent, pg in zip(node.parents, node.grad_fn(g)):
@@ -338,4 +322,4 @@ class Tape:
             for node, g in reached:
                 if not _finite(g):
                     raise NumericFailure(f"non-finite gradient at node {node.idx} ({node.name})")
-        return reached
+        return [wanted[node.idx] for node in wrt]

@@ -426,12 +426,3 @@ def _first_reach(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     indices = reached.argmax(axis=1)
     indices[~reached[:, -1]] = weights.shape[1] - 1
     return indices
-
-
-def group_split(z, n_group: int) -> np.ndarray:
-    """Split n x d rows into (n * n_group) x (d / n_group) contiguous sub-vectors."""
-    z = np.asarray(z, dtype=np.float64)
-    n, d = z.shape
-    if n_group < 1 or d % n_group != 0:
-        raise ContractViolation(f"n_group={n_group} must divide d={d}")
-    return z.reshape(n * n_group, d // n_group).copy()

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import initialization, metrics as mtr, vqlayer as vql
 from .autodiff import Tape
-from .codebook import Codebook, group_split, nearest_code
+from .codebook import Codebook, nearest_code
 from .errors import (ConfigError, ContractViolation, from_strict_dict, is_finite_number,
                      is_int, strict_keys)
 from .models import MLPAutoencoder
@@ -278,7 +278,7 @@ def build_codebook(cfg: dict, data: np.ndarray, model: MLPAutoencoder,
     d_code = cfg["model"]["d_code"] // vq.n_group
     sample = None
     if cb_cfg["init"] in _DATA_INITS:
-        sample = group_split(model.encode_values(data), vq.n_group)
+        sample = model.encode_values(data).reshape(-1, d_code)
     codes = initialization.init_codebook(cb_cfg["init"], cb_cfg["m"], d_code, sample=sample,
                                          rng=rng, **_init_options(cb_cfg))
     return Codebook(codes)
@@ -356,21 +356,21 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
             out = vql.quantize(tape, tape.leaf(z_e), cb, config)
             cb.codes = z_q - lr * vql.commitment_codebook_grads(tape, out, cb, config)["codes"]
         tape = Tape()
-        ze_node = tape.leaf(z_e, param=True)
+        ze_node = tape.leaf(z_e)
         if mode == "no_vq":
             task = loss = tape.mse(ze_node, tape.leaf(tgt))
+            [ze_grad] = tape.backward(loss, [ze_node])
         else:
             out = vql.quantize(tape, ze_node, cb, config)
             task = tape.mse(out.z_q, tape.leaf(tgt))
             # alternated: task only, through straight-through to the embedding
             loss = task if mode == "alternated" else tape.add(task, out.commit_loss)
-        tape.backward(loss)
-        z_e_new = z_e - lr * ze_node.grad
+            ze_grad, eff_grad = tape.backward(loss, [ze_node, out.effective_codes])
+        z_e_new = z_e - lr * ze_grad
         if mode == "no_vq":
             cb.codes = z_e_new
         elif mode != "alternated":
-            cb.codes = z_q - lr * vql.codebook_param_grads(
-                cb, out.effective_codes.grad, config)["codes"]
+            cb.codes = z_q - lr * vql.codebook_param_grads(cb, eff_grad, config)["codes"]
 
         rows.append((float(z_e[0, 0]), float(z_e[0, 1]),
                      float(z_q[0, 0]), float(z_q[0, 1]), float(task.value[0, 0])))

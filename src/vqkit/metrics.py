@@ -124,9 +124,9 @@ def _binomial_sf(k: int, n: int, p: float) -> float:
 
 
 class Forward(NamedTuple):
-    """One recorded forward pass, encode -> quantize -> decode, before its
-    backward: the model's parameter nodes, the encoder output `z_e`, the
-    quantizer output `out` and `task = mse(decode(out.z_q), target)`."""
+    """One recorded forward pass, encode -> quantize -> decode: the model's
+    parameter nodes, the encoder output `z_e`, the quantizer output `out`
+    and `task = mse(decode(out.z_q), target)`."""
     tape: Tape
     nodes: dict
     target: Node
@@ -159,7 +159,7 @@ def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
     gradient at the decoder input: u_e at z_e, u_q at the quantized z. The
     encoder pull-back is linear, so the gap is ||J^T (u_e - u_q)||^2: one
     decoder pass on a constant copy of z_e and three `Tape.vjp` calls. With
-    `forward` (a training step's own tape, before its backward) `batch`,
+    `forward` (a training step's own recorded forward) `batch`,
     `targets` and `config` are not used and nothing but that decoder pass is
     recorded; without it, the forward is recorded here with deterministic
     assignment."""

@@ -32,8 +32,8 @@ class MLPAutoencoder:
     encoder_param_names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2")
 
     def make_nodes(self, tape: Tape) -> dict[str, Node]:
-        """Register every parameter on a tape as a parameter leaf."""
-        return {name: tape.leaf(value, param=True, name=name)
+        """Record every parameter on a tape as a named leaf."""
+        return {name: tape.leaf(value, name=name)
                 for name, value in self.params.items()}
 
     def encode_values(self, x) -> np.ndarray:

@@ -128,10 +128,6 @@ def _batches(data: np.ndarray, batch_size: int, rng: np.random.Generator):
     return stream()
 
 
-def _collect_grads(nodes: dict[str, Node]) -> dict[str, np.ndarray]:
-    return {name: node.grad for name, node in nodes.items() if node.is_param}
-
-
 def _apply(optimizer: SGD, model, cb: cbk.Codebook, grads: dict, eta: float) -> None:
     """One optimizer step on exactly the parameters named in `grads`: codebook
     parameters (`CODEBOOK_PARAM_NAMES`) on `cb`, the rest in `model.params`.
@@ -225,9 +221,9 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
             # when its assignment is the deterministic one the gap is defined on
             gap = mtr.gradient_gap(model, cb, config, batch, forward=(
                 forward if config.sampling == "deterministic" else None))
-        tape.backward(loss)
-        grads = _collect_grads(nodes)
-        grads.update(vql.codebook_param_grads(cb, out.effective_codes.grad, config))
+        *model_grads, eff_grad = tape.backward(loss, [*nodes.values(), out.effective_codes])
+        grads = dict(zip(nodes, model_grads))
+        grads.update(vql.codebook_param_grads(cb, eff_grad, config))
         _apply(optimizer, model, cb, grads, eta)
         return out, task, gap
 
@@ -256,11 +252,12 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
     optimizer = optimizer or SGD()
 
     def step(batch, t, eta, rng):
-        gap = mtr.gradient_gap(model, cb, config, batch) if track_grad_gap else 0.0
         z_inner = model.encode_values(batch[:inner_k * sub])
         for i in range(inner_k):
             _inner_step(model, cb, config, z_inner[i * sub:(i + 1) * sub], eta, t, rng,
                         optimizer)
+        # the gap of the codebook the outer steps train against
+        gap = mtr.gradient_gap(model, cb, config, batch) if track_grad_gap else 0.0
         for i in range(inner_k, n_sub):
             out, task = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
                                     rng, optimizer)
@@ -284,6 +281,6 @@ def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
     tape, nodes, _, _, out, task = mtr.record_forward(model, cb, config, sub_batch,
                                                       step=step, rng=rng)
     cb.mark_used(out.indices, step)
-    tape.backward(task)
-    _apply(optimizer, model, cb, _collect_grads(nodes), eta)
+    grads = dict(zip(nodes, tape.backward(task, nodes.values())))
+    _apply(optimizer, model, cb, grads, eta)
     return out, task

@@ -85,7 +85,7 @@ class VQOutput:
     z_q: Node                    # tape node; forward value = selected effective codes
     commit_loss: Node            # scalar node
     distances: np.ndarray        # per sub-vector half squared distance
-    effective_codes: Node = field(repr=False)   # parameter leaf, m x d
+    effective_codes: Node = field(repr=False)   # leaf, m x d
     z_e_grouped: Node = field(repr=False)
     z_q_grouped: Node = field(repr=False)
 
@@ -96,9 +96,9 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
     loss on the grouped rows, group-concat with the 1/sqrt(n_group)
     normalization, and wire the straight-through composite.
 
-    The effective codes are one parameter leaf (`VQOutput.effective_codes`);
-    after a backward, `codebook_param_grads` maps its gradient to the raw
-    codebook parameters. Usage is not marked: the trainers call `mark_used`."""
+    The effective codes are one leaf (`VQOutput.effective_codes`);
+    `codebook_param_grads` maps a gradient for it to the raw codebook
+    parameters. Usage is not marked: the trainers call `mark_used`."""
     n, d = z_e.shape
     g = config.n_group
     if d % g != 0:
@@ -109,7 +109,7 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
 
     zs = tape.reshape(z_e, n * g, d // g)
     eff = tape.leaf(cb.effective_codes(config.affine_mode, config.affine_lr_scale),
-                    param=True, name="effective_codes")
+                    name="effective_codes")
     indices, row_dists = cbk.assign(zs.value, eff.value, config.distance,
                                     tau=config.sampling_tau(step), rng=rng)
     z_q_rows = tape.gather_rows(eff, indices)

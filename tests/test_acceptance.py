@@ -51,15 +51,15 @@ def test_criterion_01_ema_equals_sgd_on_codebook_loss():
         idx = nearest_code(batch, codes, "euclidean")[0]
 
         tape = Tape()
-        codes_node = tape.leaf(codes, param=True)
+        codes_node = tape.leaf(codes)
         total = None
         for j in np.unique(idx):
             rows = np.nonzero(idx == j)[0]
             rep = tape.gather_rows(codes_node, np.full(rows.size, j))
             term = tape.mse(rep, tape.leaf(batch[rows]))
             total = term if total is None else tape.add(total, term)
-        tape.backward(total)
-        sgd_codes = codes - gamma * codes_node.grad
+        [codes_grad] = tape.backward(total, [codes_node])
+        sgd_codes = codes - gamma * codes_grad
 
         cb = Codebook(codes.copy())
         ema_update(cb, batch, idx, gamma)
@@ -102,16 +102,16 @@ def test_criterion_02_finite_difference_gradients():
         case = s % 9
 
         tape = Tape()
-        node = tape.leaf(theta, param=True)
-        tape.backward(_op_cases(tape, node, case))
+        node = tape.leaf(theta)
+        [grad] = tape.backward(_op_cases(tape, node, case), [node])
 
         def f(th):
             t2 = Tape()
-            return float(_op_cases(t2, t2.leaf(th, param=True), case).value[0, 0])
+            return float(_op_cases(t2, t2.leaf(th), case).value[0, 0])
 
         fd = finite_difference_gradient(f, theta.copy(), h=1e-5)
         denom = max(np.linalg.norm(fd), 1e-12)
-        assert np.linalg.norm(node.grad - fd) / denom <= 1e-6
+        assert np.linalg.norm(grad - fd) / denom <= 1e-6
 
     # full autoencoder + quantization loss with fixed assignments; the
     # quantized path decodes gathered codes directly so the whole composite is
@@ -138,10 +138,11 @@ def test_criterion_02_finite_difference_gradients():
         zq_base = codes[idx]
 
         tape = Tape()
-        nodes = {k: tape.leaf(v, param=True) for k, v in model.params.items()}
-        codes_node = tape.leaf(codes, param=True)
+        nodes = {k: tape.leaf(v) for k, v in model.params.items()}
+        codes_node = tape.leaf(codes)
         loss, z_e, z_q = graph(tape, nodes, codes_node, idx)
-        tape.backward(tape.add(loss, tape.commitment(z_e, z_q, 1.5, 0.7)))
+        grads = tape.backward(tape.add(loss, tape.commitment(z_e, z_q, 1.5, 0.7)),
+                              [codes_node, *nodes.values()])
 
         def value_with(name, arr):
             # the stop-gradient sides of the commitment loss are held at their
@@ -161,8 +162,7 @@ def test_criterion_02_finite_difference_gradients():
                             t2.scale(cbk_term, 1.5 * 0.7))
             return float(t2.add(full, commit).value[0, 0])
 
-        for name, grad in [("codes", codes_node.grad),
-                           *[(k, nodes[k].grad) for k in model.params]]:
+        for name, grad in zip(["codes", *nodes], grads):
             base = codes if name == "codes" else model.params[name]
             fd = finite_difference_gradient(lambda a, n=name: value_with(n, a),
                                             base.copy(), h=1e-5)
@@ -182,11 +182,11 @@ def test_criterion_03_straight_through_contract():
 
     for nu in (0.0, 0.3, 1.0):
         tape = Tape()
-        z_e = tape.leaf(z_e_val, param=True)
-        z_q = tape.leaf(z_q_val, param=True)
+        z_e = tape.leaf(z_e_val)
+        z_q = tape.leaf(z_q_val)
         st = tape.straight_through(z_e, z_q, nu)
         assert np.array_equal(st.value, z_q_val)  # forward is z_q bit-exact
-        tape.backward(tape.mse(st, tape.leaf(target)))
+        e_grad, q_grad = tape.backward(tape.mse(st, tape.leaf(target)), [z_e, z_q])
 
         # the embedding receives the gradient of the loss evaluated on a
         # frozen-offset path v -> loss(v + (z_q - z_e))
@@ -197,7 +197,7 @@ def test_criterion_03_straight_through_contract():
             return float(t.mse(t.leaf(v + offset), t.leaf(target)).value[0, 0])
 
         fd_e = finite_difference_gradient(frozen, z_e_val.copy())
-        assert np.abs(z_e.grad - fd_e).max() <= 1e-6
+        assert np.abs(e_grad - fd_e).max() <= 1e-6
 
         def direct(v):
             t = Tape()
@@ -205,9 +205,9 @@ def test_criterion_03_straight_through_contract():
 
         fd_q = finite_difference_gradient(direct, z_q_val.copy())
         if nu == 0.0:
-            assert z_q.grad is None  # quantized side blocked
+            assert q_grad is None  # quantized side blocked
         else:
-            assert np.abs(z_q.grad - nu * fd_q).max() <= 1e-6
+            assert np.abs(q_grad - nu * fd_q).max() <= 1e-6
     _passed(3, "straight-through forward and gradient routing")
 
 

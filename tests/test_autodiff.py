@@ -26,21 +26,20 @@ def check_grad(build, theta, h=1e-5, tol=1e-6):
     """build(tape, theta_node) -> scalar loss node; compares the tape gradient
     of theta against finite differences."""
     tape = Tape()
-    node = tape.leaf(theta, param=True)
+    node = tape.leaf(theta)
     loss = build(tape, node)
-    # the non-destructive pull-back must agree bit for bit with backward
+    [grad] = tape.backward(loss, [node])
+    assert grad is not None
+    # backward is the pull-back of a unit cotangent, bit for bit
     [pulled] = tape.vjp(loss, np.ones((1, 1)), [node])
-    assert node.grad is None
-    tape.backward(loss)
-    assert np.array_equal(pulled, node.grad)
+    assert np.array_equal(pulled, grad)
 
     def f(th):
         t2 = Tape()
-        return float(build(t2, t2.leaf(th, param=True)).value[0, 0])
+        return float(build(t2, t2.leaf(th)).value[0, 0])
 
     fd = finite_difference_gradient(f, theta.copy(), h=h)
-    assert node.grad is not None
-    assert rel_err(node.grad, fd) <= tol
+    assert rel_err(grad, fd) <= tol
 
 
 def test_as_matrix_promotes_vectors():
@@ -120,17 +119,17 @@ def test_fanout_accumulates():
     # y = x used twice: d(sum(x + x))/dx = 2
     x = np.ones((2, 2))
     tape = Tape()
-    n = tape.leaf(x, param=True)
-    tape.backward(tape.sum(tape.add(n, n)))
-    assert np.allclose(n.grad, 2.0)
+    n = tape.leaf(x)
+    [grad] = tape.backward(tape.sum(tape.add(n, n)), [n])
+    assert np.allclose(grad, 2.0)
 
 
 def test_stop_gradient_blocks():
     x = np.ones((2, 2))
     tape = Tape()
-    n = tape.leaf(x, param=True)
-    tape.backward(tape.sum(tape.stop_gradient(n)))
-    assert n.grad is None
+    n = tape.leaf(x)
+    [grad] = tape.backward(tape.sum(tape.stop_gradient(n)), [n])
+    assert grad is None
 
 
 def test_straight_through_forward_is_zq_bit_exact():
@@ -147,15 +146,15 @@ def test_straight_through_routing(nu):
     z_e, z_q = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
     g = rng.standard_normal((4, 2))
     tape = Tape()
-    e = tape.leaf(z_e, param=True)
-    q = tape.leaf(z_q, param=True)
+    e = tape.leaf(z_e)
+    q = tape.leaf(z_q)
     st = tape.straight_through(e, q, nu)
-    tape.backward(tape.sum(tape.mul(st, tape.leaf(g))))
-    assert np.allclose(e.grad, g)
+    e_grad, q_grad = tape.backward(tape.sum(tape.mul(st, tape.leaf(g))), [e, q])
+    assert np.allclose(e_grad, g)
     if nu == 0.0:
-        assert q.grad is None
+        assert q_grad is None
     else:
-        assert np.allclose(q.grad, nu * g)
+        assert np.allclose(q_grad, nu * g)
 
 
 def commitment_composite(tape, z_e, z_q, alpha, beta):
@@ -193,30 +192,31 @@ def test_commitment_bit_equals_the_composite():
                 results = []
                 for build in (Tape.commitment, commitment_composite):
                     tape = Tape()
-                    e, q = tape.leaf(z_e, param=True), tape.leaf(z_q, param=True)
+                    e, q = tape.leaf(z_e), tape.leaf(z_q)
                     loss = build(tape, e, q, alpha, beta)
                     pulled = tape.vjp(loss, cotangent, [e, q])
-                    tape.backward(loss)
-                    results.append([loss.value, e.grad, q.grad, *pulled])
+                    results.append([loss.value, *tape.backward(loss, [e, q]), *pulled])
                 for one, composite in zip(*results):
                     assert np.array_equal(one, composite)
                     assert np.array_equal(np.signbit(one), np.signbit(composite))
 
 
-def test_second_backward_rejected():
-    tape = Tape()
-    n = tape.leaf(np.ones((1, 1)), param=True)
-    loss = tape.sum(n)
-    tape.backward(loss)
-    with pytest.raises(ContractViolation):
-        tape.backward(loss)
+def test_second_backward_returns_equal_gradients():
+    # the tape stores no gradient: a second backward walks the same values
+    tape, nodes, z, loss = mlp_tape()
+    wrt = [*nodes.values(), z]
+    first = tape.backward(loss, wrt)
+    second = tape.backward(loss, wrt)
+    assert len(first) == len(second) == len(wrt)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_non_scalar_loss_rejected():
     tape = Tape()
     n = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ContractViolation):
-        tape.backward(n)
+        tape.backward(n, [n])
 
 
 def test_nonfinite_forward_raises():
@@ -251,10 +251,10 @@ def test_full_mlp_loss_matches_fd():
         return tape, nodes, out
 
     tape, nodes, out = loss_with(model.params)
+    grads = dict(zip(nodes, tape.backward(out, nodes.values())))
     pulled = tape.vjp(out, np.ones((1, 1)), list(nodes.values()))
-    tape.backward(out)
-    for node, g in zip(nodes.values(), pulled):
-        assert np.array_equal(g, node.grad), node.name
+    for name, g in zip(nodes, pulled):
+        assert np.array_equal(g, grads[name]), name
     for name, theta in model.params.items():
         def f(th, name=name):
             params = dict(model.params)
@@ -263,7 +263,7 @@ def test_full_mlp_loss_matches_fd():
             return float(o.value[0, 0])
 
         fd = finite_difference_gradient(f, theta.copy())
-        assert rel_err(nodes[name].grad, fd) <= 1e-6, name
+        assert rel_err(grads[name], fd) <= 1e-6, name
 
 
 # -- vjp ------------------------------------------------------------------------
@@ -281,18 +281,15 @@ def mlp_tape(seed=31):
     return tape, nodes, z, loss
 
 
-def test_vjp_writes_no_grads_and_repeats_before_backward():
+def test_vjp_repeats_and_matches_backward():
     tape, nodes, z, loss = mlp_tape()
     params = list(nodes.values())
     first = tape.vjp(loss, np.ones((1, 1)), params)
     second = tape.vjp(loss, np.ones((1, 1)), params)
     tape.vjp(loss, np.ones((1, 1)), [z])
-    assert all(node.grad is None for node in tape.nodes)
-    for a, b in zip(first, second):
+    for a, b, c in zip(first, second, tape.backward(loss, params)):
         assert np.array_equal(a, b)
-    tape.backward(loss)  # the tape is still open
-    for node, g in zip(params, first):
-        assert np.array_equal(node.grad, g)
+        assert np.array_equal(a, c)
 
 
 def test_vjp_through_intermediate_nodes():
@@ -308,9 +305,9 @@ def test_vjp_through_intermediate_nodes():
     # an intermediate and its own ancestor in one call
     [u_again, w_grad] = tape.vjp(loss, np.ones((1, 1)), [z, nodes["enc_w1"]])
     assert np.array_equal(u_again, u) and np.array_equal(w_grad, whole[0])
-    # a node the output does not depend on gets zeros
-    [none] = tape.vjp(z, u, [nodes["dec_w1"]])
-    assert np.array_equal(none, np.zeros_like(nodes["dec_w1"].value))
+    # a node the output does not depend on gets None, as does one recorded after it
+    unreached, later = tape.vjp(z, u, [nodes["dec_w1"], loss])
+    assert unreached is None and later is None
 
 
 def test_vjp_rejects_bad_cotangents_and_foreign_nodes():
@@ -373,7 +370,7 @@ def _first_failures():
 
     def stop_gradient():
         tape = Tape()
-        x = tape.leaf(np.ones((2, 2)), param=True)
+        x = tape.leaf(np.ones((2, 2)))
         out = tape.mul(tape.stop_gradient(x), tape.leaf(np.full((2, 2), big)))
         return tape.vjp(out, np.full((2, 2), big), [x])
 
@@ -386,9 +383,11 @@ def _first_failures():
 
     def backward_overflow():
         tape = Tape()
-        h = tape.add(tape.leaf([[1e-150]], param=True), tape.leaf([[0.0]]))
-        p = tape.mul(h, tape.leaf([[big]], param=True))
-        return tape.backward(tape.mse(p, tape.leaf([[0.0]])))
+        a = tape.leaf([[1e-150]])
+        h = tape.add(a, tape.leaf([[0.0]]))
+        w = tape.leaf([[big]])
+        p = tape.mul(h, w)
+        return tape.backward(tape.mse(p, tape.leaf([[0.0]])), [a, w])
 
     return [
         pytest.param(stop_gradient, "node 1 (stop_gradient)", id="stop_gradient"),
@@ -492,7 +491,7 @@ def _build(tape, steps):
         for kind, *args in steps:
             if kind == "leaf":
                 shape, seed = args
-                nodes.append(tape.leaf(_values(shape, seed, 0.05), param=True))
+                nodes.append(tape.leaf(_values(shape, seed, 0.05)))
             else:
                 parents, extra = args
                 nodes.append(getattr(tape, kind)(*(nodes[i] for i in parents), *extra))
@@ -552,14 +551,14 @@ def test_tape_checks_match_a_test_of_every_node(program, data):
         assert message == want
         if want is None:
             for i, g in zip(wrt, pulled):
-                assert np.array_equal(g, grads.get(i, np.zeros(shapes[i])))
+                assert np.array_equal(g, grads[i]) if i in grads else g is None
 
+        # backward from the loss to every leaf, node 0 among them
         loss = tape.nodes[-1]
-        message, _ = _failure(lambda: tape.backward(loss))
+        leaves = [node for node in tape.nodes if node.grad_fn is None]
+        message, pulled = _failure(lambda: tape.backward(loss, leaves))
         want, grads = _checked_walk(reference, reference.nodes[-1], np.ones((1, 1)), 0)
         assert message == want
         if want is None:
-            for node in tape.nodes:
-                if node.is_param:
-                    assert np.array_equal(node.grad, grads.get(node.idx)) \
-                        if node.idx in grads else node.grad is None
+            for node, g in zip(leaves, pulled):
+                assert np.array_equal(g, grads[node.idx]) if node.idx in grads else g is None

@@ -26,7 +26,6 @@ from vqkit import (
     Tape,
     VQConfig,
     assign,
-    group_split,
     nearest_code,
     normalize_rows,
     pairwise_distances_chunked,
@@ -511,21 +510,6 @@ def test_stochastic_requires_positive_tau():
             with pytest.raises(ContractViolation, match="tau > 0"):
                 assign(np.zeros((n, 2)), np.ones((2, 2)), "euclidean", tau=tau,
                        rng=np.random.default_rng(0))
-
-
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
-@settings(max_examples=30, deadline=None)
-def test_group_split_concat_roundtrip(n_group, rows):
-    rng = np.random.default_rng(rows * 10 + n_group)
-    z = rng.standard_normal((rows, 6 * n_group))
-    rows_split = group_split(z, n_group)
-    assert rows_split.shape == (rows * n_group, 6)
-    assert np.array_equal(rows_split.reshape(rows, 6 * n_group), z)
-
-
-def test_group_split_rejects_bad_divisor():
-    with pytest.raises(ContractViolation):
-        group_split(np.zeros((2, 5)), 2)
 
 
 def test_effective_codes_identity_and_modes():

@@ -146,7 +146,7 @@ class LinearEncoderIdentityDecoder:
         self.params = {"enc_w": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_code))}
 
     def make_nodes(self, tape: Tape) -> dict:
-        return {name: tape.leaf(value, param=True, name=name)
+        return {name: tape.leaf(value, name=name)
                 for name, value in self.params.items()}
 
     def encode(self, tape: Tape, x, nodes: dict):

@@ -13,6 +13,7 @@ from vqkit import (
     SGD,
     Tape,
     VQConfig,
+    gradient_gap,
     lr_at,
     smoothness_loss,
     train_alternating,
@@ -254,6 +255,33 @@ def test_alternating_phase_isolation():
     changed = any(not np.array_equal(model.params[k], params_before[k])
                   for k in params_before)
     assert changed
+
+
+def test_alternating_gap_is_taken_after_the_inner_steps():
+    """An alternating step records the full-batch gap of the codebook its
+    inner steps leave, the one its outer steps train against: a standalone
+    `gradient_gap` call between the two phases, replayed step by step."""
+    from vqkit.training import _batches, _inner_step, _outer_step
+
+    cfg = VQConfig(alpha=1.0, sampling="stochastic")
+    data, model, cb = toy_setup(16)
+    result = train_alternating(model, cb, cfg, data, steps=4, batch_size=48, inner_k=2,
+                               outer_k=1, optimizer=SGD(lr=0.1, momentum=0.9), seed=5)
+
+    data, model, cb = toy_setup(16)
+    opt = SGD(lr=0.1, momentum=0.9)
+    batches = _batches(data, 48, np.random.default_rng(np.random.SeedSequence([5, 1])))
+    rng = np.random.default_rng(np.random.SeedSequence([5, 2]))
+    for t, record in enumerate(result.records):
+        batch = next(batches)
+        before = gradient_gap(model, cb, cfg, batch)
+        z = model.encode_values(batch[:32])
+        for i in range(2):
+            _inner_step(model, cb, cfg, z[i * 16:(i + 1) * 16], 0.1, t, rng, opt)
+        after = gradient_gap(model, cb, cfg, batch)
+        assert record.grad_gap == after != before
+        _outer_step(model, cb, cfg, batch[32:], 0.1, t, rng, opt)
+    assert np.array_equal(cb.codes, result.codebook.codes)
 
 
 def test_alternating_step_encodes_its_inner_rows_once():

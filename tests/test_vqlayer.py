@@ -21,7 +21,7 @@ from vqkit import (
     train_joint,
 )
 from vqkit.autodiff import scatter_add_rows
-from vqkit.codebook import assign, group_split, quantize_row_factors
+from vqkit.codebook import assign, quantize_row_factors
 
 
 def make_cb(m=6, d=4, seed=0):
@@ -79,11 +79,10 @@ def test_commitment_loss_gradient_split():
     z_e, z_q = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
     alpha, beta = 3.0, 0.25
     tape = Tape()
-    e = tape.leaf(z_e, param=True)
-    q = tape.leaf(z_q, param=True)
-    tape.backward(tape.commitment(e, q, alpha, beta))
-    assert np.allclose(e.grad, alpha * (1 - beta) / 4 * (z_e - z_q))
-    assert np.allclose(q.grad, alpha * beta / 4 * (z_q - z_e))
+    e, q = tape.leaf(z_e), tape.leaf(z_q)
+    e_grad, q_grad = tape.backward(tape.commitment(e, q, alpha, beta), [e, q])
+    assert np.allclose(e_grad, alpha * (1 - beta) / 4 * (z_e - z_q))
+    assert np.allclose(q_grad, alpha * beta / 4 * (z_q - z_e))
 
 
 # -- forward quantize ---------------------------------------------------------
@@ -180,12 +179,12 @@ def test_quantize_codebook_gradient_reaches_codes():
     cfg = VQConfig(alpha=2.0, beta=0.75)
     tape = Tape()
     out = quantize(tape, tape.leaf(z), cb, cfg)
-    tape.backward(out.commit_loss)
+    [eff_grad] = tape.backward(out.commit_loss, [out.effective_codes])
     expected = np.zeros_like(cb.codes)
     np.add.at(expected, out.indices,
               cfg.alpha * cfg.beta / 10 * (cb.codes[out.indices] - z))
-    assert np.allclose(out.effective_codes.grad, expected)
-    assert codebook_param_grads(cb, out.effective_codes.grad, cfg).keys() == {"codes"}
+    assert np.allclose(eff_grad, expected)
+    assert codebook_param_grads(cb, eff_grad, cfg).keys() == {"codes"}
 
 
 # -- EMA update ---------------------------------------------------------------
@@ -310,10 +309,10 @@ def composite_oracle(cb, z, target, cfg, with_task):
     commitment composite -> straight_through. Backward of task + commit (or of
     commit alone); returns the gradients of z_e, codes, affine scale and bias."""
     tape = Tape()
-    z_e = tape.leaf(z, param=True)
-    codes = tape.leaf(cb.codes, param=True)
-    scale = tape.leaf(cb.affine_scale.reshape(1, -1), param=True)
-    bias = tape.leaf(cb.affine_bias.reshape(1, -1), param=True)
+    z_e = tape.leaf(z)
+    codes = tape.leaf(cb.codes)
+    scale = tape.leaf(cb.affine_scale.reshape(1, -1))
+    bias = tape.leaf(cb.affine_bias.reshape(1, -1))
     if cfg.affine_mode == "learnable":
         eff = tape.affine_rows(codes, scale, bias, cfg.affine_lr_scale)
     elif cfg.affine_mode == "ema":
@@ -333,11 +332,11 @@ def composite_oracle(cb, z, target, cfg, with_task):
     z_q = tape.straight_through(z_e, tape.scale(tape.reshape(rows, n, d), 1.0 / np.sqrt(g)),
                                 cfg.nu)
     loss = tape.add(tape.mse(z_q, tape.leaf(target)), commit) if with_task else commit
-    tape.backward(loss)
-    grads = {"codes": codes.grad}
+    z_grad, codes_grad, scale_grad, bias_grad = tape.backward(loss, [z_e, codes, scale, bias])
+    grads = {"codes": codes_grad}
     if cfg.affine_mode == "learnable":
-        grads.update(affine_scale=scale.grad.reshape(-1), affine_bias=bias.grad.reshape(-1))
-    return z_e.grad, grads, idx
+        grads.update(affine_scale=scale_grad.reshape(-1), affine_bias=bias_grad.reshape(-1))
+    return z_grad, grads, idx
 
 
 @pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
@@ -361,12 +360,14 @@ def test_commitment_codebook_grads_match_tape(affine_mode, distance):
             z_grad, oracle, idx = composite_oracle(cb, z, target, cfg, with_task=True)
 
             tape = Tape()
-            z_e = tape.leaf(z, param=True)
+            z_e = tape.leaf(z)
             out = quantize(tape, z_e, cb, cfg)
-            tape.backward(tape.add(tape.mse(out.z_q, tape.leaf(target)), out.commit_loss))
+            z_e_grad, eff_grad = tape.backward(
+                tape.add(tape.mse(out.z_q, tape.leaf(target)), out.commit_loss),
+                [z_e, out.effective_codes])
             assert np.array_equal(out.indices, idx)
-            assert np.allclose(z_e.grad, z_grad, rtol=0, atol=1e-12)
-            joint = codebook_param_grads(cb, out.effective_codes.grad, cfg)
+            assert np.allclose(z_e_grad, z_grad, rtol=0, atol=1e-12)
+            joint = codebook_param_grads(cb, eff_grad, cfg)
             assert joint.keys() == oracle.keys()
             for name, grad in oracle.items():
                 assert np.allclose(joint[name], grad, rtol=0, atol=1e-12), name
@@ -375,7 +376,7 @@ def test_commitment_codebook_grads_match_tape(affine_mode, distance):
             tape = Tape()
             out = quantize(tape, tape.leaf(z), cb, cfg)
             pulled = commitment_codebook_grads(tape, out, cb, cfg)
-            closed = closed_form_codebook_grads(cb, group_split(z, n_group), idx, cfg)
+            closed = closed_form_codebook_grads(cb, z.reshape(12 * n_group, 3), idx, cfg)
             assert pulled.keys() == commit_only.keys() == closed.keys()
             for name, grad in commit_only.items():
                 assert np.allclose(pulled[name], grad, rtol=0, atol=1e-12), name
