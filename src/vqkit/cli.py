@@ -148,13 +148,11 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would precede the one-line report;
         # ignoring them changes no value, and the finiteness checks still raise
         with np.errstate(all="ignore"):
-            cfg = exp.load_config(args.config)
+            cfg = exp.load_config(args.config, seed=args.seed)
             if cfg["scenario"] != scenario:
                 raise ConfigError(
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
-            if args.seed is not None:
-                cfg["seed"] = args.seed
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             write_json(out / "config.json", cfg)

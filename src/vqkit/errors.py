@@ -1,5 +1,5 @@
-"""The vqkit exception hierarchy and the type checks that config and
-argument validation share."""
+"""The vqkit exception hierarchy, and the value kinds and checks that config
+and argument validation share."""
 import dataclasses
 import math
 import numbers
@@ -36,24 +36,55 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def strict_keys(raw, allowed, name: str) -> dict:
-    """`raw` itself when it is a dict whose keys all lie in `allowed`;
-    otherwise a ContractViolation naming `name`."""
+# A kind is a (what, test) pair: the values `test` accepts, as `what` names them.
+INT = ("an integer >= 1", lambda v: is_int(v) and v >= 1)
+COUNT = ("an integer >= 0", lambda v: is_int(v) and v >= 0)
+REAL = ("a finite number", is_finite_number)
+NONNEG = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0)
+FRACTION = ("a number in (0, 1]", lambda v: is_finite_number(v) and 0 < v <= 1)
+UNIT = ("a number in [0, 1]", lambda v: is_finite_number(v) and 0 <= v <= 1)
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+
+
+def one_of(*choices):
+    """The kind of a string equal to one of the strings `choices`."""
+    return f"one of {choices}", lambda v: isinstance(v, str) and v in choices
+
+
+def list_of(kind, *, distinct=False):
+    """The kind of a non-empty list of `kind` values, all different when
+    `distinct`."""
+    what, test = kind
+    return (f"a non-empty list of {'distinct ' if distinct else ''}values, each {what}",
+            lambda v: (isinstance(v, list) and len(v) > 0 and all(map(test, v))
+                       and (not distinct or len(set(v)) == len(v))))
+
+
+def check_kinds(values: dict, kinds: dict, name: str) -> None:
+    """A ContractViolation for the first key of `kinds` that `values` sets to a
+    value its kind does not accept."""
+    for key, (what, test) in kinds.items():
+        if key in values and not test(values[key]):
+            raise ContractViolation(f"{name}.{key} must be {what}, got {values[key]!r}")
+
+
+def strict_keys(raw, allowed, name: str, required=()) -> dict:
+    """`raw` itself when it is a dict whose keys all lie in `allowed` and
+    include every `required` key; otherwise a ContractViolation naming `name`."""
     if not isinstance(raw, dict):
         raise ContractViolation(f"{name} must be an object, got {type(raw).__name__}")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ContractViolation(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ContractViolation(f"{name} keys missing: {missing}")
     return raw
 
 
 def from_strict_dict(cls, raw, name: str):
     """`cls(**raw)` for a dataclass `cls`, when `raw` passes `strict_keys` and
     sets every field that has no default; otherwise a ContractViolation."""
-    strict_keys(raw, cls.__dataclass_fields__, name)
-    missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ContractViolation(f"{name} keys missing: {missing}")
-    return cls(**raw)
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    return cls(**strict_keys(raw, cls.__dataclass_fields__, name, required))

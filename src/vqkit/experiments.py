@@ -13,8 +13,9 @@ import numpy as np
 from . import initialization, metrics as mtr, vqlayer as vql
 from .autodiff import Tape
 from .codebook import Codebook, nearest_code
-from .errors import (ConfigError, ContractViolation, from_strict_dict, is_finite_number,
-                     is_int, strict_keys)
+from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError,
+                     ContractViolation, check_kinds, from_strict_dict, is_finite_number,
+                     list_of, one_of, strict_keys)
 from .models import MLPAutoencoder
 from .training import SGD, Schedule, TrainResult, train_alternating, train_joint
 
@@ -33,11 +34,10 @@ class MixtureSpec:
     cov_scales: list
     weights: list
 
+    _KINDS = {"dim": INT, "n": INT}
+
     def __post_init__(self):
-        for name in ("dim", "n"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ContractViolation(f"data {name} must be an integer >= 1, got {value!r}")
+        check_kinds(vars(self), self._KINDS, "data")
         for name in ("means", "cov_scales", "weights"):
             values = np.ravel(np.asarray(getattr(self, name), dtype=object))
             if not all(is_finite_number(v) for v in values):
@@ -49,8 +49,8 @@ class MixtureSpec:
         if np.ndim(self.cov_scales) != 1 or np.ndim(self.weights) != 1 \
                 or len(self.cov_scales) != k or len(self.weights) != k:
             raise ContractViolation("cov_scales and weights must have one entry per component")
-        if any(s < 0.0 for s in self.cov_scales):
-            raise ContractViolation("covariance scales must be >= 0")
+        if any(v < 0.0 for v in [*self.cov_scales, *self.weights]):
+            raise ContractViolation("covariance scales and weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ContractViolation("mixture weights must sum to 1")
 
@@ -81,48 +81,54 @@ def _default_mixture(dim: int = 16, n: int = 1024) -> dict:
 # ---------------------------------------------------------------------------
 # config handling
 
-# Each config section's keys, as key -> (kind, default). resolve_config checks
-# a set key of kind _INT (an integer >= 1) or _REAL (a finite number); a key of
-# kind None is checked on its own. A key without a default is optional: the
+# Each config section's keys, as key -> (kind, default): resolve_config checks
+# a set key with `errors.check_kinds`. A key without a default is optional: the
 # codebook's are init_codebook's options, and the grid's are fields a grid may
 # sweep.
-_INT, _REAL = "an integer >= 1", "a finite number"
+_CELLS = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)   # a grid field
 _SECTIONS = {
-    "optimizer": {"lr": (_REAL, 0.05), "momentum": (_REAL, 0.0), "weight_decay": (_REAL, 0.0)},
-    "model": {"d_in": (_INT, 16), "hidden": (_INT, 32), "d_code": (_INT, 8)},
-    "codebook": {"m": (_INT, 32), "init": (None, "normal_kaiming"), "fan": (_INT,),
-                 "low": (_REAL,), "high": (_REAL,), "iters": (_INT,)},
-    "toy": {"steps": (_INT, 500), "lr": (_REAL, 0.1), "alpha": (_REAL, 1.0),
-            "beta": (_REAL, 0.95), "nu": (_REAL, 0.5), "target": (None, [2.0, 1.0]),
-            "tol": (_REAL, 1e-3)},
-    "affine_toy": {"n_points": (_INT, 512), "m": (_INT, 128), "updates": (_INT, 20),
-                   "lr": (_REAL, 0.1), "momentum": (_REAL, 0.1), "point_cov": (_REAL, 0.1),
-                   "code_cov": (_REAL, 0.05)},
-    "init_study": {"n": (_INT, 2048), "d": (_INT, 8), "m": (_INT, 64), "n_seeds": (_INT, 5),
-                   "methods": (None, ["kmeans", "data_subset", "normal_kaiming"])},
-    "grid": {"affine_mode": (None, ["off", "learnable"]), "replacement": (None, ["off", "lru"]),
-             **dict.fromkeys(("init", "nu", "inner_k", "distance", "n_group"), (None,))},
+    "optimizer": {"lr": (NONNEG, 0.05), "momentum": (REAL, 0.0), "weight_decay": (REAL, 0.0)},
+    "model": {"d_in": (INT, 16), "hidden": (INT, 32), "d_code": (INT, 8)},
+    "codebook": {"m": (INT, 32), "init": (one_of(*initialization.INIT_METHODS), "normal_kaiming"),
+                 "fan": (INT,), "low": (REAL,), "high": (REAL,), "iters": (INT,)},
+    "toy": {"steps": (INT, 500), "lr": (REAL, 0.1), "alpha": (REAL, 1.0),
+            "beta": (UNIT, 0.95), "nu": (NONNEG, 0.5),
+            "target": (("a list of two finite numbers", lambda v: isinstance(v, list)
+                        and len(v) == 2 and all(map(is_finite_number, v))), [2.0, 1.0]),
+            "tol": (REAL, 1e-3)},
+    "affine_toy": {"n_points": (INT, 512), "m": (INT, 128), "updates": (INT, 20),
+                   "lr": (FRACTION, 0.1), "momentum": (FRACTION, 0.1),
+                   "point_cov": (NONNEG, 0.1), "code_cov": (NONNEG, 0.05)},
+    "init_study": {"n": (INT, 2048), "d": (INT, 8), "m": (INT, 64), "n_seeds": (INT, 5),
+                   "methods": (list_of(one_of(*initialization.INIT_METHODS), distinct=True),
+                               ["kmeans", "data_subset", "normal_kaiming"])},
+    "grid": {"affine_mode": (_CELLS, ["off", "learnable"]),
+             "replacement": (_CELLS, ["off", "lru"]), "inner_k": (list_of(COUNT),),
+             **dict.fromkeys(("init", "nu", "distance", "n_group"), (_CELLS,))},
+}
+
+# The top-level keys, as key -> (kind, default); scenario and seed have no default.
+_TOP_LEVEL = {
+    "scenario": (one_of(*SCENARIOS),), "seed": (COUNT,), "steps": (INT, 300),
+    "batch_size": (INT, 64), "train_mode": (one_of("joint", "alternating"), "joint"),
+    "inner_k": (INT, 1), "outer_k": (INT, 1), "track_grad_gap": (BOOL, True),
+    "smooth_gamma": (REAL, 0.0), "seeds_per_cell": (INT, 5),
 }
 
 _DEFAULTS = {
-    "steps": 300,
-    "batch_size": 64,
-    "train_mode": "joint",
-    "inner_k": 1,
-    "outer_k": 1,
-    "track_grad_gap": True,
-    "smooth_gamma": 0.0,
+    **{key: spec[1] for key, spec in _TOP_LEVEL.items() if len(spec) == 2},
     "vq": {},
     "schedule": None,
     "data": None,
-    "seeds_per_cell": 5,
     **{section: {key: spec[1] for key, spec in keys.items() if len(spec) == 2}
        for section, keys in _SECTIONS.items()},
 }
 
-_TOP_LEVEL_KEYS = {"scenario", "seed"} | set(_DEFAULTS)
-
 _DATA_INITS = {"data_subset", "kmeans"}
+
+
+def _kinds(keys: dict) -> dict:
+    return {key: spec[0] for key, spec in keys.items()}
 
 
 def _init_options(cb_cfg: dict) -> dict:
@@ -136,72 +142,25 @@ def resolve_config(raw: dict) -> dict:
     are rejected; seed and scenario are mandatory. Every failed check is a
     ConfigError."""
     try:
-        strict_keys(raw, _TOP_LEVEL_KEYS, "config")
-        if "scenario" not in raw or raw["scenario"] not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if "seed" not in raw or not is_int(raw["seed"]):
-            raise ConfigError("an integer seed is mandatory")
-
+        strict_keys(raw, {*_TOP_LEVEL, *_DEFAULTS}, "config", required=("scenario", "seed"))
         cfg = copy.deepcopy(_DEFAULTS)
         for key, value in raw.items():
             # a grid the user sets replaces the default grid
             if isinstance(value, dict) and isinstance(cfg.get(key), dict) and key != "grid":
-                merged = dict(cfg[key])
-                merged.update(value)
-                cfg[key] = merged
+                cfg[key] = {**cfg[key], **value}
             else:
                 cfg[key] = copy.deepcopy(value)
-        cfg["scenario"] = raw["scenario"]
-        cfg["seed"] = raw["seed"]
-
+        check_kinds(cfg, _kinds(_TOP_LEVEL), "config")
         for section, keys in _SECTIONS.items():
-            for key, value in strict_keys(cfg[section], keys, section).items():
-                kind = keys[key][0]
-                if (kind == _INT and not (is_int(value) and value >= 1)
-                        or kind == _REAL and not is_finite_number(value)):
-                    raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
-        for field, values in cfg["grid"].items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"grid field {field!r} must be a non-empty list")
-        for value in cfg["grid"].get("inner_k", []):
-            if not is_int(value) or value < 0:
-                raise ConfigError(f"grid inner_k values must be integers >= 0, got {value!r}")
+            check_kinds(strict_keys(cfg[section], keys, section), _kinds(keys), section)
         if cfg["scenario"] == "ablation" and not cfg["grid"]:
             raise ConfigError("ablation grid must be nonempty")
-        if not isinstance(cfg["track_grad_gap"], bool):
-            raise ConfigError(
-                f"track_grad_gap must be true or false, got {cfg['track_grad_gap']!r}")
-        for key in ("steps", "batch_size", "seeds_per_cell", "inner_k", "outer_k"):
-            if not is_int(cfg[key]) or cfg[key] < 1:
-                raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-        if cfg["optimizer"]["lr"] < 0.0:
-            raise ConfigError(f"optimizer.lr must be >= 0, got {cfg['optimizer']['lr']!r}")
-        target = cfg["toy"]["target"]
-        if not isinstance(target, list) or len(target) != 2 \
-                or not all(is_finite_number(v) for v in target):
-            raise ConfigError(
-                f"toy.target must be a list of two finite numbers, got {target!r}")
-        at = cfg["affine_toy"]
-        if not 0.0 < at["lr"] <= 1.0:
-            raise ConfigError("affine_toy.lr must lie in (0, 1]")
-        if not 0.0 < at["momentum"] <= 1.0:
-            raise ConfigError("affine_toy.momentum must lie in (0, 1]")
-        if at["point_cov"] < 0.0 or at["code_cov"] < 0.0:
-            raise ConfigError("affine_toy covariances must be >= 0")
-        if cfg["train_mode"] not in ("joint", "alternating"):
-            raise ConfigError(
-                f"train_mode must be 'joint' or 'alternating', got {cfg['train_mode']!r}")
-        if not is_finite_number(cfg["smooth_gamma"]):
-            raise ConfigError(
-                f"smooth_gamma must be a finite number, got {cfg['smooth_gamma']!r}")
         if cfg["smooth_gamma"] and cfg["train_mode"] == "alternating":
             raise ConfigError("smooth_gamma is a joint-training term; it must be 0 when "
                               "train_mode is 'alternating'")
         if cfg["data"] is None:
             cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
         cfg["vq"] = vql.VQConfig.from_dict(cfg["vq"]).to_dict()
-        # the toy trajectory's commitment and straight-through knobs obey the VQ rules
-        vql.VQConfig(**{key: cfg["toy"][key] for key in ("alpha", "beta", "nu")})
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             Schedule.from_dict(cfg["schedule"])
@@ -220,14 +179,6 @@ def resolve_config(raw: dict) -> dict:
         if d_code % n_group:
             raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
         study, cb_cfg = cfg["init_study"], cfg["codebook"]
-        methods = study["methods"]
-        if not isinstance(methods, list) or not methods:
-            raise ConfigError(
-                f"init_study.methods must be a non-empty list, got {methods!r}")
-        for method in [cb_cfg["init"], *methods]:
-            if method not in initialization.INIT_METHODS:
-                raise ConfigError(f"unknown init method {method!r}; expected one of "
-                                  f"{initialization.INIT_METHODS}")
         # init_codebook's check of the uniform bounds, before anything is written
         if cb_cfg["init"] == "uniform":
             initialization.init_codebook("uniform", 1, 1, rng=np.random.default_rng(0),
@@ -237,7 +188,7 @@ def resolve_config(raw: dict) -> dict:
         if cb_cfg["init"] in _DATA_INITS and cb_cfg["m"] > rows:
             raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
                               f"(data.n x n_group) a kmeans or data_subset init draws from")
-        if _DATA_INITS & set(methods) and study["m"] > study["n"]:
+        if _DATA_INITS & set(study["methods"]) and study["m"] > study["n"]:
             raise ConfigError(f"init_study.m={study['m']} exceeds the "
                               f"init_study.n={study['n']} sample rows a kmeans or "
                               f"data_subset init draws from")
@@ -252,8 +203,9 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
-    """Read and resolve a strict-JSON config: NaN and Infinity are rejected."""
+def load_config(path, seed: int | None = None) -> dict:
+    """Read and resolve a strict-JSON config: NaN and Infinity are rejected. A
+    `seed` replaces the config's own, and is checked like it."""
     def reject(constant):
         raise ConfigError(f"cannot read config {path}: {constant} is not a JSON value")
 
@@ -261,6 +213,8 @@ def load_config(path) -> dict:
         raw = json.loads(Path(path).read_text(), parse_constant=reject)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if seed is not None and isinstance(raw, dict) and "seed" in raw:
+        raw["seed"] = seed
     return resolve_config(raw)
 
 

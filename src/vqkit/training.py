@@ -11,7 +11,8 @@ from . import codebook as cbk
 from . import metrics as mtr
 from . import vqlayer as vql
 from .autodiff import Node, Tape, _finite
-from .errors import ContractViolation, NumericFailure, from_strict_dict, is_finite_number, is_int
+from .errors import (COUNT, NONNEG, REAL, ContractViolation, NumericFailure, check_kinds,
+                     from_strict_dict, is_int, one_of)
 
 CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
 
@@ -47,33 +48,23 @@ class SGD:
 
 @dataclass
 class Schedule:
-    kind: str = "constant"            # constant | step | cosine_warmup
+    kind: str = "constant"
     base_lr: float = 0.1
     milestones: tuple = ()
     factor: float = 0.1
     warmup_steps: int = 0
     total_steps: int = 0
 
+    _KINDS = {"kind": one_of("constant", "step", "cosine_warmup"), "base_lr": NONNEG,
+              "milestones": ("a list of integers", lambda v: isinstance(v, (list, tuple))
+                             and all(map(is_int, v))),
+              "factor": REAL, "warmup_steps": COUNT, "total_steps": COUNT}
+
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "cosine_warmup"):
-            raise ContractViolation(f"unknown schedule kind {self.kind!r}")
-        for name in ("base_lr", "factor"):
-            if not is_finite_number(getattr(self, name)):
-                raise ContractViolation(
-                    f"schedule {name} must be a finite number, got {getattr(self, name)!r}")
-        for name in ("warmup_steps", "total_steps"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 0:
-                raise ContractViolation(f"schedule {name} must be an integer >= 0, got {value!r}")
-        if not isinstance(self.milestones, (list, tuple)) \
-                or not all(is_int(ms) for ms in self.milestones):
-            raise ContractViolation(
-                f"schedule milestones must be a list of integers, got {self.milestones!r}")
+        check_kinds(vars(self), self._KINDS, "schedule")
         self.milestones = tuple(self.milestones)
         if self.kind == "cosine_warmup" and self.warmup_steps > self.total_steps:
             raise ContractViolation("warmup_steps must be <= total_steps")
-        if self.base_lr < 0.0:
-            raise ContractViolation("base_lr must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":

@@ -11,7 +11,8 @@ import numpy as np
 from . import codebook as cbk
 from . import initialization
 from .autodiff import Node, Tape, scatter_add_rows
-from .errors import ContractViolation, from_strict_dict, is_finite_number, is_int
+from .errors import (COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ContractViolation, check_kinds,
+                     from_strict_dict, one_of)
 
 
 @dataclass
@@ -21,46 +22,24 @@ class VQConfig:
     nu: float = 0.0
     distance: str = "euclidean"
     n_group: int = 1
-    sampling: str = "deterministic"   # or "stochastic"
+    sampling: str = "deterministic"
     tau0: float = 1.0
     tau_decay: float = 0.9995
-    affine_mode: str = "off"          # off | learnable | ema
+    affine_mode: str = "off"
     affine_lr_scale: float = 1.0
     affine_momentum: float = 0.1
-    replacement: str = "off"          # off | lru
+    replacement: str = "off"
     lifespan: int = 20
     reset_every: int = 0              # K-means reset period in steps; 0 = off
 
+    _KINDS = {"alpha": REAL, "beta": UNIT, "nu": NONNEG, "distance": one_of(*cbk.DISTANCE_KINDS),
+              "n_group": INT, "sampling": one_of("deterministic", "stochastic"),
+              "tau0": REAL, "tau_decay": REAL, "affine_mode": one_of("off", "learnable", "ema"),
+              "affine_lr_scale": REAL, "affine_momentum": FRACTION,
+              "replacement": one_of("off", "lru"), "lifespan": INT, "reset_every": COUNT}
+
     def __post_init__(self):
-        for name in ("alpha", "beta", "nu", "tau0", "tau_decay", "affine_lr_scale",
-                     "affine_momentum"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ContractViolation(f"{name} must be a finite number, got {value!r}")
-        for name in ("n_group", "lifespan", "reset_every"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ContractViolation(f"{name} must be an integer, got {value!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ContractViolation("beta must lie in [0, 1]")
-        if self.nu < 0.0:
-            raise ContractViolation("nu must be >= 0")
-        if self.distance not in cbk.DISTANCE_KINDS:
-            raise ContractViolation(f"unknown distance kind {self.distance!r}")
-        if self.sampling not in ("deterministic", "stochastic"):
-            raise ContractViolation(f"unknown sampling mode {self.sampling!r}")
-        if self.affine_mode not in ("off", "learnable", "ema"):
-            raise ContractViolation(f"unknown affine mode {self.affine_mode!r}")
-        if not 0.0 < self.affine_momentum <= 1.0:
-            raise ContractViolation("affine momentum must lie in (0, 1]")
-        if self.replacement not in ("off", "lru"):
-            raise ContractViolation(f"unknown replacement mode {self.replacement!r}")
-        if self.lifespan < 1:
-            raise ContractViolation("lifespan must be >= 1")
-        if self.n_group < 1:
-            raise ContractViolation("n_group must be >= 1")
-        if self.reset_every < 0:
-            raise ContractViolation("reset_every must be >= 0")
+        check_kinds(vars(self), self._KINDS, "vq")
         if self.sampling == "stochastic" and not (self.tau0 > 0.0 and self.tau_decay > 0.0):
             raise ContractViolation("stochastic sampling requires tau0 > 0 and tau_decay > 0")
 

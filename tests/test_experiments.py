@@ -41,7 +41,7 @@ from vqkit import training
 from vqkit.artifacts import atomic_open, write_json
 from vqkit.cli import main as cli_main
 from vqkit.codebook import DISTANCE_KINDS
-from vqkit.experiments import _DEFAULTS, _SECTIONS, SCENARIOS, TOY_MODES
+from vqkit.experiments import _DEFAULTS, _SECTIONS, _TOP_LEVEL, SCENARIOS, TOY_MODES
 from vqkit.metrics import write_metrics_csv
 
 
@@ -250,7 +250,23 @@ def test_cli_exit_codes(tmp_path):
                          "--out", str(tmp_path / "x3")]) == 3
 
 
-@pytest.mark.parametrize("command,overrides", [
+def _wrong_kind_cases():
+    """One bad config per kinded key, from the kind tables: the key set to "x",
+    which no kind accepts. Each case is (command, overrides, the key's name)."""
+    tables = [("config", _TOP_LEVEL, lambda key: {key: "x"})]
+    tables += [(section, keys, lambda key, section=section: {section: {key: "x"}})
+               for section, keys in _SECTIONS.items()]
+    tables += [("vq", VQConfig._KINDS, lambda key: {"vq": {key: "x"}}),
+               ("schedule", Schedule._KINDS, lambda key: {"schedule": {key: "x"}}),
+               ("data", MixtureSpec._KINDS, lambda key: {"data": mixture(**{key: "x"})})]
+    return [("train", override(key), f"{name}.{key}")
+            for name, keys, override in tables for key in keys]
+
+
+_WRONG_KINDS = _wrong_kind_cases()
+
+
+@pytest.mark.parametrize("command,overrides,named", [(*case, None) for case in [
     ("train", {"steps": 0}),
     ("ablation", {"grid": {"nu": []}}),
     ("train", {"batch_size": 0}),
@@ -360,7 +376,12 @@ def test_cli_exit_codes(tmp_path):
     ("toy-trajectory", {"toy": {"beta": 1.5}}),
     ("ablation", {"grid": {}}),
     ("train", {"data": {"dim": 16, "n": 256}}),
-], ids=["steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
+    ("train", {"seed": -1}),
+    ("init-study", {"init_study": {"methods": ["kmeans", "data_subset", "kmeans"]}}),
+    ("train", {"data": mixture(means=[[0.0] * 16, [1.0] * 16], cov_scales=[0.1, 0.1],
+                               weights=[1.5, -0.5])}),
+]] + _WRONG_KINDS, ids=[
+        "steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
         "weight-decay-null", "vq-tau0-string", "vq-tau-decay-string", "vq-alpha-string",
         "vq-alpha-infinity", "vq-beta-bool", "vq-lifespan-string", "vq-reset-every-string",
@@ -390,15 +411,19 @@ def test_cli_exit_codes(tmp_path):
         "grid-n-group-m-above-grouped-rows", "init-study-data-subset-m-above-n",
         "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty",
         "affine-toy-lr-7", "affine-toy-lr-0", "affine-toy-lr-negative", "toy-nu-negative",
-        "toy-beta-above-1", "grid-empty", "data-keys-missing"])
-def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides):
+        "toy-beta-above-1", "grid-empty", "data-keys-missing", "seed-negative",
+        "init-study-methods-repeated", "data-weights-negative",
+        *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
+def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides, named):
+    """`named`, when given, is the key the one-line report must name."""
     cfgp = write_cfg(tmp_path, "bad.json",
-                     minimal(command, **{"track_grad_gap": False, **overrides}))
+                     {**minimal(command, track_grad_gap=False), **overrides})
     assert cli_main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()   # rejected before any artifact is written
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert named is None or f" {named} must be " in err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -490,6 +515,16 @@ def test_cli_seed_flag_overrides_config(tmp_path):
     assert cli_main(["train", "--config", cfgp, "--out", str(b),
                      "--seed", "99"]) == 0
     assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
+    assert json.loads((b / "config.json").read_text())["seed"] == 99
+
+
+def test_cli_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, "train.json", minimal(steps=6))
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", cfgp, "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "config error: config.seed must be an integer >= 0, got -1\n"
 
 
 def test_cli_affine_toy_and_ablation_smoke(tmp_path):
