@@ -160,9 +160,9 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Queries are taken CHUNK_ROWS rows at a time. A chunk is cut by rows into
 # pieces of at least PIECE_CELLS cells when it holds two or more, so that
-# each piece's passes (the matmul, the three in-place passes and, in
-# `assign`, the argmin or the sampling) find it in the core's cache instead
-# of in memory. Every cut is a multiple of PIECE_ALIGN rows from the chunk
+# each piece's passes (the matmul, the in-place passes and, in `assign`,
+# the argmin or the sampling) find it in the core's cache instead of in
+# memory. Every cut is a multiple of PIECE_ALIGN rows from the chunk
 # start: that keeps every row in the same position, relative to the BLAS
 # kernel's row groups, that it has in the whole chunk, so a row's bits do not
 # depend on the cut. All three are read at call time.
@@ -203,21 +203,26 @@ def _row_blocks(n: int, cols: int) -> list[tuple[int, int]]:
 
 def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
                                out: np.ndarray | None = None,
-                               query_half_sq: np.ndarray | None = None) -> np.ndarray:
+                               query_half_sq: np.ndarray | None = None,
+                               code_half_sq: np.ndarray | None = None,
+                               clip: bool = True) -> np.ndarray:
     """n x m matrix of half squared distances, computed over `_row_blocks`.
 
     euclidean: (i,j) = 0.5 * ||q_i - c_j||^2
     cosine:    (i,j) = 0.5 * ||q_i/||q_i|| - c_j/||c_j||||^2
 
     Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2, evaluated
-    in place so no block-sized temporary is allocated. Halving is exact
-    outside the subnormal and overflow ranges, so this has the bits of
+    in place so no block-sized temporary is allocated: a matmul and two
+    passes, then the clip. Halving is exact outside the subnormal and
+    overflow ranges, so this has the bits of
     0.5 * ((||q||^2 - (2q).c) + ||c||^2). The result is written into `out`
     when given (an n x m float64 array, such as a block buffer the caller
-    reuses) and returned. `query_half_sq` (euclidean only) is
-    `half_sq_norms(queries)`, for a caller that queries the same rows many
-    times. A query or code half squared norm that is not finite is a
-    NumericFailure."""
+    reuses) and returned. `query_half_sq` and `code_half_sq` (euclidean
+    only) are `half_sq_norms` of the queries and of the codes, for a caller
+    that queries the same rows or codes many times. With clip False the
+    entries stay (h_q - q.c) + h_c, negative where rounding takes a query on
+    a code below 0, for `assign` to clip during its reduction. A query or
+    code half squared norm that is not finite is a NumericFailure."""
     if kind not in DISTANCE_KINDS:
         raise ContractViolation(f"unknown distance kind {kind!r}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -231,20 +236,15 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
     elif out.shape != (n, m) or out.dtype != np.float64:
         raise ContractViolation(
             f"out must be a {n} x {m} float64 array, got {out.dtype} {out.shape}")
-    if query_half_sq is not None:
-        if kind != "euclidean":
-            raise ContractViolation(f"query_half_sq applies to euclidean distances, not {kind!r}")
-        query_half_sq = np.asarray(query_half_sq, dtype=np.float64)
-        if query_half_sq.shape != (n,):
-            raise ContractViolation(
-                f"query_half_sq must have shape ({n},), got {query_half_sq.shape}")
+    query_half_sq = _given_half_sq("query_half_sq", query_half_sq, n, kind)
+    code_half_sq = _given_half_sq("code_half_sq", code_half_sq, m, kind)
     if kind != "euclidean":
         queries, _ = normalize_rows(queries)
         codes, _ = normalize_rows(codes)
     if query_half_sq is None:
         query_half_sq = half_sq_norms(queries)
-
-    code_half_sq = half_sq_norms(codes)
+    if code_half_sq is None:
+        code_half_sq = half_sq_norms(codes)
     # an infinite norm would make inf - inf = NaN entries
     if not (np.isfinite(query_half_sq).all() and np.isfinite(code_half_sq).all()):
         raise NumericFailure("non-finite half squared norm in the distance kernel")
@@ -254,20 +254,40 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
         np.matmul(np.ascontiguousarray(queries[lo:hi]), codes.T, out=block)
         np.subtract(query_half_sq[lo:hi, None], block, out=block)
         block += code_half_sq
-        np.maximum(block, 0.0, out=block)
+        if clip:
+            np.maximum(block, 0.0, out=block)
     return out
 
 
+def _given_half_sq(name: str, half_sq, rows: int, kind: str) -> np.ndarray | None:
+    """A caller's `half_sq_norms` argument, checked to be euclidean and one
+    value per row."""
+    if half_sq is None:
+        return None
+    if kind != "euclidean":
+        raise ContractViolation(f"{name} applies to euclidean distances, not {kind!r}")
+    half_sq = np.asarray(half_sq, dtype=np.float64)
+    if half_sq.shape != (rows,):
+        raise ContractViolation(f"{name} must have shape ({rows},), got {half_sq.shape}")
+    return half_sq
+
+
 def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
-           rng: np.random.Generator | None = None):
+           rng: np.random.Generator | None = None,
+           query_half_sq: np.ndarray | None = None):
     """Per-query (code index, half squared distance to that code).
 
     Each of the `_row_blocks` has its distances written into one reused
     min(n, CHUNK_ROWS) x m buffer and reduced while they are still in cache,
-    so no n x m array is held. With tau None the index is the nearest code,
-    ties breaking toward the lowest index; otherwise it is drawn by
+    so no n x m array is held. The kernel leaves them unclipped and the
+    reduction clips, with the clipped block's result. With tau None the index
+    is the nearest code, ties breaking toward the lowest index; only a row
+    whose minimum is not > 0 can change under the clip, so only such a row
+    is reduced again, clipped. Otherwise it is drawn by
     `sample_code_stochastic` from the block, which consumes one uniform draw
-    of `rng` per query (block by block, the same stream as one draw of n)."""
+    of `rng` per query (block by block, the same stream as one draw of n).
+    The codes' norms are taken once per call, the queries' per piece unless
+    `query_half_sq` (euclidean, `half_sq_norms(queries)`) gives them."""
     if tau is not None:
         if rng is None:
             raise ContractViolation("stochastic sampling requires an rng")
@@ -277,8 +297,13 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     queries = np.asarray(queries, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     n, m = queries.shape[0], codes.shape[0]
-    indices = np.empty(n, dtype=np.int64)
-    row_dists = np.empty(n)
+    if kind not in DISTANCE_KINDS:
+        raise ContractViolation(f"unknown distance kind {kind!r}")
+    query_half_sq = _given_half_sq("query_half_sq", query_half_sq, n, kind)
+    if kind != "euclidean":
+        # the kernel is called on unit rows, as euclidean
+        codes, _ = normalize_rows(codes)
+    code_half_sq = half_sq_norms(codes)
     # Every piece is written to the start of a buffer sized for a whole chunk.
     # A piece-sized one would do, but glibc returns freed heap memory to the
     # system above a threshold that follows the largest buffer freed so far:
@@ -286,11 +311,27 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     # step frees were faulted in afresh at every step (batch 1024, m = 256:
     # 323k minor page faults against 8k, and 40% more time).
     buf = np.empty((min(n, CHUNK_ROWS), m))
+    indices = np.empty(n, dtype=np.int64)
+    row_dists = np.empty(n)
     for lo, hi in _row_blocks(n, m):
-        block = pairwise_distances_chunked(queries[lo:hi], codes, kind, out=buf[:hi - lo])
-        idx = block.argmin(axis=1) if tau is None else sample_code_stochastic(block, tau, rng)
+        piece = queries[lo:hi]
+        if kind != "euclidean":
+            piece, _ = normalize_rows(piece)
+        block = pairwise_distances_chunked(
+            piece, codes, out=buf[:hi - lo], clip=False, code_half_sq=code_half_sq,
+            query_half_sq=None if query_half_sq is None else query_half_sq[lo:hi])
+        rows = np.arange(hi - lo)
+        if tau is None:
+            idx = block.argmin(axis=1)
+            # a row whose minimum is > 0 has no entry the clip would change
+            redo = ~(block[rows, idx] > 0.0)
+            if redo.any():
+                idx[redo] = np.maximum(block[redo], 0.0).argmin(axis=1)
+        else:
+            idx = sample_code_stochastic(block, tau, rng)
         indices[lo:hi] = idx
-        row_dists[lo:hi] = block[np.arange(hi - lo), idx]
+        row_dists[lo:hi] = block[rows, idx]
+    np.maximum(row_dists, 0.0, out=row_dists)
     return indices, row_dists
 
 
@@ -342,6 +383,9 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
     """Draw one code index per row of `dists`, a block of
     `pairwise_distances_chunked`, from softmax(-d / tau) with max-subtraction
     for stability; tau > 0 (`assign` checks it). One uniform draw u per row.
+    A row of an unclipped block whose minimum is not >= 0 (negative or NaN)
+    is clipped to max(d, 0) in place first, so the draws are those of the
+    clipped block.
 
     The index is defined by the exact rule, `_first_reach`: normalize the
     weights, take their cumulative sum, and pick the first code whose cdf
@@ -369,8 +413,13 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
 
     The index therefore equals the exact rule's by construction, whatever
     the summation order of the search."""
+    mins = dists.min(axis=1, keepdims=True)
+    clip = ~(mins[:, 0] >= 0.0)
+    if clip.any():
+        dists[clip] = np.maximum(dists[clip], 0.0)
+        mins[clip] = dists[clip].min(axis=1, keepdims=True)
     # (d - min) / -tau has the bits of -(d - min) / tau: negation is exact
-    buf = np.subtract(dists, dists.min(axis=1, keepdims=True))
+    buf = np.subtract(dists, mins)
     buf /= -tau
     np.exp(buf, out=buf)
     u = rng.random(buf.shape[0])

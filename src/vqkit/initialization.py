@@ -6,26 +6,28 @@ import numpy as np
 
 from .autodiff import scatter_add_rows
 from .codebook import assign, half_sq_norms, pairwise_distances_chunked
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericFailure
 
 LLOYD_TOL = 1e-9
 INIT_METHODS = ("normal_kaiming", "uniform", "data_subset", "kmeans")
 
 
-def lloyd_step(centers: np.ndarray, sample: np.ndarray):
+def lloyd_step(centers: np.ndarray, sample: np.ndarray, *,
+               sample_half_sq: np.ndarray | None = None):
     """One Lloyd iteration.
 
     Returns (new_centers, assignment, inertia) where inertia is the mean
     min squared distance of the sample to the *input* centers. Centers that end
     up with no members are re-seeded to the sample point farthest from its
-    nearest center."""
+    nearest center. `sample_half_sq` is `half_sq_norms(sample)`, for a caller
+    that steps on the same sample many times."""
     centers = np.asarray(centers, dtype=np.float64)
     sample = np.asarray(sample, dtype=np.float64)
     if centers.shape[0] < 1:
         raise ContractViolation("lloyd_step requires at least one center")
 
     # half squared distances; doubling them is exact, so argmin and order agree
-    assignment, min_half = assign(sample, centers, "euclidean")
+    assignment, min_half = assign(sample, centers, "euclidean", query_half_sq=sample_half_sq)
     inertia = float((2.0 * min_half).mean())
 
     m = centers.shape[0]
@@ -58,9 +60,14 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
         total = closest.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
+        elif not np.isfinite(total):
+            raise NumericFailure("non-finite k-means++ distance total")
         else:
-            probs = closest / total
-            idx = int(rng.choice(n, p=probs))
+            # rng.choice(n, p=probs) without its checks of p: the same cdf
+            # bits and the same draw
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = sample[idx]
         np.minimum(closest, pairwise_distances_chunked(
             sample, centers[j:j + 1], query_half_sq=sample_half_sq).ravel(), out=closest)
@@ -82,8 +89,10 @@ def kmeans(sample: np.ndarray, m: int, rng: np.random.Generator,
 def lloyd(centers: np.ndarray, sample: np.ndarray, iters: int) -> np.ndarray:
     """Lloyd iterations from the given centers until the max center
     displacement drops below LLOYD_TOL or `iters` iterations have run."""
+    # the sample's norms do not change between the steps
+    sample_half_sq = half_sq_norms(sample)
     for _ in range(iters):
-        new_centers, _, _ = lloyd_step(centers, sample)
+        new_centers, _, _ = lloyd_step(centers, sample, sample_half_sq=sample_half_sq)
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
         if shift < LLOYD_TOL:

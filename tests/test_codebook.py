@@ -32,6 +32,8 @@ from vqkit import (
     quantize,
     sample_code_stochastic,
 )
+from vqkit.autodiff import scatter_add_rows
+from vqkit.initialization import LLOYD_TOL, lloyd
 from vqkit.training import _inner_step
 
 
@@ -756,17 +758,24 @@ def test_kernel_bit_equals_the_two_norm_formula(row_pieces, monkeypatch, case, k
 
 
 def test_query_half_sq_gives_the_kernel_bits_and_is_checked():
+    """So do the codes' half norms, and assign's query norms."""
     rng = np.random.default_rng(8)
     q, c = rng.standard_normal((9000, 6)), rng.standard_normal((3, 6))
+    for key, rows in [("query_half_sq", q), ("code_half_sq", c)]:
+        half = cbk_mod.half_sq_norms(rows)
+        assert np.array_equal(pairwise_distances_chunked(q, c, **{key: half}),
+                              pairwise_distances_chunked(q, c))
+        for bad in (half[:-1], half[:, None], np.append(half, 0.0)):
+            with pytest.raises(ContractViolation, match="shape"):
+                pairwise_distances_chunked(q, c, **{key: bad})
+        for kind in ("cosine_unit_norm", "cosine_renorm"):
+            with pytest.raises(ContractViolation, match="euclidean"):
+                pairwise_distances_chunked(q, c, kind, **{key: half})
     half = cbk_mod.half_sq_norms(q)
-    assert np.array_equal(pairwise_distances_chunked(q, c, query_half_sq=half),
-                          pairwise_distances_chunked(q, c))
-    for bad in (half[:-1], half[:, None], np.append(half, 0.0)):
-        with pytest.raises(ContractViolation, match="shape"):
-            pairwise_distances_chunked(q, c, query_half_sq=bad)
-    for kind in ("cosine_unit_norm", "cosine_renorm"):
-        with pytest.raises(ContractViolation, match="euclidean"):
-            pairwise_distances_chunked(q, c, kind, query_half_sq=half)
+    assert all(np.array_equal(got, want) for got, want
+               in zip(assign(q, c, query_half_sq=half), assign(q, c)))
+    with pytest.raises(ContractViolation, match="euclidean"):
+        assign(q, c, "cosine_renorm", query_half_sq=half)
 
 
 @pytest.mark.parametrize("n", [1, 129, 1001, 4099])
@@ -842,3 +851,104 @@ def test_row_pieces_tile_the_rows_at_aligned_cuts(monkeypatch):
     assert cbk_mod._row_blocks(255, 1000) == [(0, 255)]
     assert cbk_mod._row_blocks(100, 10) == [(0, 100)]
     assert cbk_mod._row_blocks(7, 0) == [(0, 7)]
+
+
+# -- assign clips during its row reduction ---------------------------------------
+
+def queries_on_codes():
+    """Rows and codes within 1e-9 of four anchors of norm ~1e4, so that most
+    raw distances (h_q - q.c) + h_c round to about +-1e-8, far from their
+    true ~1e-18: many rows are negative at several codes."""
+    rng = np.random.default_rng(0)
+    anchors = rng.standard_normal((4, 8)) * 1e4
+    codes = np.repeat(anchors, 6, axis=0) + 1e-9 * rng.standard_normal((24, 8))
+    q = anchors[rng.integers(4, size=60)] + 1e-9 * rng.standard_normal((60, 8))
+    return q, codes
+
+
+def test_assign_equals_the_clipped_block_where_rows_are_negative_at_several_codes():
+    q, c = queries_on_codes()
+    raw = pairwise_distances_chunked(q, c, clip=False)
+    clipped = pairwise_distances_chunked(q, c)
+    assert np.array_equal(clipped, np.maximum(raw, 0.0))
+    # the rows this is about: two or more negative entries, the most
+    # negative not the first, so the raw argmin is not the clipped one
+    several = ((raw < 0.0).sum(axis=1) >= 2) & (raw.argmin(axis=1) != clipped.argmin(axis=1))
+    assert several.sum() >= 10
+    rows = np.arange(q.shape[0])
+
+    idx, row_dists = assign(q, c)
+    want = clipped.argmin(axis=1)
+    assert np.array_equal(idx, want) and np.array_equal(row_dists, clipped[rows, want])
+
+    # a tau this small tells the raw negatives apart; the clipped zeros tie
+    for tau in (1e-9, 0.5):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        idx, row_dists = assign(q, c, tau=tau, rng=rng_a)
+        want = sample_code_stochastic(clipped.copy(), tau, rng_b)
+        assert np.array_equal(idx, want) and np.array_equal(row_dists, clipped[rows, want])
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_sampler_clips_the_rows_that_need_it_in_place():
+    q, c = queries_on_codes()
+    raw = pairwise_distances_chunked(q, c, clip=False)
+    clipped = np.maximum(raw, 0.0)
+    block = raw.copy()
+    got = sample_code_stochastic(block, 1e-9, np.random.default_rng(5))
+    assert np.array_equal(got, sample_code_stochastic(clipped, 1e-9, np.random.default_rng(5)))
+    assert np.array_equal(block, clipped)
+
+
+def reference_assign(queries, codes, kind, tau=None, rng=None):
+    """`assign` as one clipped kernel call per row piece: the kernel
+    normalizes the piece and the codes and takes both norms itself."""
+    n = queries.shape[0]
+    indices, row_dists = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo, hi in cbk_mod._row_blocks(n, codes.shape[0]):
+        block = pairwise_distances_chunked(queries[lo:hi], codes, kind)
+        idx = block.argmin(axis=1) if tau is None else sample_code_stochastic(block, tau, rng)
+        indices[lo:hi] = idx
+        row_dists[lo:hi] = block[np.arange(hi - lo), idx]
+    return indices, row_dists
+
+
+def reference_lloyd(centers, sample, iters):
+    """Lloyd iterations on `reference_assign`."""
+    m = centers.shape[0]
+    for _ in range(iters):
+        assignment, min_half = reference_assign(sample, centers, "euclidean")
+        counts = np.bincount(assignment, minlength=m)
+        filled = counts > 0
+        new_centers = centers.copy()
+        new_centers[filled] = scatter_add_rows(assignment, sample, m)[filled] / counts[filled, None]
+        for j, point_idx in zip(np.nonzero(~filled)[0], np.argsort(min_half)[::-1]):
+            new_centers[j] = sample[point_idx]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if shift < LLOYD_TOL:
+            break
+    return centers
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "cosine_unit_norm", "cosine_renorm"])
+def test_assign_and_lloyd_bit_equal_a_clipped_kernel_call_per_piece(kind, monkeypatch):
+    """200-row chunks of 24 codes cut into 64-row pieces: each chunk into
+    64, 64 and a ragged 72, the 150-row tail into 64 and 86."""
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", 200)
+    monkeypatch.setattr(cbk_mod, "PIECE_CELLS", 64 * 24)
+    n, m = 950, 24
+    assert cbk_mod._row_blocks(n, m)[-5:] == [(600, 664), (664, 728), (728, 800),
+                                               (800, 864), (864, 950)]
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal((m, 5)) + 0.1
+    q = rng.standard_normal((n, 5)) + 0.1
+    q[::3] = c[rng.integers(m, size=q[::3].shape[0])]  # queries on codes: the clip path
+    for got, want in [(assign(q, c, kind), reference_assign(q, c, kind)),
+                      (assign(q, c, kind, tau=0.3, rng=np.random.default_rng(1)),
+                       reference_assign(q, c, kind, tau=0.3, rng=np.random.default_rng(1)))]:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if kind == "euclidean":
+        centers = c.copy()
+        centers[-1] = 1e3  # an empty center, re-seeded
+        assert np.array_equal(lloyd(centers, q, 6), reference_lloyd(centers, q, 6))

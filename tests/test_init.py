@@ -6,6 +6,7 @@ import pytest
 from vqkit import (
     LLOYD_TOL,
     ContractViolation,
+    NumericFailure,
     divergence,
     init_codebook,
     kmeans,
@@ -187,9 +188,23 @@ def kmeans_pp_one_call_per_centre(sample, m, rng):
 
 @pytest.mark.parametrize("n,d,m", [(5000, 7, 24), (16384, 16, 32), (300, 3, 300)])
 def test_kmeans_pp_seed_bit_equals_one_kernel_call_per_centre(n, d, m):
+    """The oracle draws by `rng.choice(n, p=...)`; over several seeds the
+    seeding draws the same indices from the same stream, which it leaves in
+    the same state."""
     sample = np.random.default_rng(n).standard_normal((n, d)) * 10.0 ** np.arange(d)
-    got = kmeans_pp_seed(sample, m, np.random.default_rng(4))
-    assert np.array_equal(got, kmeans_pp_one_call_per_centre(sample, m, np.random.default_rng(4)))
+    for seed in (0, 1, 4):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kmeans_pp_seed(sample, m, rng_got)
+        assert np.array_equal(got, kmeans_pp_one_call_per_centre(sample, m, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_kmeans_pp_seed_with_an_overflowing_total_is_a_numeric_failure():
+    # each distance is finite, their sum is not
+    sample = np.random.default_rng(0).standard_normal((200, 2)) * 2e153
+    assert np.isfinite(pairwise_distances_chunked(sample, sample[:1])).all()
+    with np.errstate(over="ignore"), pytest.raises(NumericFailure, match="k-means"):
+        kmeans_pp_seed(sample, 3, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n,cells", [(1, 16), (1001, 16), (4099, 1 << 17)])
