@@ -50,25 +50,26 @@ class Codebook:
     def d(self) -> int:
         return self.codes.shape[1]
 
-    def ema_transform(self, eps: float = 1e-8):
-        """Per-dimension (a, b) such that effective codes = a * codes + b,
-        matching codebook moments to the embedding moments."""
-        sigma_e = np.maximum(np.sqrt(self.ema_var_e), eps)
-        sigma_q = np.maximum(np.sqrt(self.ema_var_q), eps)
-        a = sigma_e / sigma_q
-        b = self.ema_mean_e - a * self.ema_mean_q
-        return a, b
+    def affine(self, mode: str = "off", lr_scale: float = 1.0):
+        """Per-dimension (a, b) with effective codes a * codes + b: the
+        identity when off; 1 + lr_scale * affine_scale and lr_scale *
+        affine_bias when learnable; for ema, the map matching the codebook
+        moments to the embedding moments (each sigma floored at 1e-8)."""
+        if mode == "off":
+            return np.ones(self.d), np.zeros(self.d)
+        if mode == "learnable":
+            return 1.0 + lr_scale * self.affine_scale, lr_scale * self.affine_bias
+        if mode == "ema":
+            sigma_e = np.maximum(np.sqrt(self.ema_var_e), 1e-8)
+            a = sigma_e / np.maximum(np.sqrt(self.ema_var_q), 1e-8)
+            return a, self.ema_mean_e - a * self.ema_mean_q
+        raise ContractViolation(f"unknown affine mode {mode!r}")
 
     def effective_codes(self, affine_mode: str = "off", lr_scale: float = 1.0) -> np.ndarray:
         if affine_mode == "off":
             return self.codes.copy()
-        if affine_mode == "learnable":
-            scale = 1.0 + lr_scale * self.affine_scale
-            return scale * self.codes + lr_scale * self.affine_bias
-        if affine_mode == "ema":
-            a, b = self.ema_transform()
-            return a * self.codes + b
-        raise ContractViolation(f"unknown affine mode {affine_mode!r}")
+        a, b = self.affine(affine_mode, lr_scale)
+        return a * self.codes + b
 
     def mark_used(self, indices, step: int) -> None:
         self.last_used[np.asarray(indices, dtype=np.int64)] = step
@@ -92,9 +93,10 @@ class Codebook:
     @classmethod
     def load(cls, path) -> "Codebook":
         """Read a codebook written by `save`. A payload that is not exactly
-        m x d codes plus the two affine vectors, a sidecar that is not strict
-        JSON (NaN and Infinity included), or a sidecar array of the wrong
-        length raises ContractViolation."""
+        m x d finite codes plus the two finite affine vectors, a sidecar that is
+        not strict JSON (NaN and Infinity included), a sidecar array of the
+        wrong length or of values other than integers (`last_used`) or numbers
+        (the moments), or a negative variance raises ContractViolation."""
         path = Path(path)
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -114,6 +116,8 @@ class Codebook:
                 f"codebook payload is {len(payload)} bytes, expected "
                 f"{8 * (m * d + 2 * d)} for m={m}, d={d}")
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise ContractViolation("codebook payload holds a non-finite value")
         cb = cls(values[:m * d].reshape(m, d))
         cb.affine_scale = values[m * d:m * d + d].copy()
         cb.affine_bias = values[m * d + d:].copy()
@@ -129,13 +133,21 @@ class Codebook:
                 # a fresh codebook's array has the shape and dtype the file must give
                 fresh = getattr(cb, key)
                 try:
-                    value = np.asarray(sidecar[key], dtype=fresh.dtype)
+                    raw = sidecar[key]
+                    value = np.asarray(raw, dtype=fresh.dtype)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ContractViolation(f"bad codebook sidecar {key!r}: {exc}") from exc
                 if value.shape != fresh.shape:
                     raise ContractViolation(
                         f"codebook sidecar {key!r} must have shape {fresh.shape}, "
                         f"got {value.shape}")
+                # numpy would cast a step of 3.7 or true, or a moment of "1.5"
+                what, kinds = (("integers", (int,)) if fresh.dtype.kind == "i"
+                               else ("numbers", (int, float)))
+                if not all(type(v) in kinds for v in raw):
+                    raise ContractViolation(f"codebook sidecar {key!r} must hold only {what}")
+                if key.startswith("ema_var") and (value < 0.0).any():
+                    raise ContractViolation(f"codebook sidecar {key!r} holds a negative variance")
                 setattr(cb, key, value)
         return cb
 
@@ -371,7 +383,7 @@ def quantize_row_factors(queries, codes, indices, kind: str) -> np.ndarray:
 # blocks of 2^15 cells took 0.5-0.95 of the exact rule's time with the search
 # from m = 48 up, 0.9-1.3 at m = 32 and 1.7 at m = 16; below 2^15 cells the
 # fixed cost ate the gain. Blocks under either bound take the exact rule
-# whole. Both are read at call time; _SEARCH_MIN_CODES >= _SAMPLE_BLOCK.
+# whole. Both are read at call time.
 _SAMPLE_BLOCK = 16
 _BLOCK_PREFIX = np.triu(np.ones((_SAMPLE_BLOCK, _SAMPLE_BLOCK + 1)), 1)
 _SEARCH_MIN_CODES = 64
@@ -395,8 +407,8 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
     Every other row is placed in three steps, none of which normalizes or
     takes a cumulative sum over the whole row:
 
-    - locate: sum the weights _SAMPLE_BLOCK columns at a time (a zero-padded
-      ragged last block included) in one matvec, find the first block whose
+    - locate: sum the weights _SAMPLE_BLOCK columns at a time (the last
+      block zero-padded to full width) in one matvec, find the first block whose
       prefix sum reaches the target u * s (s the row's total), and take the
       prefix sums of that block's entries to find the candidate code k;
     - verify: keep k only when the approximate prefix sums through k - 1 and
@@ -418,26 +430,22 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
     if clip.any():
         dists[clip] = np.maximum(dists[clip], 0.0)
         mins[clip] = dists[clip].min(axis=1, keepdims=True)
-    # (d - min) / -tau has the bits of -(d - min) / tau: negation is exact
-    buf = np.subtract(dists, mins)
-    buf /= -tau
-    np.exp(buf, out=buf)
-    u = rng.random(buf.shape[0])
-    n, m = buf.shape
+    # the weights, in a buffer zero-padded to whole blocks (the zeros add
+    # exactly); (d - min) / -tau has the bits of -(d - min) / tau: negation is exact
+    n, m = dists.shape
+    n_blocks = -(-m // _SAMPLE_BLOCK)
+    buf = np.empty((n, n_blocks * _SAMPLE_BLOCK))
+    buf[:, m:] = 0.0
+    weights = np.subtract(dists, mins, out=buf[:, :m])
+    weights /= -tau
+    np.exp(weights, out=weights)
+    u = rng.random(n)
     if m < _SEARCH_MIN_CODES or n * m < _SEARCH_MIN_CELLS:
-        return _first_reach(buf, u)
-    n_blocks = m // _SAMPLE_BLOCK
-    full = n_blocks * _SAMPLE_BLOCK
-    blocks = buf[:, :full].reshape(n, n_blocks, _SAMPLE_BLOCK)
-    block_sums = blocks @ np.ones(_SAMPLE_BLOCK)
-    if full < m:
-        # the ragged last block, padded with zeros, which add exactly
-        tail = np.zeros((n, _SAMPLE_BLOCK))
-        tail[:, :m - full] = buf[:, full:]
-        block_sums = np.column_stack([block_sums, tail.sum(axis=1)])
+        return _first_reach(weights, u)
+    blocks = buf.reshape(n, n_blocks, _SAMPLE_BLOCK)
     # before[:, b] is the sum of the blocks before block b
-    before = np.zeros((n, block_sums.shape[1] + 1))
-    np.cumsum(block_sums, axis=1, out=before[:, 1:])
+    before = np.zeros((n, n_blocks + 1))
+    np.cumsum(blocks @ np.ones(_SAMPLE_BLOCK), axis=1, out=before[:, 1:])
     total = before[:, -1]
     target = u * total
     margin = total * ((m + 2) * 2.0 ** -48)
@@ -445,10 +453,7 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
     # is none (the check then fails)
     block = (before[:, 1:] >= target[:, None]).argmax(axis=1)
     rows = np.arange(n)
-    entries = blocks[rows, np.minimum(block, n_blocks - 1)]
-    if full < m:
-        in_tail = block == n_blocks
-        entries[in_tail] = tail[in_tail]
+    entries = blocks[rows, block]
     # the rest of the target after the blocks before, and its first crossing
     # among the prefix sums of the block's entries
     rest = target - before[rows, block]
@@ -460,7 +465,7 @@ def sample_code_stochastic(dists: np.ndarray, tau: float,
     indices = block * _SAMPLE_BLOCK + col
     if not ok.all():
         redo = ~ok
-        indices[redo] = _first_reach(buf[redo], u[redo])
+        indices[redo] = _first_reach(weights[redo], u[redo])
     return indices
 
 

@@ -17,7 +17,7 @@ from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError
                      ContractViolation, check_kinds, from_strict_dict, is_finite_number,
                      list_of, one_of, strict_keys)
 from .models import MLPAutoencoder
-from .training import SGD, Schedule, TrainResult, train_alternating, train_joint
+from .training import SGD, Schedule, TrainResult, _inner_step, train_alternating, train_joint
 
 TOY_MODES = ("no_vq", "joint", "alternated", "lookahead")
 SCENARIOS = ("train", "toy-trajectory", "affine-toy", "ablation", "init-study")
@@ -306,9 +306,7 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
         z_q = cb.codes
         if mode == "alternated":
             # train_alternating's inner step: the code against a constant embedding
-            tape = Tape()
-            out = vql.quantize(tape, tape.leaf(z_e), cb, config)
-            cb.codes = z_q - lr * vql.commitment_codebook_grads(tape, out, cb, config)["codes"]
+            _inner_step(None, cb, config, z_e, lr, t, None, SGD(lr=lr))
         tape = Tape()
         ze_node = tape.leaf(z_e)
         if mode == "no_vq":

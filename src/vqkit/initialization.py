@@ -116,10 +116,7 @@ def init_codebook(method: str, m: int, d: int, sample=None, *,
             raise ContractViolation(f"uniform init needs low <= high, got {low} > {high}")
         return rng.uniform(low, high, size=(m, d))
     if method == "data_subset":
-        sample = _require_sample(sample, 1, method)
-        if sample.shape[0] < m:
-            raise ContractViolation(
-                f"data_subset needs a sample with >= {m} rows, got {sample.shape[0]}")
+        sample = _require_sample(sample, m, method)
         idx = rng.choice(sample.shape[0], size=m, replace=False)
         return sample[idx].astype(np.float64).copy()
     if method == "kmeans":

@@ -105,17 +105,16 @@ def quantize(tape: Tape, z_e: Node, cb: cbk.Codebook, config: VQConfig, *,
 
 def codebook_param_grads(cb: cbk.Codebook, eff_grad, config: VQConfig) -> dict:
     """Pull the gradient of the effective codes back to the raw codebook
-    parameters: {"codes"}, plus {"affine_scale", "affine_bias"} in learnable
-    affine mode. The EMA transform a * c + b is a constant of the step."""
-    if config.affine_mode == "off":
-        return {"codes": eff_grad}
-    if config.affine_mode == "ema":
-        a, _ = cb.ema_transform()
-        return {"codes": eff_grad * a}
-    ls = config.affine_lr_scale
-    return {"codes": eff_grad * (1.0 + ls * cb.affine_scale),
-            "affine_scale": ls * (eff_grad * cb.codes).sum(axis=0),
-            "affine_bias": ls * eff_grad.sum(axis=0)}
+    parameters of `Codebook.affine`'s a * c + b: {"codes": eff_grad * a}, plus
+    {"affine_scale", "affine_bias"} in learnable affine mode. The EMA map is a
+    constant of the step."""
+    a, _ = cb.affine(config.affine_mode, config.affine_lr_scale)
+    grads = {"codes": eff_grad * a}
+    if config.affine_mode == "learnable":
+        ls = config.affine_lr_scale
+        grads["affine_scale"] = ls * (eff_grad * cb.codes).sum(axis=0)
+        grads["affine_bias"] = ls * eff_grad.sum(axis=0)
+    return grads
 
 
 def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]:

@@ -268,10 +268,10 @@ def exact_rows(monkeypatch):
 
 @contextlib.contextmanager
 def search_on_any_block():
-    """Let the block search take every block of 16 or more codes, however
-    small, instead of leaving small ones to the exact rule."""
+    """Let the block search take every block, however narrow or small,
+    instead of leaving small ones to the exact rule."""
     saved = cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS
-    cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS = 16, 0
+    cbk_mod._SEARCH_MIN_CODES, cbk_mod._SEARCH_MIN_CELLS = 1, 0
     try:
         yield
     finally:
@@ -528,10 +528,30 @@ def test_effective_codes_identity_and_modes():
     assert np.allclose(cb.effective_codes("learnable", lr_scale=0.5), expected)
 
 
+@pytest.mark.parametrize("mode", ["off", "learnable", "ema"])
+def test_effective_codes_are_the_affine_map(mode):
+    rng = np.random.default_rng(4)
+    cb = Codebook(rng.standard_normal((5, 3)))
+    cb.affine_scale, cb.affine_bias = rng.standard_normal(3), rng.standard_normal(3)
+    cb.ema_mean_e, cb.ema_mean_q = rng.standard_normal(3), rng.standard_normal(3)
+    cb.ema_var_e, cb.ema_var_q = rng.random(3) + 0.1, rng.random(3) + 0.1
+    a, b = cb.affine(mode, 0.5)
+    assert np.array_equal(cb.effective_codes(mode, 0.5), a * cb.codes + b)
+    if mode == "off":
+        assert np.array_equal(a, np.ones(3)) and np.array_equal(b, np.zeros(3))
+
+
+def test_an_unknown_affine_mode_is_a_contract_violation():
+    cb = Codebook(np.ones((2, 2)))
+    for call in (cb.affine, cb.effective_codes):
+        with pytest.raises(ContractViolation, match="unknown affine mode 'sideways'"):
+            call("sideways")
+
+
 def test_ema_transform_floors_sigma():
     cb = Codebook(np.zeros((2, 2)))
     cb.ema_var_q = np.zeros(2)
-    a, b = cb.ema_transform()
+    a, b = cb.affine("ema")
     assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
@@ -656,6 +676,37 @@ def test_load_rejects_a_last_used_step_past_int64(tmp_path):
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text(json.dumps({**sidecar, "last_used": [2 ** 70, 0, 0]}))
     with pytest.raises(ContractViolation, match="'last_used'"):
+        Codebook.load(path)
+
+
+@pytest.mark.parametrize("key,bad,match", [
+    ("last_used", [3.7, True, 0], "must hold only integers"),
+    ("last_used", [3, True, 0], "must hold only integers"),
+    ("last_used", [3.0, 0, 0], "must hold only integers"),
+    ("ema_mean_e", ["1.5", 0], "must hold only numbers"),
+    ("ema_var_q", [True, 1.0], "must hold only numbers"),
+    ("ema_var_e", [1.0, -0.5], "holds a negative variance"),
+    ("ema_var_q", [0, -0.5], "holds a negative variance")])
+def test_load_rejects_sidecar_values_numpy_would_take(tmp_path, key, bad, match):
+    """numpy takes each of these without complaint: a value it casts to the
+    array's dtype, or a negative variance, whose square root is NaN."""
+    path = tmp_path / "cb.bin"
+    Codebook(np.arange(6.0).reshape(3, 2)).save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, key: bad}))
+    with pytest.raises(ContractViolation, match=f"'{key}' {match}$"):
+        Codebook.load(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["codes", "affine_scale", "affine_bias"])
+def test_load_rejects_a_non_finite_payload_value(tmp_path, key, value):
+    cb = Codebook(np.arange(6.0).reshape(3, 2))
+    getattr(cb, key)[-1] = value
+    path = tmp_path / "cb.bin"
+    cb.save(path)  # the sidecar holds none of them
+    with pytest.raises(ContractViolation, match="^codebook payload holds a non-finite value$"):
         Codebook.load(path)
 
 

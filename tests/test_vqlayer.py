@@ -187,6 +187,27 @@ def test_quantize_codebook_gradient_reaches_codes():
     assert codebook_param_grads(cb, eff_grad, cfg).keys() == {"codes"}
 
 
+@pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
+def test_the_codes_gradient_is_scaled_by_the_affine_map(affine_mode):
+    rng = np.random.default_rng(8)
+    cb = make_cb()
+    cb.affine_scale, cb.ema_var_q = rng.standard_normal(4), rng.random(4) + 0.1
+    cfg = VQConfig(affine_mode=affine_mode, affine_lr_scale=0.5)
+    eff_grad = rng.standard_normal(cb.codes.shape)
+    a, _ = cb.affine(affine_mode, 0.5)
+    grads = codebook_param_grads(cb, eff_grad, cfg)
+    assert np.array_equal(grads["codes"], eff_grad * a)
+    assert grads.keys() == ({"codes", "affine_scale", "affine_bias"}
+                            if affine_mode == "learnable" else {"codes"})
+
+
+def test_codebook_param_grads_rejects_an_unknown_affine_mode():
+    cfg = VQConfig()
+    cfg.affine_mode = "sideways"  # past VQConfig's own check
+    with pytest.raises(ContractViolation, match="unknown affine mode 'sideways'"):
+        codebook_param_grads(make_cb(), np.zeros((6, 4)), cfg)
+
+
 # -- EMA update ---------------------------------------------------------------
 
 def test_ema_update_moves_to_per_code_means():
@@ -228,7 +249,7 @@ def test_affine_ema_constant_offset_removed_at_converged_stats():
     # converged statistics: drive the EMA with the same batch until stable
     for _ in range(2000):
         affine_update_ema(cb, z_e, z_q, momentum=0.5)
-    a, b = cb.ema_transform()
+    a, b = cb.affine("ema")
     assert np.allclose(a, 1.0, atol=1e-9)
     assert np.allclose(b, -offset, atol=1e-9)
     assert np.allclose(cb.effective_codes("ema"), cb.codes - offset, atol=1e-8)
@@ -316,7 +337,7 @@ def composite_oracle(cb, z, target, cfg, with_task):
     if cfg.affine_mode == "learnable":
         eff = tape.affine_rows(codes, scale, bias, cfg.affine_lr_scale)
     elif cfg.affine_mode == "ema":
-        a, b = cb.ema_transform()
+        a, b = cb.affine("ema")
         eff = tape.affine_rows(codes, tape.leaf(a - 1.0), tape.leaf(b), 1.0)
     else:
         eff = codes
@@ -393,7 +414,7 @@ def test_joint_ema_step_decodes_the_codes_it_assigned_with():
     decode, seen = model.decode, []
 
     def spy(tape, z, nodes):
-        a, _ = cb.ema_transform()
+        a, _ = cb.affine("ema")
         assert (a < 0.5).any()
         seen.append((z.value.copy(), cb.effective_codes("ema")))
         return decode(tape, z, nodes)
