@@ -1,6 +1,7 @@
-"""Artifact files, the one module that serializes them: each is written whole
-or not at all, and a NaN or infinite value is a NumericFailure before anything
-is written, so a run that exits 0 leaves only strict JSON and finite CSV."""
+"""Artifact files, the one module that serializes them and reads strict JSON:
+each is written whole or not at all, and a NaN or infinite value is a
+NumericFailure before anything is written, so a run that exits 0 leaves only
+strict JSON and finite CSV."""
 from __future__ import annotations
 
 import csv
@@ -39,6 +40,21 @@ def write_json(path, obj) -> None:
         raise NumericFailure(f"{path.name}: {exc}") from exc
     with atomic_open(path) as fh:
         fh.write(text + "\n")
+
+
+def read_json(path):
+    """The value of the UTF-8 JSON file `path`, read as strictly as `write_json`
+    writes: a NaN, an Infinity or a real number past the float range (`1e999`)
+    raises ValueError, as does a file that is not UTF-8 or not JSON."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite_float,
+                      parse_constant=_finite_float)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def write_jsonl(path, records) -> None:

@@ -2,22 +2,26 @@
 stochastic), grouped views, and binary serialization."""
 from __future__ import annotations
 
-import json
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
-from .errors import ContractViolation, DegenerateInput, NumericFailure
+from .artifacts import atomic_open, read_json, write_json
+from .errors import (NONNEG, REAL, ContractViolation, DegenerateInput, NumericFailure,
+                     check_kinds, is_int, list_of, strict_keys)
 
 DISTANCE_KINDS = ("euclidean", "cosine_unit_norm", "cosine_renorm")
 
 _MAGIC = b"VQKB"
 _VERSION = 1
-# the arrays the strict-JSON sidecar holds, beside the binary codes and affine vectors
-_SIDECAR_KEYS = ("last_used", "ema_mean_e", "ema_var_e", "ema_mean_q", "ema_var_q")
+# the arrays the strict-JSON sidecar holds, beside the binary codes and affine
+# vectors, each a list of its values' kind: a step fits an int64
+_SIDECAR_KINDS = {
+    "last_used": list_of(("an integer in [0, 2^63)", lambda v: is_int(v) and 0 <= v < 2 ** 63)),
+    "ema_mean_e": list_of(REAL), "ema_var_e": list_of(NONNEG),
+    "ema_mean_q": list_of(REAL), "ema_var_q": list_of(NONNEG),
+}
 
 
 class Codebook:
@@ -81,7 +85,7 @@ class Codebook:
         ".json", so a non-finite moment fails before either file is written."""
         path = Path(path)
         write_json(Path(str(path) + ".json"),
-                   {key: getattr(self, key).tolist() for key in _SIDECAR_KEYS})
+                   {key: getattr(self, key).tolist() for key in _SIDECAR_KINDS})
         with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", _VERSION))
@@ -93,10 +97,10 @@ class Codebook:
     @classmethod
     def load(cls, path) -> "Codebook":
         """Read a codebook written by `save`. A payload that is not exactly
-        m x d finite codes plus the two finite affine vectors, a sidecar that is
-        not strict JSON (NaN and Infinity included), a sidecar array of the
-        wrong length or of values other than integers (`last_used`) or numbers
-        (the moments), or a negative variance raises ContractViolation."""
+        m x d finite codes plus the two finite affine vectors, a sidecar that
+        `read_json` rejects, or a sidecar whose keys or values fail
+        `_SIDECAR_KINDS` or whose arrays have the wrong length raises
+        ContractViolation."""
         path = Path(path)
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -124,39 +128,21 @@ class Codebook:
         sidecar_path = Path(str(path) + ".json")
         if sidecar_path.exists():
             try:
-                sidecar = json.loads(sidecar_path.read_bytes(), parse_constant=_finite_float,
-                                     parse_float=_finite_float)
+                sidecar = read_json(sidecar_path)
             except ValueError as exc:
                 raise ContractViolation(f"bad codebook sidecar: {exc}") from exc
             # the "counts" key that older sidecars carry is ignored
-            for key in _SIDECAR_KEYS:
-                # a fresh codebook's array has the shape and dtype the file must give
+            strict_keys(sidecar, {*_SIDECAR_KINDS, "counts"}, "codebook sidecar",
+                        required=_SIDECAR_KINDS)
+            check_kinds(sidecar, _SIDECAR_KINDS, "codebook sidecar")
+            for key in _SIDECAR_KINDS:
+                # a fresh codebook's array has the length and dtype the file must give
                 fresh = getattr(cb, key)
-                try:
-                    raw = sidecar[key]
-                    value = np.asarray(raw, dtype=fresh.dtype)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise ContractViolation(f"bad codebook sidecar {key!r}: {exc}") from exc
-                if value.shape != fresh.shape:
-                    raise ContractViolation(
-                        f"codebook sidecar {key!r} must have shape {fresh.shape}, "
-                        f"got {value.shape}")
-                # numpy would cast a step of 3.7 or true, or a moment of "1.5"
-                what, kinds = (("integers", (int,)) if fresh.dtype.kind == "i"
-                               else ("numbers", (int, float)))
-                if not all(type(v) in kinds for v in raw):
-                    raise ContractViolation(f"codebook sidecar {key!r} must hold only {what}")
-                if key.startswith("ema_var") and (value < 0.0).any():
-                    raise ContractViolation(f"codebook sidecar {key!r} holds a negative variance")
-                setattr(cb, key, value)
+                if len(sidecar[key]) != len(fresh):
+                    raise ContractViolation(f"codebook sidecar.{key} must have {len(fresh)} "
+                                            f"values, got {len(sidecar[key])}")
+                setattr(cb, key, np.array(sidecar[key], dtype=fresh.dtype))
         return cb
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

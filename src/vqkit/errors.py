@@ -1,8 +1,8 @@
 """The vqkit exception hierarchy, and the value kinds and checks that config
 and argument validation share."""
 import dataclasses
-import math
 import numbers
+import sys
 
 
 class VQKitError(Exception):
@@ -31,9 +31,10 @@ def is_int(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    """A finite real number that is not a bool."""
+    """A real number within the float range (so neither NaN, an infinity nor
+    an integer too large for a float) that is not a bool."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 # A kind is a (what, test) pair: the values `test` accepts, as `what` names them.

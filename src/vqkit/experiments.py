@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import copy
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import initialization, metrics as mtr, vqlayer as vql
+from .artifacts import read_json
 from .autodiff import Tape
 from .codebook import Codebook, nearest_code
 from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError,
@@ -34,23 +33,16 @@ class MixtureSpec:
     cov_scales: list
     weights: list
 
-    _KINDS = {"dim": INT, "n": INT}
+    _KINDS = {"dim": INT, "n": INT, "means": list_of(list_of(REAL)),
+              "cov_scales": list_of(NONNEG), "weights": list_of(NONNEG)}
 
     def __post_init__(self):
         check_kinds(vars(self), self._KINDS, "data")
-        for name in ("means", "cov_scales", "weights"):
-            values = np.ravel(np.asarray(getattr(self, name), dtype=object))
-            if not all(is_finite_number(v) for v in values):
-                raise ContractViolation(f"data {name} must hold finite numbers")
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.ndim != 2 or means.shape[1] != self.dim:
+        k = len(self.means)
+        if any(len(row) != self.dim for row in self.means):
             raise ContractViolation("mixture means must be k x dim")
-        k = means.shape[0]
-        if np.ndim(self.cov_scales) != 1 or np.ndim(self.weights) != 1 \
-                or len(self.cov_scales) != k or len(self.weights) != k:
+        if len(self.cov_scales) != k or len(self.weights) != k:
             raise ContractViolation("cov_scales and weights must have one entry per component")
-        if any(v < 0.0 for v in [*self.cov_scales, *self.weights]):
-            raise ContractViolation("covariance scales and weights must be >= 0")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ContractViolation("mixture weights must sum to 1")
 
@@ -178,6 +170,12 @@ def resolve_config(raw: dict) -> dict:
         d_code, n_group = cfg["model"]["d_code"], cfg["vq"]["n_group"]
         if d_code % n_group:
             raise ConfigError(f"n_group={n_group} must divide model.d_code={d_code}")
+        # a k-means reset refits the codes on the step's last sub-batch
+        hook_rows = n_group * (cfg["batch_size"] // sub_batches
+                               if cfg["train_mode"] == "alternating" else cfg["batch_size"])
+        if cfg["vq"]["reset_every"] and cfg["codebook"]["m"] > hook_rows:
+            raise ConfigError(f"codebook.m={cfg['codebook']['m']} exceeds the {hook_rows} encoder "
+                              f"rows (last sub-batch x n_group) a vq.reset_every reset refits on")
         study, cb_cfg = cfg["init_study"], cfg["codebook"]
         # init_codebook's check of the uniform bounds, before anything is written
         if cb_cfg["init"] == "uniform":
@@ -204,14 +202,11 @@ def resolve_config(raw: dict) -> dict:
 
 
 def load_config(path, seed: int | None = None) -> dict:
-    """Read and resolve a strict-JSON config: NaN and Infinity are rejected. A
-    `seed` replaces the config's own, and is checked like it."""
-    def reject(constant):
-        raise ConfigError(f"cannot read config {path}: {constant} is not a JSON value")
-
+    """Read a config with `artifacts.read_json` and resolve it. A `seed`
+    replaces the config's own, and is checked like it."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=reject)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raw = read_json(path)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or not finite
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed is not None and isinstance(raw, dict) and "seed" in raw:
         raw["seed"] = seed

@@ -63,8 +63,9 @@ class Schedule:
     def __post_init__(self):
         check_kinds(vars(self), self._KINDS, "schedule")
         self.milestones = tuple(self.milestones)
-        if self.kind == "cosine_warmup" and self.warmup_steps > self.total_steps:
-            raise ContractViolation("warmup_steps must be <= total_steps")
+        if self.kind == "cosine_warmup" and not 0 < self.total_steps >= self.warmup_steps:
+            raise ContractViolation("a cosine_warmup schedule needs total_steps >= 1 and "
+                                    "warmup_steps <= total_steps")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":
@@ -142,8 +143,7 @@ def _post_step_hooks(cb: cbk.Codebook, config: vql.VQConfig, z_rows, z_q_rows,
         if replaced:
             events.append({"step": step, "replaced_indices": replaced})
     if config.reset_every and (step + 1) % config.reset_every == 0:
-        if z_rows.shape[0] >= cb.m:
-            vql.kmeans_reset(cb, z_rows)
+        vql.kmeans_reset(cb, z_rows)
 
 
 def _record(step, out: vql.VQOutput, task: Node, gap, cb, config, window):

@@ -3,6 +3,7 @@ naive full-matrix oracles."""
 import contextlib
 import functools
 import json
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -646,6 +647,16 @@ def test_load_reads_a_sidecar_that_still_carries_usage_counts(tmp_path):
     assert not hasattr(back, "counts")
 
 
+def test_load_rejects_an_unknown_sidecar_key_other_than_counts(tmp_path):
+    path = tmp_path / "cb.bin"
+    Codebook(np.arange(6.0).reshape(3, 2)).save(path)
+    sidecar_path = tmp_path / "cb.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text(json.dumps({**sidecar, "counts": [1, 0, 1], "usage": [1, 0, 1]}))
+    with pytest.raises(ContractViolation, match=r"^unknown codebook sidecar keys: \['usage'\]$"):
+        Codebook.load(path)
+
+
 @pytest.mark.parametrize("raw", [b"", b"not json", b"{", b"\xff", b'{"last_used": [0, 0, 0]'])
 def test_load_rejects_a_sidecar_that_is_not_json(tmp_path, raw):
     path = tmp_path / "cb.bin"
@@ -669,33 +680,48 @@ def test_load_rejects_a_non_finite_sidecar_number(tmp_path, number):
         Codebook.load(path)
 
 
+# what each sidecar list must hold, as its kind names it
+_SIDECAR_VALUES = {"last_used": "an integer in [0, 2^63)", "ema_mean_e": "a finite number",
+                   "ema_mean_q": "a finite number", "ema_var_e": "a finite number >= 0",
+                   "ema_var_q": "a finite number >= 0"}
+
+
+def _sidecar_kind_message(key: str) -> str:
+    """The start of the ContractViolation message for a sidecar list `key`
+    whose values do not all have its kind."""
+    return "^" + re.escape(f"codebook sidecar.{key} must be a non-empty list of values, "
+                           f"each {_SIDECAR_VALUES[key]}, got ")
+
+
 def test_load_rejects_a_last_used_step_past_int64(tmp_path):
     path = tmp_path / "cb.bin"
     Codebook(np.arange(6.0).reshape(3, 2)).save(path)
     sidecar_path = tmp_path / "cb.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text(json.dumps({**sidecar, "last_used": [2 ** 70, 0, 0]}))
-    with pytest.raises(ContractViolation, match="'last_used'"):
+    with pytest.raises(ContractViolation, match=_sidecar_kind_message("last_used")):
         Codebook.load(path)
 
 
-@pytest.mark.parametrize("key,bad,match", [
+@pytest.mark.parametrize("key,bad,why", [
     ("last_used", [3.7, True, 0], "must hold only integers"),
     ("last_used", [3, True, 0], "must hold only integers"),
     ("last_used", [3.0, 0, 0], "must hold only integers"),
     ("ema_mean_e", ["1.5", 0], "must hold only numbers"),
     ("ema_var_q", [True, 1.0], "must hold only numbers"),
     ("ema_var_e", [1.0, -0.5], "holds a negative variance"),
-    ("ema_var_q", [0, -0.5], "holds a negative variance")])
-def test_load_rejects_sidecar_values_numpy_would_take(tmp_path, key, bad, match):
+    ("ema_var_q", [0, -0.5], "holds a negative variance"),
+    ("last_used", [0, -1, 0], "holds a negative step")])
+def test_load_rejects_sidecar_values_numpy_would_take(tmp_path, key, bad, why):
     """numpy takes each of these without complaint: a value it casts to the
-    array's dtype, or a negative variance, whose square root is NaN."""
+    array's dtype, a negative step, or a negative variance, whose square root
+    is NaN. The kind check names the key and what its values must be."""
     path = tmp_path / "cb.bin"
     Codebook(np.arange(6.0).reshape(3, 2)).save(path)
     sidecar_path = tmp_path / "cb.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text(json.dumps({**sidecar, key: bad}))
-    with pytest.raises(ContractViolation, match=f"'{key}' {match}$"):
+    with pytest.raises(ContractViolation, match=_sidecar_kind_message(key)):
         Codebook.load(path)
 
 

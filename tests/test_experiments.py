@@ -112,6 +112,21 @@ def test_config_fills_defaults_and_keeps_overrides():
     assert cfg["optimizer"]["momentum"] == 0.0
 
 
+def test_a_kmeans_reset_needs_m_rows_in_the_hooks_sub_batch():
+    """The reset refits on n_group times the rows of the step's last sub-batch:
+    64 / (3 + 1) = 16 in an alternating run, against m = 32. Equality passes."""
+    alternating = minimal(train_mode="alternating", inner_k=3, outer_k=1,
+                          vq={"reset_every": 10})
+    with pytest.raises(ConfigError, match="^codebook.m=32 exceeds the 16 encoder rows"):
+        resolve_config(alternating)
+    resolve_config({**alternating, "batch_size": 128})
+    resolve_config({**alternating, "vq": {"reset_every": 10, "n_group": 2}})
+    resolve_config({**alternating, "vq": {"reset_every": 0}})
+    resolve_config(minimal(batch_size=32, vq={"reset_every": 10}))
+    with pytest.raises(ConfigError, match="exceeds the 31 encoder rows"):
+        resolve_config(minimal(batch_size=31, vq={"reset_every": 10}))
+
+
 def test_collapse_config_shape():
     cfg = collapse_config(3)
     assert cfg["codebook"]["init"] == "uniform"
@@ -380,6 +395,9 @@ _WRONG_KINDS = _wrong_kind_cases()
     ("init-study", {"init_study": {"methods": ["kmeans", "data_subset", "kmeans"]}}),
     ("train", {"data": mixture(means=[[0.0] * 16, [1.0] * 16], cov_scales=[0.1, 0.1],
                                weights=[1.5, -0.5])}),
+    ("train", {"steps": 100, "train_mode": "alternating", "inner_k": 3, "outer_k": 1,
+               "vq": {"reset_every": 10}}),
+    ("train", {"schedule": {"kind": "cosine_warmup"}}),
 ]] + _WRONG_KINDS, ids=[
         "steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
@@ -412,8 +430,8 @@ _WRONG_KINDS = _wrong_kind_cases()
         "init-study-kmeans-m-above-n", "lr-negative", "init-study-methods-empty",
         "affine-toy-lr-7", "affine-toy-lr-0", "affine-toy-lr-negative", "toy-nu-negative",
         "toy-beta-above-1", "grid-empty", "data-keys-missing", "seed-negative",
-        "init-study-methods-repeated", "data-weights-negative",
-        *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
+        "init-study-methods-repeated", "data-weights-negative", "reset-rows-below-m",
+        "cosine-warmup-total-steps-0", *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides, named):
     """`named`, when given, is the key the one-line report must name."""
     cfgp = write_cfg(tmp_path, "bad.json",
@@ -886,10 +904,13 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_a_non_finite_config_constant_is_a_config_error(tmp_path, capsys, constant):
+    """`artifacts.read_json` rejects it while reading, a number past the float
+    range included."""
     cfgp = tmp_path / "c.json"
     cfgp.write_text('{"scenario": "train", "seed": 0, "optimizer": {"lr": %s}}' % constant)
     assert cli_main(["train", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot read config ") and constant in err
+    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1
+    assert f"non-finite number {constant}" in err

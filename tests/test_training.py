@@ -105,6 +105,13 @@ def test_cosine_warmup_endpoints():
     assert abs(lr_at(s, 110)) < 1e-12            # decayed to zero
 
 
+def test_cosine_warmup_needs_total_steps():
+    """total_steps defaults to 0, which would decay the rate to 0 from step 1."""
+    with pytest.raises(ContractViolation, match="total_steps >= 1"):
+        Schedule(kind="cosine_warmup")
+    assert lr_at(Schedule(kind="cosine_warmup", base_lr=1.0, total_steps=1), 0) == 1.0
+
+
 def test_schedule_from_dict_strict():
     with pytest.raises(ContractViolation):
         Schedule.from_dict({"kind": "constant", "oops": 1})
@@ -176,6 +183,14 @@ def test_train_joint_lru_emits_replacement_events():
     replaced = {i for e in result.replacement_events for i in e["replaced_indices"]}
     assert replaced & {0, 1, 2, 3}
     assert not np.any(cb.codes > 40.0)  # dead codes were overwritten
+
+
+def test_a_scheduled_kmeans_reset_on_fewer_rows_than_codes_raises():
+    """The hook sees the last sub-batch: 8 // (3 + 1) = 2 rows against m = 8."""
+    data, model, cb = toy_setup(m=8)
+    with pytest.raises(ContractViolation, match="kmeans_reset needs a sample with >= 8 rows"):
+        train_alternating(model, cb, VQConfig(reset_every=1), data, steps=1, batch_size=8,
+                          inner_k=3, outer_k=1, track_grad_gap=False)
 
 
 def test_train_joint_affine_ema_hook_moves_stats():

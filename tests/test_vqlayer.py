@@ -44,7 +44,7 @@ def test_config_validation():
     with pytest.raises(ContractViolation):
         VQConfig.from_dict({"alpha": 1.0, "typo_key": 2})
     for bad in ({"alpha": "x"}, {"nu": float("nan")}, {"tau0": None}, {"beta": False},
-                {"n_group": 2.0}, {"lifespan": True}, {"reset_every": -1},
+                {"n_group": 2.0}, {"lifespan": True}, {"reset_every": -1}, {"alpha": 10 ** 400},
                 {"sampling": "stochastic", "tau0": 0.0},
                 {"sampling": "stochastic", "tau_decay": -0.5}):
         with pytest.raises(ContractViolation):
