@@ -45,9 +45,12 @@ def write_json(path, obj) -> None:
 def read_json(path):
     """The value of the UTF-8 JSON file `path`, read as strictly as `write_json`
     writes: a NaN, an Infinity or a real number past the float range (`1e999`)
-    raises ValueError, as does a file that is not UTF-8 or not JSON."""
-    return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite_float,
-                      parse_constant=_finite_float)
+    raises ValueError, as does a file that is not UTF-8, not JSON or nested too deep."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def _finite_float(text: str) -> float:

@@ -38,8 +38,8 @@ def is_finite_number(value) -> bool:
 
 
 # A kind is a (what, test) pair: the values `test` accepts, as `what` names them.
-INT = ("an integer >= 1", lambda v: is_int(v) and v >= 1)
-COUNT = ("an integer >= 0", lambda v: is_int(v) and v >= 0)
+INT = ("an integer in [1, float max]", lambda v: is_int(v) and is_finite_number(v) and v >= 1)
+COUNT = ("an integer in [0, float max]", lambda v: is_int(v) and is_finite_number(v) and v >= 0)
 REAL = ("a finite number", is_finite_number)
 NONNEG = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0)
 FRACTION = ("a number in (0, 1]", lambda v: is_finite_number(v) and 0 < v <= 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -152,10 +152,10 @@ def resolve_config(raw: dict) -> dict:
                               "train_mode is 'alternating'")
         if cfg["data"] is None:
             cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
-        cfg["vq"] = vql.VQConfig.from_dict(cfg["vq"]).to_dict()
+        cfg["vq"] = asdict(vql.VQConfig.from_dict(cfg["vq"]))
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
-            Schedule.from_dict(cfg["schedule"])
+            cfg["schedule"] = asdict(Schedule.from_dict(cfg["schedule"]))
         if cfg["data"]["dim"] != cfg["model"]["d_in"]:
             raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
                               f"model.d_in={cfg['model']['d_in']}")
@@ -241,7 +241,7 @@ def run_training(cfg: dict, seed: int | None = None) -> TrainResult:
     cb = build_codebook(cfg, data, model, _cell_rng(seed, 12))
     vq = vql.VQConfig.from_dict(cfg["vq"])
     opt = SGD(**cfg["optimizer"])
-    schedule = Schedule.from_dict(cfg["schedule"]) if cfg["schedule"] else None
+    schedule = Schedule.from_dict(cfg["schedule"] or {})
     common = dict(steps=cfg["steps"], batch_size=cfg["batch_size"], optimizer=opt,
                   schedule=schedule, seed=seed, track_grad_gap=cfg["track_grad_gap"])
     if cfg["train_mode"] == "alternating":
@@ -324,7 +324,6 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
         path_length += float(np.linalg.norm(z_e_new - z_e))
         z_e = z_e_new
 
-    steps_to_tol = steps
     for t in range(steps - 1, -1, -1):
         if rows[t][4] > tol:
             steps_to_tol = t + 1

@@ -158,12 +158,12 @@ def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
     Both are J^T u for the encoder Jacobian J at the same z_e, with u the task
     gradient at the decoder input: u_e at z_e, u_q at the quantized z. The
     encoder pull-back is linear, so the gap is ||J^T (u_e - u_q)||^2: one
-    decoder pass on a constant copy of z_e and three `Tape.vjp` calls. With
-    `forward` (a training step's own recorded forward) `batch`,
-    `targets` and `config` are not used and nothing but that decoder pass is
-    recorded; without it, the forward is recorded here with deterministic
-    assignment."""
-    if forward is None:
+    decoder pass on a constant copy of z_e and three `Tape.vjp` calls. The gap
+    is defined on deterministic assignment: under it, a training step's own
+    recorded `forward` serves, and nothing but that decoder pass is recorded;
+    without `forward`, or under stochastic sampling, the forward is recorded
+    here with deterministic assignment."""
+    if forward is None or config.sampling != "deterministic":
         forward = record_forward(model, cb, replace(config, sampling="deterministic"),
                                  batch, targets)
     tape, nodes, target, z_e, out, task = forward

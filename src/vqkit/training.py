@@ -11,7 +11,7 @@ from . import codebook as cbk
 from . import metrics as mtr
 from . import vqlayer as vql
 from .autodiff import Node, Tape, _finite
-from .errors import (COUNT, NONNEG, REAL, ContractViolation, NumericFailure, check_kinds,
+from .errors import (COUNT, REAL, ContractViolation, NumericFailure, check_kinds,
                      from_strict_dict, is_int, one_of)
 
 CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
@@ -20,7 +20,8 @@ CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
 @dataclass
 class SGD:
     """SGD with momentum and weight decay: v <- mu*v + g + lambda*theta;
-    theta <- theta - lr*v. Codebook parameters are exempt from weight decay."""
+    theta <- theta - lr*v. Codebook parameters are exempt from weight decay.
+    `lr` is the base rate the trainers scale by their `Schedule`."""
     lr: float = 0.1
     momentum: float = 0.0
     weight_decay: float = 0.0
@@ -49,13 +50,12 @@ class SGD:
 @dataclass
 class Schedule:
     kind: str = "constant"
-    base_lr: float = 0.1
     milestones: tuple = ()
     factor: float = 0.1
     warmup_steps: int = 0
     total_steps: int = 0
 
-    _KINDS = {"kind": one_of("constant", "step", "cosine_warmup"), "base_lr": NONNEG,
+    _KINDS = {"kind": one_of("constant", "step", "cosine_warmup"),
               "milestones": ("a list of integers", lambda v: isinstance(v, (list, tuple))
                              and all(map(is_int, v))),
               "factor": REAL, "warmup_steps": COUNT, "total_steps": COUNT}
@@ -72,20 +72,21 @@ class Schedule:
         return from_strict_dict(cls, raw, "schedule")
 
 
-def lr_at(schedule: Schedule, t: int) -> float:
+def lr_at(schedule: Schedule, base_lr: float, t: int) -> float:
+    """The learning rate of step `t`: `base_lr` as `schedule` scales it."""
     if t < 0:
         raise ContractViolation("t must be >= 0")
     if schedule.kind == "constant":
-        return schedule.base_lr
+        return base_lr
     if schedule.kind == "step":
         hits = sum(1 for ms in schedule.milestones if t >= ms)
-        return schedule.base_lr * schedule.factor ** hits
+        return base_lr * schedule.factor ** hits
     # cosine_warmup: linear ramp 0 -> base over warmup, then cosine to 0
     if schedule.warmup_steps > 0 and t < schedule.warmup_steps:
-        return schedule.base_lr * t / schedule.warmup_steps
+        return base_lr * t / schedule.warmup_steps
     denom = max(schedule.total_steps - schedule.warmup_steps, 1)
     progress = min((t - schedule.warmup_steps) / denom, 1.0)
-    return schedule.base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
+    return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
 def smoothness_loss(tape: Tape, model, nodes, z_e: Node, z_q: Node,
@@ -170,7 +171,7 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
     step's last sub-batch, and the gradient gap. The replacement / affine-EMA /
     k-means hooks and the metrics record follow."""
     data = np.asarray(data, dtype=np.float64)
-    schedule = schedule or Schedule(base_lr=optimizer.lr)
+    schedule = schedule or Schedule()
     # active-ratio window: one epoch of steps, stretched to cover the LRU
     # lifespan when replacement is on (a refreshed code counts as used)
     window = max(1, data.shape[0] // batch_size)
@@ -182,7 +183,7 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
 
     records, events = [], []
     for t in range(steps):
-        out, task, gap = step_fn(next(batches), t, lr_at(schedule, t), rng_vq)
+        out, task, gap = step_fn(next(batches), t, lr_at(schedule, optimizer.lr, t), rng_vq)
         _post_step_hooks(cb, config, out.z_e_grouped.value, out.z_q_grouped.value, t,
                          rng_vq, events)
         records.append(_record(t, out, task, gap, cb, config, window))
@@ -206,12 +207,9 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         if smooth_gamma:
             loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, out.z_q,
                                                   smooth_gamma))
-        gap = 0.0
-        if track_grad_gap:
-            # pre-step parameters; the step's tape is the gap's forward only
-            # when its assignment is the deterministic one the gap is defined on
-            gap = mtr.gradient_gap(model, cb, config, batch, forward=(
-                forward if config.sampling == "deterministic" else None))
+        # at the pre-step parameters
+        gap = (mtr.gradient_gap(model, cb, config, batch, forward=forward)
+               if track_grad_gap else 0.0)
         *model_grads, eff_grad = tape.backward(loss, [*nodes.values(), out.effective_codes])
         grads = dict(zip(nodes, model_grads))
         grads.update(vql.codebook_param_grads(cb, eff_grad, config))

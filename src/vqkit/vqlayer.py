@@ -54,9 +54,6 @@ class VQConfig:
     def from_dict(cls, raw: dict) -> "VQConfig":
         return from_strict_dict(cls, raw, "vq")
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
 
 @dataclass
 class VQOutput:

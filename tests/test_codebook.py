@@ -657,7 +657,8 @@ def test_load_rejects_an_unknown_sidecar_key_other_than_counts(tmp_path):
         Codebook.load(path)
 
 
-@pytest.mark.parametrize("raw", [b"", b"not json", b"{", b"\xff", b'{"last_used": [0, 0, 0]'])
+@pytest.mark.parametrize("raw", [b"", b"not json", b"{", b"\xff", b'{"last_used": [0, 0, 0]',
+                                 pytest.param(b"[" * 100_000, id="nested-too-deep")])
 def test_load_rejects_a_sidecar_that_is_not_json(tmp_path, raw):
     path = tmp_path / "cb.bin"
     Codebook(np.arange(6.0).reshape(3, 2)).save(path)

@@ -38,11 +38,11 @@ from vqkit import (
 )
 from vqkit import experiments as exp
 from vqkit import training
-from vqkit.artifacts import atomic_open, write_json
+from vqkit.artifacts import atomic_open, write_csv, write_json, write_jsonl
 from vqkit.cli import main as cli_main
 from vqkit.codebook import DISTANCE_KINDS
 from vqkit.experiments import _DEFAULTS, _SECTIONS, _TOP_LEVEL, SCENARIOS, TOY_MODES
-from vqkit.metrics import write_metrics_csv
+from vqkit.metrics import METRICS_HEADER, write_metrics_csv
 
 
 def minimal(scenario="train", **extra):
@@ -175,6 +175,10 @@ def test_toy_trajectory_no_vq_converges():
         run_toy_trajectory("sideways", seed=0)
 
 
+def test_toy_trajectory_within_tol_from_the_first_step_has_steps_to_tol_0():
+    assert run_toy_trajectory("joint", 0, tol=1e9).steps_to_tol == 0
+
+
 def test_toy_trajectory_quantized_modes_track_target():
     for mode in ("joint", "alternated", "lookahead"):
         traj = run_toy_trajectory(mode, seed=1)
@@ -225,6 +229,22 @@ def test_run_training_deterministic_for_seed(metrics_bytes):
     b = run_training(cfg)
     assert metrics_bytes(a.records) == metrics_bytes(b.records)
     assert np.array_equal(a.codebook.codes, b.codebook.codes)
+
+
+def test_an_empty_null_or_constant_schedule_trains_at_optimizer_lr(metrics_bytes):
+    """`optimizer.lr` is the one base rate: a constant schedule leaves it as
+    it is, however the schedule is written."""
+    runs = {metrics_bytes(run_training(resolve_config(
+        minimal(steps=6, optimizer={"lr": 0.07}, schedule=schedule))).records)
+        for schedule in ({}, None, {"kind": "constant"})}
+    assert len(runs) == 1
+
+
+def test_the_resolved_config_states_a_given_schedule_in_full():
+    assert resolve_config(minimal())["schedule"] is None
+    assert resolve_config(minimal(schedule={"kind": "step", "milestones": [3]}))["schedule"] \
+        == {"kind": "step", "milestones": (3,), "factor": 0.1, "warmup_steps": 0,
+            "total_steps": 0}
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -398,6 +418,10 @@ _WRONG_KINDS = _wrong_kind_cases()
     ("train", {"steps": 100, "train_mode": "alternating", "inner_k": 3, "outer_k": 1,
                "vq": {"reset_every": 10}}),
     ("train", {"schedule": {"kind": "cosine_warmup"}}),
+    ("train", {"schedule": {"base_lr": 0.1}}),
+    ("train", {"codebook": {"fan": 10 ** 400}}),
+    ("train", {"schedule": {"kind": "cosine_warmup", "warmup_steps": 10 ** 400,
+                            "total_steps": 10 ** 400}}),
 ]] + _WRONG_KINDS, ids=[
         "steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
@@ -431,7 +455,9 @@ _WRONG_KINDS = _wrong_kind_cases()
         "affine-toy-lr-7", "affine-toy-lr-0", "affine-toy-lr-negative", "toy-nu-negative",
         "toy-beta-above-1", "grid-empty", "data-keys-missing", "seed-negative",
         "init-study-methods-repeated", "data-weights-negative", "reset-rows-below-m",
-        "cosine-warmup-total-steps-0", *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
+        "cosine-warmup-total-steps-0", "removed-schedule-base-lr-key",
+        "codebook-fan-past-float-range", "schedule-warmup-steps-past-float-range",
+        *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides, named):
     """`named`, when given, is the key the one-line report must name."""
     cfgp = write_cfg(tmp_path, "bad.json",
@@ -542,7 +568,7 @@ def test_cli_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
     assert cli_main(["train", "--config", cfgp, "--out", str(out), "--seed", "-1"]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == \
-        "config error: config.seed must be an integer >= 0, got -1\n"
+        "config error: config.seed must be an integer in [0, float max], got -1\n"
 
 
 def test_cli_affine_toy_and_ablation_smoke(tmp_path):
@@ -607,6 +633,15 @@ def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
                      "--metrics", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: metrics CSV line 3") and err.count("\n") == 1
+
+
+def test_cli_metrics_replay_rejects_a_csv_with_no_data_rows(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, "train.json", minimal())
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(METRICS_HEADER) + "\n")
+    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(tmp_path / "r"),
+                     "--metrics", str(empty)]) == 2
+    assert capsys.readouterr().err == "config error: metrics CSV has no data rows\n"
 
 
 def test_cli_metrics_replay_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
@@ -893,6 +928,38 @@ def test_non_finite_json_output_is_a_numeric_failure(tmp_path):
         with pytest.raises(NumericFailure, match="^s.json: Out of range float"):
             write_json(tmp_path / "s.json", {"a": [1.0, value]})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_csv_or_jsonl_value_is_a_numeric_failure_and_keeps_the_file(tmp_path):
+    csv_path, jsonl_path = tmp_path / "m.csv", tmp_path / "r.jsonl"
+    csv_path.write_text("old\n")
+    jsonl_path.write_text("old\n")
+    with pytest.raises(NumericFailure, match="^m.csv: non-finite value nan$"):
+        write_csv(csv_path, ["a", "b"], [[0, 0.5], [1, float("nan")]])
+    with pytest.raises(NumericFailure, match="^r.jsonl: Out of range float"):
+        write_jsonl(jsonl_path, [{"a": 0.5}, {"a": float("nan")}])
+    assert csv_path.read_text() == jsonl_path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "r.jsonl"]
+
+
+def test_a_config_nested_too_deeply_for_the_parser_is_a_config_error(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text("[" * 100_000)
+    assert cli_main(["train", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config {cfgp}: JSON nested too deeply\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_vqkit_error_outside_the_config_and_numeric_kinds_exits_2(tmp_path, capsys):
+    """An all-zero codebook under cosine distance is a DegenerateInput, which
+    the CLI reports on one `error:` line."""
+    cfgp = write_cfg(tmp_path, "c.json", minimal(
+        steps=2, vq={"distance": "cosine_unit_norm"},
+        codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
+    assert cli_main(["train", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

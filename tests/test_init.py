@@ -117,6 +117,16 @@ def test_kmeans_pp_seeds_are_sample_rows():
         assert any(np.array_equal(row, s) for s in sample)
 
 
+def test_kmeans_pp_seed_on_identical_rows_draws_each_seed_uniformly():
+    """Every distance to the first seed is 0, so no row is weighted: each
+    further seed is one uniform draw of a row index."""
+    sample = np.full((10, 3), 2.5)
+    rng, uniform = np.random.default_rng(4), np.random.default_rng(4)
+    assert np.array_equal(kmeans_pp_seed(sample, 4, rng), sample[:4])
+    uniform.integers(10, size=4)
+    assert rng.bit_generator.state == uniform.bit_generator.state
+
+
 def test_init_normal_kaiming_std():
     codes = init_codebook("normal_kaiming", 20000, 8, rng=np.random.default_rng(0))
     assert codes.shape == (20000, 8)

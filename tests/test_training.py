@@ -85,31 +85,31 @@ def test_sgd_names_the_first_nonfinite_gradient():
 # -- schedules ------------------------------------------------------------------
 
 def test_constant_schedule():
-    s = Schedule(base_lr=0.3)
-    assert lr_at(s, 0) == lr_at(s, 1000) == 0.3
+    s = Schedule()
+    assert lr_at(s, 0.3, 0) == lr_at(s, 0.3, 1000) == 0.3
 
 
 def test_step_schedule_milestones():
-    s = Schedule(kind="step", base_lr=1.0, milestones=(10, 20), factor=0.1)
-    assert lr_at(s, 9) == 1.0
-    assert abs(lr_at(s, 10) - 0.1) < 1e-15
-    assert abs(lr_at(s, 25) - 0.01) < 1e-15
+    s = Schedule(kind="step", milestones=(10, 20), factor=0.1)
+    assert lr_at(s, 1.0, 9) == 1.0
+    assert abs(lr_at(s, 1.0, 10) - 0.1) < 1e-15
+    assert abs(lr_at(s, 1.0, 25) - 0.01) < 1e-15
 
 
 def test_cosine_warmup_endpoints():
-    s = Schedule(kind="cosine_warmup", base_lr=2.0, warmup_steps=10, total_steps=110)
-    assert lr_at(s, 0) == 0.0
-    assert abs(lr_at(s, 5) - 1.0) < 1e-15       # linear ramp midpoint
-    assert lr_at(s, 10) == 2.0                   # end of warmup
-    assert abs(lr_at(s, 60) - 1.0) < 1e-12       # cosine midpoint
-    assert abs(lr_at(s, 110)) < 1e-12            # decayed to zero
+    s = Schedule(kind="cosine_warmup", warmup_steps=10, total_steps=110)
+    assert lr_at(s, 2.0, 0) == 0.0
+    assert abs(lr_at(s, 2.0, 5) - 1.0) < 1e-15       # linear ramp midpoint
+    assert lr_at(s, 2.0, 10) == 2.0                   # end of warmup
+    assert abs(lr_at(s, 2.0, 60) - 1.0) < 1e-12       # cosine midpoint
+    assert abs(lr_at(s, 2.0, 110)) < 1e-12            # decayed to zero
 
 
 def test_cosine_warmup_needs_total_steps():
     """total_steps defaults to 0, which would decay the rate to 0 from step 1."""
     with pytest.raises(ContractViolation, match="total_steps >= 1"):
         Schedule(kind="cosine_warmup")
-    assert lr_at(Schedule(kind="cosine_warmup", base_lr=1.0, total_steps=1), 0) == 1.0
+    assert lr_at(Schedule(kind="cosine_warmup", total_steps=1), 1.0, 0) == 1.0
 
 
 def test_schedule_from_dict_strict():
@@ -117,7 +117,10 @@ def test_schedule_from_dict_strict():
         Schedule.from_dict({"kind": "constant", "oops": 1})
     with pytest.raises(ContractViolation):
         Schedule.from_dict({"kind": "cosine_warmup", "warmup_steps": 5, "total_steps": 1})
-    s = Schedule.from_dict({"kind": "step", "milestones": [3], "base_lr": 0.5})
+    # the base rate is the optimizer's lr, not a schedule key
+    with pytest.raises(ContractViolation, match=r"^unknown schedule keys: \['base_lr'\]$"):
+        Schedule.from_dict({"kind": "step", "base_lr": 0.5})
+    s = Schedule.from_dict({"kind": "step", "milestones": [3]})
     assert s.milestones == (3,)
 
 

@@ -1,5 +1,7 @@
 """Quantization layer: forward contract, commitment loss, EMA/affine/LRU
 updates, and the codebook gradients against the tape composite."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_config_validation():
     assert VQConfig(tau0=0.0, alpha=5, n_group=np.int64(2)).n_group == 2
     cfg = VQConfig.from_dict({"alpha": 2.0, "beta": 0.5})
     assert cfg.alpha == 2.0 and cfg.beta == 0.5
-    assert VQConfig.from_dict(cfg.to_dict()) == cfg
+    assert VQConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_tau_schedule_is_geometric():
