@@ -4,6 +4,8 @@ Usage: vqkit <subcommand> --config <path> --out <dir> [--seed N]
 
 Subcommands: toy-trajectory, affine-toy, ablation, train, init-study,
 metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure.
+A run that exits 2 leaves no directory it created; one that exits 3 leaves
+its `config.json`.
 Given the same config and seed, outputs are byte-identical across runs.
 """
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -143,6 +146,7 @@ def main(argv=None) -> int:
             p.add_argument(flag, required=True, help=help_text)
     args = parser.parse_args(argv)
     scenario, run, _ = COMMANDS[args.command]
+    created = None
 
     try:
         # numpy's floating-point warnings would precede the one-line report;
@@ -154,17 +158,20 @@ def main(argv=None) -> int:
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
             out = Path(args.out)
+            # the outermost directory that mkdir makes: a run that exits 2
+            # removes it, one that exits 3 keeps its config.json
+            created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
             out.mkdir(parents=True, exist_ok=True)
             write_json(out / "config.json", cfg)
             run(cfg, out, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except VQKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -79,7 +79,8 @@ def _default_mixture(dim: int = 16, n: int = 1024) -> dict:
 # sweep.
 _CELLS = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)   # a grid field
 _SECTIONS = {
-    "optimizer": {"lr": (NONNEG, 0.05), "momentum": (REAL, 0.0), "weight_decay": (REAL, 0.0)},
+    "optimizer": {"lr": (NONNEG, SGD.lr), "momentum": (REAL, SGD.momentum),
+                  "weight_decay": (REAL, SGD.weight_decay)},
     "model": {"d_in": (INT, 16), "hidden": (INT, 32), "d_code": (INT, 8)},
     "codebook": {"m": (INT, 32), "init": (one_of(*initialization.INIT_METHODS), "normal_kaiming"),
                  "fan": (INT,), "low": (REAL,), "high": (REAL,), "iters": (INT,)},

@@ -22,7 +22,7 @@ class SGD:
     """SGD with momentum and weight decay: v <- mu*v + g + lambda*theta;
     theta <- theta - lr*v. Codebook parameters are exempt from weight decay.
     `lr` is the base rate the trainers scale by their `Schedule`."""
-    lr: float = 0.1
+    lr: float = 0.05
     momentum: float = 0.0
     weight_decay: float = 0.0
     velocities: dict = field(default_factory=dict)

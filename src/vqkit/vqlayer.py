@@ -43,12 +43,10 @@ class VQConfig:
         if self.sampling == "stochastic" and not (self.tau0 > 0.0 and self.tau_decay > 0.0):
             raise ContractViolation("stochastic sampling requires tau0 > 0 and tau_decay > 0")
 
-    def tau_at(self, step: int) -> float:
-        return self.tau0 * self.tau_decay ** step
-
     def sampling_tau(self, step: int) -> Optional[float]:
-        """Temperature for `codebook.assign`: None selects the nearest code."""
-        return self.tau_at(step) if self.sampling == "stochastic" else None
+        """Temperature for `codebook.assign` at `step`, `tau0 · tau_decay^step`
+        under stochastic sampling; None selects the nearest code."""
+        return self.tau0 * self.tau_decay ** step if self.sampling == "stochastic" else None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VQConfig":

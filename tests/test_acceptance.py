@@ -13,16 +13,9 @@ import vqkit.codebook as cbk_mod
 from finite_differences import finite_difference_gradient
 from vqkit import (
     Codebook,
-    MLPAutoencoder,
     Tape,
     VQConfig,
     collapse_config,
-    activation_probability,
-    assign,
-    ema_update,
-    nearest_code,
-    pairwise_distances_chunked,
-    perplexity,
     quantize,
     resolve_config,
     run_affine_toy,
@@ -31,6 +24,10 @@ from vqkit import (
     run_training,
 )
 from vqkit.cli import main as cli_main
+from vqkit.codebook import assign, nearest_code, pairwise_distances_chunked
+from vqkit.metrics import activation_probability, perplexity
+from vqkit.models import MLPAutoencoder
+from vqkit.vqlayer import ema_update
 
 
 def _passed(num, name):

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 import vqkit.autodiff as autodiff_mod
 from finite_differences import finite_difference_gradient
-from vqkit import (
-    ContractViolation,
-    NumericFailure,
-    Tape,
-    as_matrix,
-)
+from vqkit import ContractViolation, NumericFailure, Tape
+from vqkit.autodiff import as_matrix
+from vqkit.models import MLPAutoencoder
 
 
 def rel_err(a, b):
@@ -233,8 +230,6 @@ def test_finite_difference_requires_positive_h():
 
 def test_full_mlp_loss_matches_fd():
     # end-to-end: two-layer tanh network, every parameter checked at once
-    from vqkit import MLPAutoencoder
-
     rng = np.random.default_rng(21)
     model = MLPAutoencoder(d_in=6, hidden=5, d_code=3, rng=rng)
     x = rng.standard_normal((8, 6))
@@ -269,8 +264,6 @@ def test_full_mlp_loss_matches_fd():
 # -- vjp ------------------------------------------------------------------------
 
 def mlp_tape(seed=31):
-    from vqkit import MLPAutoencoder
-
     rng = np.random.default_rng(seed)
     model = MLPAutoencoder(d_in=6, hidden=5, d_code=3, rng=rng)
     tape = Tape()

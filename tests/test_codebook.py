@@ -17,25 +17,26 @@ from hypothesis import strategies as st
 import vqkit.codebook as cbk_mod
 import vqkit.vqlayer as vql
 from vqkit import (
-    DISTANCE_KINDS,
-    SGD,
     Codebook,
     ContractViolation,
     DegenerateInput,
-    MLPAutoencoder,
     NumericFailure,
     Tape,
     VQConfig,
+    quantize,
+)
+from vqkit.autodiff import scatter_add_rows
+from vqkit.codebook import (
+    DISTANCE_KINDS,
     assign,
     nearest_code,
     normalize_rows,
     pairwise_distances_chunked,
-    quantize,
     sample_code_stochastic,
 )
-from vqkit.autodiff import scatter_add_rows
 from vqkit.initialization import LLOYD_TOL, lloyd
-from vqkit.training import _inner_step
+from vqkit.models import MLPAutoencoder
+from vqkit.training import SGD, _inner_step
 
 
 def naive_half_sq(queries, codes, kind):

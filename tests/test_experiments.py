@@ -18,31 +18,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vqkit.experiments as exp
+import vqkit.training as training
 from vqkit import (
-    SGD,
     Codebook,
     ConfigError,
     ContractViolation,
-    MixtureSpec,
     NumericFailure,
-    Schedule,
     VQConfig,
     collapse_config,
-    gen_mixture,
     resolve_config,
-    run_ablation,
     run_affine_toy,
     run_init_study,
     run_toy_trajectory,
     run_training,
 )
-from vqkit import experiments as exp
-from vqkit import training
 from vqkit.artifacts import atomic_open, write_csv, write_json, write_jsonl
 from vqkit.cli import main as cli_main
 from vqkit.codebook import DISTANCE_KINDS
-from vqkit.experiments import _DEFAULTS, _SECTIONS, _TOP_LEVEL, SCENARIOS, TOY_MODES
+from vqkit.experiments import (
+    _DEFAULTS,
+    _SECTIONS,
+    _TOP_LEVEL,
+    SCENARIOS,
+    TOY_MODES,
+    MixtureSpec,
+    gen_mixture,
+    run_ablation,
+)
 from vqkit.metrics import METRICS_HEADER, write_metrics_csv
+from vqkit.training import SGD, Schedule
 
 
 def minimal(scenario="train", **extra):
@@ -110,6 +115,14 @@ def test_config_fills_defaults_and_keeps_overrides():
     cfg = resolve_config(minimal(optimizer={"lr": 0.7}))
     assert cfg["optimizer"]["lr"] == 0.7
     assert cfg["optimizer"]["momentum"] == 0.0
+
+
+def test_the_library_optimizer_defaults_are_the_cli_defaults():
+    """`train_joint` and `train_alternating` called without an optimizer train
+    at the rate a config without an `optimizer` section gets."""
+    optimizer = resolve_config(minimal())["optimizer"]
+    assert SGD().lr == optimizer["lr"]
+    assert SGD(**optimizer) == SGD()
 
 
 def test_a_kmeans_reset_needs_m_rows_in_the_hooks_sub_batch():
@@ -629,10 +642,12 @@ def test_cli_metrics_replay_rejects_bad_rows(tmp_path, capsys, mangle):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(tmp_path / "r"),
+    out = tmp_path / "r"
+    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(out),
                      "--metrics", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: metrics CSV line 3") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_metrics_replay_rejects_a_csv_with_no_data_rows(tmp_path, capsys):
@@ -957,9 +972,27 @@ def test_a_vqkit_error_outside_the_config_and_numeric_kinds_exits_2(tmp_path, ca
     cfgp = write_cfg(tmp_path, "c.json", minimal(
         steps=2, vq={"distance": "cosine_unit_norm"},
         codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
-    assert cli_main(["train", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli_main(["train", "--config", cfgp, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_run_that_exits_2_removes_only_the_directories_it_created(tmp_path, capsys):
+    """The outermost directory the run made goes; one that existed before
+    the run stays, with what it held."""
+    cfgp = write_cfg(tmp_path, "c.json", minimal(
+        steps=2, vq={"distance": "cosine_unit_norm"},
+        codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
+    assert cli_main(["train", "--config", cfgp, "--out", str(tmp_path / "a" / "b")]) == 2
+    assert not (tmp_path / "a").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    assert cli_main(["train", "--config", cfgp, "--out", str(kept)]) == 2
+    assert (kept / "notes.txt").read_text() == "mine"
+    assert capsys.readouterr().err.count("\n") == 2
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

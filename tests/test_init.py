@@ -3,19 +3,11 @@ and the init_codebook front end."""
 import numpy as np
 import pytest
 
-from vqkit import (
-    LLOYD_TOL,
-    ContractViolation,
-    NumericFailure,
-    divergence,
-    init_codebook,
-    kmeans,
-    kmeans_pp_seed,
-    lloyd_step,
-    pairwise_distances_chunked,
-)
+from vqkit import ContractViolation, NumericFailure
 from vqkit.autodiff import scatter_add_rows
-from vqkit.initialization import lloyd
+from vqkit.codebook import pairwise_distances_chunked
+from vqkit.initialization import LLOYD_TOL, init_codebook, kmeans, kmeans_pp_seed, lloyd, lloyd_step
+from vqkit.metrics import divergence
 
 
 def test_lloyd_step_moves_centers_to_member_means():

@@ -8,23 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqkit import (
+from vqkit import Codebook, ContractViolation, Tape, VQConfig
+from vqkit.metrics import (
     METRICS_HEADER,
-    Codebook,
-    ContractViolation,
-    SGD,
-    MLPAutoencoder,
     MetricsRecord,
-    Tape,
-    VQConfig,
     activation_probability,
     active_ratio,
     divergence,
     gradient_gap,
     perplexity,
-    train_joint,
     write_metrics_csv,
 )
+from vqkit.models import MLPAutoencoder
+from vqkit.training import SGD, train_joint
 
 
 # -- perplexity ----------------------------------------------------------------

@@ -4,21 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vqkit import (
-    Codebook,
-    ContractViolation,
-    MLPAutoencoder,
-    NumericFailure,
-    Schedule,
-    SGD,
-    Tape,
-    VQConfig,
-    gradient_gap,
-    lr_at,
-    smoothness_loss,
-    train_alternating,
-    train_joint,
-)
+from vqkit import Codebook, ContractViolation, NumericFailure, Tape, VQConfig
+from vqkit.metrics import gradient_gap
+from vqkit.models import MLPAutoencoder
+from vqkit.training import SGD, Schedule, lr_at, smoothness_loss, train_alternating, train_joint
 
 
 def toy_setup(seed=0, m=8, n=256):

@@ -5,25 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vqkit import (
-    Codebook,
-    ContractViolation,
-    MLPAutoencoder,
-    Tape,
-    VQConfig,
+from vqkit import Codebook, ContractViolation, Tape, VQConfig, quantize
+from vqkit.autodiff import scatter_add_rows
+from vqkit.codebook import assign, nearest_code, quantize_row_factors
+from vqkit.models import MLPAutoencoder
+from vqkit.training import train_alternating, train_joint
+from vqkit.vqlayer import (
     affine_update_ema,
     codebook_param_grads,
     commitment_codebook_grads,
     ema_update,
     kmeans_reset,
     lru_replace,
-    nearest_code,
-    quantize,
-    train_alternating,
-    train_joint,
 )
-from vqkit.autodiff import scatter_add_rows
-from vqkit.codebook import assign, quantize_row_factors
 
 
 def make_cb(m=6, d=4, seed=0):
@@ -59,9 +53,10 @@ def test_config_validation():
 
 
 def test_tau_schedule_is_geometric():
-    cfg = VQConfig(tau0=2.0, tau_decay=0.5)
-    assert cfg.tau_at(0) == 2.0
-    assert cfg.tau_at(3) == 2.0 * 0.5 ** 3
+    cfg = VQConfig(sampling="stochastic", tau0=2.0, tau_decay=0.5)
+    assert cfg.sampling_tau(0) == 2.0
+    assert cfg.sampling_tau(3) == 2.0 * 0.5 ** 3
+    assert VQConfig(tau0=2.0, tau_decay=0.5).sampling_tau(3) is None
 
 
 # -- commitment loss ----------------------------------------------------------
