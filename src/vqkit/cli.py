@@ -146,7 +146,7 @@ def main(argv=None) -> int:
             p.add_argument(flag, required=True, help=help_text)
     args = parser.parse_args(argv)
     scenario, run, _ = COMMANDS[args.command]
-    created = None
+    created = []
 
     try:
         # numpy's floating-point warnings would precede the one-line report;
@@ -158,10 +158,12 @@ def main(argv=None) -> int:
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
             out = Path(args.out)
-            # the outermost directory that mkdir makes: a run that exits 2
-            # removes it, one that exits 3 keeps its config.json
-            created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
-            out.mkdir(parents=True, exist_ok=True)
+            # each directory the run makes, outermost first: a run that exits 2
+            # removes them, one that exits 3 keeps its config.json
+            for level in reversed((out, *out.parents)):
+                if not level.exists():
+                    level.mkdir()
+                    created.append(level)
             write_json(out / "config.json", cfg)
             run(cfg, out, args)
     except NumericFailure as exc:
@@ -170,8 +172,8 @@ def main(argv=None) -> int:
     except VQKitError as exc:
         kind = "config error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
+        for level in reversed(created):
+            shutil.rmtree(level, ignore_errors=True)
         return EXIT_CONFIG
     return EXIT_OK
 

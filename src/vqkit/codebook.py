@@ -70,8 +70,6 @@ class Codebook:
         raise ContractViolation(f"unknown affine mode {mode!r}")
 
     def effective_codes(self, affine_mode: str = "off", lr_scale: float = 1.0) -> np.ndarray:
-        if affine_mode == "off":
-            return self.codes.copy()
         a, b = self.affine(affine_mode, lr_scale)
         return a * self.codes + b
 
@@ -145,15 +143,15 @@ class Codebook:
         return cb
 
 
-def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (unit rows, norms). Zero-norm rows are degenerate under cosine,
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Return the unit rows of `x`. Zero-norm rows are degenerate under cosine,
     and a norm that is not finite is a NumericFailure."""
     norms = np.linalg.norm(x, axis=1)
     if not np.isfinite(norms).all():
         raise NumericFailure("non-finite norm under cosine distance")
     if np.any(norms == 0.0):
         raise DegenerateInput("zero-norm vector under cosine distance")
-    return x / norms[:, None], norms
+    return x / norms[:, None]
 
 
 # Queries are taken CHUNK_ROWS rows at a time. A chunk is cut by rows into
@@ -237,8 +235,8 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
     query_half_sq = _given_half_sq("query_half_sq", query_half_sq, n, kind)
     code_half_sq = _given_half_sq("code_half_sq", code_half_sq, m, kind)
     if kind != "euclidean":
-        queries, _ = normalize_rows(queries)
-        codes, _ = normalize_rows(codes)
+        queries = normalize_rows(queries)
+        codes = normalize_rows(codes)
     if query_half_sq is None:
         query_half_sq = half_sq_norms(queries)
     if code_half_sq is None:
@@ -300,7 +298,7 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     query_half_sq = _given_half_sq("query_half_sq", query_half_sq, n, kind)
     if kind != "euclidean":
         # the kernel is called on unit rows, as euclidean
-        codes, _ = normalize_rows(codes)
+        codes = normalize_rows(codes)
     code_half_sq = half_sq_norms(codes)
     # Every piece is written to the start of a buffer sized for a whole chunk.
     # A piece-sized one would do, but glibc returns freed heap memory to the
@@ -314,7 +312,7 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     for lo, hi in _row_blocks(n, m):
         piece = queries[lo:hi]
         if kind != "euclidean":
-            piece, _ = normalize_rows(piece)
+            piece = normalize_rows(piece)
         block = pairwise_distances_chunked(
             piece, codes, out=buf[:hi - lo], clip=False, code_half_sq=code_half_sq,
             query_half_sq=None if query_half_sq is None else query_half_sq[lo:hi])

@@ -241,10 +241,9 @@ def run_training(cfg: dict, seed: int | None = None) -> TrainResult:
     model = MLPAutoencoder(rng=_cell_rng(seed, 11), **cfg["model"])
     cb = build_codebook(cfg, data, model, _cell_rng(seed, 12))
     vq = vql.VQConfig.from_dict(cfg["vq"])
-    opt = SGD(**cfg["optimizer"])
-    schedule = Schedule.from_dict(cfg["schedule"] or {})
-    common = dict(steps=cfg["steps"], batch_size=cfg["batch_size"], optimizer=opt,
-                  schedule=schedule, seed=seed, track_grad_gap=cfg["track_grad_gap"])
+    opt = SGD(**cfg["optimizer"], schedule=Schedule.from_dict(cfg["schedule"] or {}))
+    common = dict(steps=cfg["steps"], batch_size=cfg["batch_size"], optimizer=opt, seed=seed,
+                  track_grad_gap=cfg["track_grad_gap"])
     if cfg["train_mode"] == "alternating":
         return train_alternating(model, cb, vq, data, inner_k=cfg["inner_k"],
                                  outer_k=cfg["outer_k"], **common)
@@ -302,7 +301,7 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
         z_q = cb.codes
         if mode == "alternated":
             # train_alternating's inner step: the code against a constant embedding
-            _inner_step(None, cb, config, z_e, lr, t, None, SGD(lr=lr))
+            _inner_step(None, cb, config, z_e, t, None, SGD(lr=lr))
         tape = Tape()
         ze_node = tape.leaf(z_e)
         if mode == "no_vq":

@@ -9,6 +9,7 @@ from .codebook import assign, half_sq_norms, pairwise_distances_chunked
 from .errors import ContractViolation, NumericFailure
 
 LLOYD_TOL = 1e-9
+LLOYD_ITERS = 50   # the Lloyd budget of a k-means init and of a k-means reset
 INIT_METHODS = ("normal_kaiming", "uniform", "data_subset", "kmeans")
 
 
@@ -75,7 +76,7 @@ def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.n
 
 
 def kmeans(sample: np.ndarray, m: int, rng: np.random.Generator,
-           iters: int = 50) -> np.ndarray:
+           iters: int = LLOYD_ITERS) -> np.ndarray:
     """k-means++ seeding followed by Lloyd iterations until the max center
     displacement drops below LLOYD_TOL or the iteration budget runs out."""
     if iters < 1:
@@ -102,7 +103,7 @@ def lloyd(centers: np.ndarray, sample: np.ndarray, iters: int) -> np.ndarray:
 
 def init_codebook(method: str, m: int, d: int, sample=None, *,
                   rng: np.random.Generator, fan: int | None = None, low: float = -1.0,
-                  high: float = 1.0, iters: int = 50) -> np.ndarray:
+                  high: float = 1.0, iters: int = LLOYD_ITERS) -> np.ndarray:
     """Produce an m x d code matrix. The same rng state gives bit-identical
     output.
 

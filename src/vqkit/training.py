@@ -18,36 +18,6 @@ CODEBOOK_PARAM_NAMES = ("codes", "affine_scale", "affine_bias")
 
 
 @dataclass
-class SGD:
-    """SGD with momentum and weight decay: v <- mu*v + g + lambda*theta;
-    theta <- theta - lr*v. Codebook parameters are exempt from weight decay.
-    `lr` is the base rate the trainers scale by their `Schedule`."""
-    lr: float = 0.05
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    velocities: dict = field(default_factory=dict)
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: Optional[float] = None) -> None:
-        eta = self.lr if lr is None else lr
-        given = [g for g in map(grads.get, params) if g is not None]
-        # one test of every gradient; the loop tests again only to name the failing one
-        finite = not given or _finite(np.concatenate([g.ravel() for g in given]))
-        for name, theta in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(theta)
-            elif not finite and not _finite(g):
-                raise NumericFailure(f"non-finite gradient for parameter {name!r}")
-            if self.weight_decay != 0.0 and name not in CODEBOOK_PARAM_NAMES:
-                g = g + self.weight_decay * theta
-            v = self.velocities.get(name)
-            v = g if v is None else self.momentum * v + g
-            self.velocities[name] = v
-            params[name] = theta - eta * v
-
-
-@dataclass
 class Schedule:
     kind: str = "constant"
     milestones: tuple = ()
@@ -89,6 +59,33 @@ def lr_at(schedule: Schedule, base_lr: float, t: int) -> float:
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
+@dataclass
+class SGD:
+    """SGD with momentum and weight decay: v <- mu*v + g + lambda*theta;
+    theta <- theta - eta*v, with eta the base rate `lr` as `schedule` scales it
+    at the step. Codebook parameters are exempt from weight decay."""
+    lr: float = 0.05
+    momentum: float = 0.0
+    weight_decay: float = 0.0
+    schedule: Schedule = field(default_factory=Schedule)
+    velocities: dict = field(default_factory=dict)
+
+    def step(self, params: dict, grads: dict, t: int) -> None:
+        eta = lr_at(self.schedule, self.lr, t)
+        # one test of every gradient; the loop tests again only to name the failing one
+        finite = _finite(np.concatenate([grads[name].ravel() for name in params]))
+        for name, theta in params.items():
+            g = grads[name]
+            if not finite and not _finite(g):
+                raise NumericFailure(f"non-finite gradient for parameter {name!r}")
+            if self.weight_decay != 0.0 and name not in CODEBOOK_PARAM_NAMES:
+                g = g + self.weight_decay * theta
+            v = self.velocities.get(name)
+            v = g if v is None else self.momentum * v + g
+            self.velocities[name] = v
+            params[name] = theta - eta * v
+
+
 def smoothness_loss(tape: Tape, model, nodes, z_e: Node, z_q: Node,
                     gamma: float) -> Node:
     """gamma * mean-row half squared distance between decoder outputs on z_q
@@ -121,13 +118,12 @@ def _batches(data: np.ndarray, batch_size: int, rng: np.random.Generator):
     return stream()
 
 
-def _apply(optimizer: SGD, model, cb: cbk.Codebook, grads: dict, eta: float) -> None:
-    """One optimizer step on exactly the parameters named in `grads`: codebook
-    parameters (`CODEBOOK_PARAM_NAMES`) on `cb`, the rest in `model.params`.
-    A None gradient still moves its parameter under momentum."""
+def _apply(optimizer: SGD, model, cb: cbk.Codebook, grads: dict, t: int) -> None:
+    """Optimizer step `t` on exactly the parameters named in `grads`: codebook
+    parameters (`CODEBOOK_PARAM_NAMES`) on `cb`, the rest in `model.params`."""
     params = {name: getattr(cb, name) if name in CODEBOOK_PARAM_NAMES else model.params[name]
               for name in grads}
-    optimizer.step(params, grads, lr=eta)
+    optimizer.step(params, grads, t)
     for name, value in params.items():
         if name in CODEBOOK_PARAM_NAMES:
             setattr(cb, name, value)
@@ -163,15 +159,13 @@ def _record(step, out: vql.VQOutput, task: Node, gap, cb, config, window):
 
 
 def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
-                steps: int, batch_size: int, optimizer: SGD,
-                schedule: Optional[Schedule], seed: int) -> TrainResult:
+                steps: int, batch_size: int, seed: int) -> TrainResult:
     """The loop both trainers share. Each step draws a batch and calls
-    `step_fn(batch, t, eta, rng_vq)`, which updates the model and codebook and
-    returns (out, task, gap): the `quantize` output and task-loss node of the
-    step's last sub-batch, and the gradient gap. The replacement / affine-EMA /
-    k-means hooks and the metrics record follow."""
+    `step_fn(batch, t, rng_vq)`, which takes optimizer step `t` on the model
+    and codebook and returns (out, task, gap): the `quantize` output and
+    task-loss node of the step's last sub-batch, and the gradient gap. The
+    replacement / affine-EMA / k-means hooks and the metrics record follow."""
     data = np.asarray(data, dtype=np.float64)
-    schedule = schedule or Schedule()
     # active-ratio window: one epoch of steps, stretched to cover the LRU
     # lifespan when replacement is on (a refreshed code counts as used)
     window = max(1, data.shape[0] // batch_size)
@@ -183,7 +177,7 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
 
     records, events = [], []
     for t in range(steps):
-        out, task, gap = step_fn(next(batches), t, lr_at(schedule, optimizer.lr, t), rng_vq)
+        out, task, gap = step_fn(next(batches), t, rng_vq)
         _post_step_hooks(cb, config, out.z_e_grouped.value, out.z_q_grouped.value, t,
                          rng_vq, events)
         records.append(_record(t, out, task, gap, cb, config, window))
@@ -191,15 +185,14 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
 
 
 def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
-                steps: int, batch_size: int, optimizer: Optional[SGD] = None,
-                schedule: Optional[Schedule] = None, seed: int = 0,
+                steps: int, batch_size: int, optimizer: Optional[SGD] = None, seed: int = 0,
                 track_grad_gap: bool = True, smooth_gamma: float = 0.0) -> TrainResult:
-    """Joint training: one optimizer step per mini-batch over the
-    encoder, decoder, and codebook simultaneously, followed by the
-    replacement / affine-EMA hooks."""
+    """Joint training: optimizer step t (its `lr` as its `schedule` scales it)
+    on mini-batch t over the encoder, decoder, and codebook simultaneously,
+    followed by the replacement / affine-EMA hooks."""
     optimizer = optimizer or SGD()
 
-    def step(batch, t, eta, rng):
+    def step(batch, t, rng):
         forward = mtr.record_forward(model, cb, config, batch, step=t, rng=rng)
         tape, nodes, _, z_e, out, task = forward
         cb.mark_used(out.indices, t)
@@ -213,23 +206,22 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
         *model_grads, eff_grad = tape.backward(loss, [*nodes.values(), out.effective_codes])
         grads = dict(zip(nodes, model_grads))
         grads.update(vql.codebook_param_grads(cb, eff_grad, config))
-        _apply(optimizer, model, cb, grads, eta)
+        _apply(optimizer, model, cb, grads, t)
         return out, task, gap
 
     return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
-                       optimizer=optimizer, schedule=schedule, seed=seed)
+                       seed=seed)
 
 
 def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
                       steps: int, batch_size: int, inner_k: int = 1, outer_k: int = 1,
-                      optimizer: Optional[SGD] = None,
-                      schedule: Optional[Schedule] = None, seed: int = 0,
+                      optimizer: Optional[SGD] = None, seed: int = 0,
                       track_grad_gap: bool = True) -> TrainResult:
-    """Alternating optimization: per cycle, inner_k codebook-only steps on the
+    """Alternating optimization: per step t, inner_k codebook-only steps on the
     codebook-facing commitment term, then outer_k encoder/decoder-only steps on
-    the task loss. Each sub-step consumes a distinct slice of the mini-batch so
-    the example count matches train_joint. The encoder does not move during
-    the inner steps, so one encoder pass over their rows serves them all."""
+    the task loss, all at optimizer step t. Each sub-step consumes a distinct
+    slice of the mini-batch so the example count matches train_joint. The
+    encoder does not move during the inner steps, so one pass serves them all."""
     if inner_k < 1 or outer_k < 1:
         raise ContractViolation("inner_k and outer_k must be >= 1")
     n_sub = inner_k + outer_k
@@ -240,36 +232,35 @@ def train_alternating(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
     # one SGD for both phases: codebook and model parameter names never clash
     optimizer = optimizer or SGD()
 
-    def step(batch, t, eta, rng):
+    def step(batch, t, rng):
         z_inner = model.encode_values(batch[:inner_k * sub])
         for i in range(inner_k):
-            _inner_step(model, cb, config, z_inner[i * sub:(i + 1) * sub], eta, t, rng,
-                        optimizer)
+            _inner_step(model, cb, config, z_inner[i * sub:(i + 1) * sub], t, rng, optimizer)
         # the gap of the codebook the outer steps train against
         gap = mtr.gradient_gap(model, cb, config, batch) if track_grad_gap else 0.0
         for i in range(inner_k, n_sub):
-            out, task = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], eta, t,
-                                    rng, optimizer)
+            out, task = _outer_step(model, cb, config, batch[i * sub:(i + 1) * sub], t, rng,
+                                    optimizer)
         return out, task, gap
 
     return _train_loop(model, cb, config, data, step, steps=steps, batch_size=batch_size,
-                       optimizer=optimizer, schedule=schedule, seed=seed)
+                       seed=seed)
 
 
-def _inner_step(model, cb, config, z_e_rows, eta, step, rng, optimizer):
+def _inner_step(model, cb, config, z_e_rows, step, rng, optimizer):
     """Codebook-only step on the commitment loss of the encoder rows
     `z_e_rows`; the model's parameters stay untouched."""
     tape = Tape()
     out = vql.quantize(tape, tape.leaf(z_e_rows), cb, config, step=step, rng=rng)
     cb.mark_used(out.indices, step)
-    _apply(optimizer, model, cb, vql.commitment_codebook_grads(tape, out, cb, config), eta)
+    _apply(optimizer, model, cb, vql.commitment_codebook_grads(tape, out, cb, config), step)
 
 
-def _outer_step(model, cb, config, sub_batch, eta, step, rng, optimizer):
+def _outer_step(model, cb, config, sub_batch, step, rng, optimizer):
     """Task-loss step over encoder/decoder only; raw codes stay untouched."""
     tape, nodes, _, _, out, task = mtr.record_forward(model, cb, config, sub_batch,
                                                       step=step, rng=rng)
     cb.mark_used(out.indices, step)
     grads = dict(zip(nodes, tape.backward(task, nodes.values())))
-    _apply(optimizer, model, cb, grads, eta)
+    _apply(optimizer, model, cb, grads, step)
     return out, task

@@ -158,13 +158,13 @@ def lru_replace(cb: cbk.Codebook, z_batch, step: int, lifespan: int,
     return stale.tolist()
 
 
-def kmeans_reset(cb: cbk.Codebook, sample, iters: int = 50) -> None:
+def kmeans_reset(cb: cbk.Codebook, sample) -> None:
     """Refit the raw codes with Lloyd iterations warm-started from the current
     codes. Affine parameters and usage state are preserved."""
     sample = np.asarray(sample, dtype=np.float64)
     if sample.shape[0] < cb.m:
         raise ContractViolation(f"kmeans_reset needs a sample with >= {cb.m} rows")
-    cb.codes = initialization.lloyd(cb.codes.copy(), sample, iters)
+    cb.codes = initialization.lloyd(cb.codes.copy(), sample, initialization.LLOYD_ITERS)
 
 
 def commitment_codebook_grads(tape: Tape, out: VQOutput, cb: cbk.Codebook,

@@ -104,7 +104,7 @@ def test_assign_matches_per_row_scan_and_every_caller(kind, monkeypatch):
         return grads(tape_, out_, cb_, config_)
 
     monkeypatch.setattr(vql, "commitment_codebook_grads", spy)
-    _inner_step(model, cb, config, rows, 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
+    _inner_step(model, cb, config, rows, 0, np.random.default_rng(0), SGD(lr=0.1))
     assert len(seen) == 1 and np.array_equal(seen[0], idx)
 
 
@@ -484,8 +484,8 @@ def test_norms_past_the_float_range_are_a_numeric_failure(kind, side):
 
 def test_normalize_rows_returns_norms():
     x = np.array([[3.0, 4.0], [0.0, 2.0]])
-    unit, norms = normalize_rows(x)
-    assert np.allclose(norms, [5.0, 2.0])
+    unit = normalize_rows(x)
+    assert np.allclose(unit * [[5.0], [2.0]], x)
     assert np.allclose(np.linalg.norm(unit, axis=1), 1.0)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import filecmp
 import functools
+import inspect
 import io
 import itertools
 import json
@@ -47,6 +48,7 @@ from vqkit.experiments import (
     run_ablation,
 )
 from vqkit.metrics import METRICS_HEADER, write_metrics_csv
+from vqkit.models import MLPAutoencoder
 from vqkit.training import SGD, Schedule
 
 
@@ -123,6 +125,20 @@ def test_the_library_optimizer_defaults_are_the_cli_defaults():
     optimizer = resolve_config(minimal())["optimizer"]
     assert SGD().lr == optimizer["lr"]
     assert SGD(**optimizer) == SGD()
+
+
+def test_each_cli_default_is_the_default_of_the_library_call_it_feeds():
+    """A key a config leaves out takes the default of the library argument it
+    feeds (the optimizer section: the test above)."""
+    toy = run_toy_trajectory.__kwdefaults__
+    assert _DEFAULTS["toy"] == {**toy, "target": list(toy["target"])}
+    assert _DEFAULTS["affine_toy"] == run_affine_toy.__kwdefaults__
+    model = inspect.signature(MLPAutoencoder).parameters
+    assert _DEFAULTS["model"] == {key: model[key].default for key in _DEFAULTS["model"]}
+    for trainer, keys in ((training.train_alternating, ("inner_k", "outer_k", "track_grad_gap")),
+                          (training.train_joint, ("track_grad_gap", "smooth_gamma"))):
+        assert {key: _DEFAULTS[key] for key in keys} == \
+            {key: trainer.__kwdefaults__[key] for key in keys}
 
 
 def test_a_kmeans_reset_needs_m_rows_in_the_hooks_sub_batch():
@@ -214,7 +230,7 @@ def test_the_toy_alternated_code_step_is_the_alternating_inner_step():
     for before, after in zip(traj.rows, traj.rows[1:]):
         cb = Codebook([before[2:4]])
         training._inner_step(None, cb, VQConfig(alpha=2.0, beta=0.8), np.array([before[:2]]),
-                             0.3, 0, None, SGD(lr=0.3))
+                             0, None, SGD(lr=0.3))
         assert cb.codes.tolist() == [list(after[2:4])]
 
 
@@ -993,6 +1009,22 @@ def test_a_run_that_exits_2_removes_only_the_directories_it_created(tmp_path, ca
     assert cli_main(["train", "--config", cfgp, "--out", str(kept)]) == 2
     assert (kept / "notes.txt").read_text() == "mine"
     assert capsys.readouterr().err.count("\n") == 2
+
+
+def test_a_run_that_exits_2_removes_each_directory_it_made_past_a_dotdot(tmp_path, capsys):
+    """`--out a/../b` with `a` absent makes `a`, then `b` beside it: the run
+    removes both. A directory reached through `..` that existed before stays."""
+    cfgp = write_cfg(tmp_path, "c.json", minimal(
+        steps=2, vq={"distance": "cosine_unit_norm"},
+        codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
+    assert cli_main(["train", "--config", cfgp, "--out", str(tmp_path / "a" / ".." / "b")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "a" / ".." / "kept" / "c"
+    assert cli_main(["train", "--config", cfgp, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "kept"]
+    assert not any((tmp_path / "kept").iterdir())
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

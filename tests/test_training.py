@@ -23,7 +23,7 @@ def toy_setup(seed=0, m=8, n=256):
 def test_sgd_plain_step():
     opt = SGD(lr=0.1)
     params = {"w": np.array([[1.0, 2.0]])}
-    opt.step(params, {"w": np.array([[10.0, -10.0]])})
+    opt.step(params, {"w": np.array([[10.0, -10.0]])}, 0)
     assert np.allclose(params["w"], [[0.0, 3.0]])
 
 
@@ -31,8 +31,8 @@ def test_sgd_momentum_accumulates():
     opt = SGD(lr=1.0, momentum=0.5)
     params = {"w": np.zeros((1, 1))}
     g = {"w": np.ones((1, 1))}
-    opt.step(params, g)   # v=1, w=-1
-    opt.step(params, g)   # v=1.5, w=-2.5
+    opt.step(params, g, 0)   # v=1, w=-1
+    opt.step(params, g, 1)   # v=1.5, w=-2.5
     assert np.allclose(params["w"], -2.5)
 
 
@@ -40,22 +40,24 @@ def test_sgd_weight_decay_exempts_codebook_params():
     opt = SGD(lr=1.0, weight_decay=0.1)
     params = {"w": np.ones((1, 1)), "codes": np.ones((1, 1))}
     zero = {"w": np.zeros((1, 1)), "codes": np.zeros((1, 1))}
-    opt.step(params, zero)
+    opt.step(params, zero, 0)
     assert np.allclose(params["w"], 0.9)       # decayed
     assert np.allclose(params["codes"], 1.0)   # exempt
 
 
-def test_sgd_none_gradient_means_zero():
-    opt = SGD(lr=0.5, momentum=0.9)
-    params = {"w": np.full((2, 2), 3.0)}
-    opt.step(params, {"w": None})
-    assert np.allclose(params["w"], 3.0)
+def test_sgd_scales_lr_by_its_schedule_at_step_t():
+    opt = SGD(lr=1.0, schedule=Schedule(kind="step", milestones=(1,), factor=0.5))
+    params = {"w": np.zeros((1, 1))}
+    g = {"w": np.ones((1, 1))}
+    opt.step(params, g, 0)   # w=-1
+    opt.step(params, g, 1)   # w=-1.5
+    assert params["w"][0, 0] == -1.5
 
 
 def test_sgd_rejects_nonfinite_gradient():
     opt = SGD()
     with pytest.raises(NumericFailure):
-        opt.step({"w": np.zeros((1, 1))}, {"w": np.array([[np.nan]])})
+        opt.step({"w": np.zeros((1, 1))}, {"w": np.array([[np.nan]])}, 0)
 
 
 def test_sgd_names_the_first_nonfinite_gradient():
@@ -63,11 +65,11 @@ def test_sgd_names_the_first_nonfinite_gradient():
     grads = {"a": np.ones((1, 2)), "b": np.array([[1.0], [np.inf]]),
              "c": np.array([[np.nan]])}
     with pytest.raises(NumericFailure, match="parameter 'b'$"):
-        SGD().step(params, grads)
+        SGD().step(params, grads, 0)
     # finite gradients whose sum overflows are finite
     params = {"a": np.zeros((1, 1)), "b": np.zeros((1, 1))}
     with np.errstate(over="ignore"):
-        SGD(lr=1e-300).step(params, {"a": np.array([[1e308]]), "b": np.array([[1e308]])})
+        SGD(lr=1e-300).step(params, {"a": np.array([[1e308]]), "b": np.array([[1e308]])}, 0)
     assert params["a"][0, 0] == params["b"][0, 0] == -1e8
 
 
@@ -251,13 +253,13 @@ def test_alternating_phase_isolation():
     data, model, cb = toy_setup(11)
     cfg = VQConfig(alpha=1.0)
     params_before = {k: v.copy() for k, v in model.params.items()}
-    _inner_step(model, cb, cfg, model.encode_values(data[:32]), 0.1, 0,
-                np.random.default_rng(0), SGD(lr=0.1))
+    _inner_step(model, cb, cfg, model.encode_values(data[:32]), 0, np.random.default_rng(0),
+                SGD(lr=0.1))
     for k in params_before:
         assert np.array_equal(model.params[k], params_before[k])
 
     codes_before = cb.codes.copy()
-    _outer_step(model, cb, cfg, data[32:64], 0.1, 0, np.random.default_rng(0), SGD(lr=0.1))
+    _outer_step(model, cb, cfg, data[32:64], 0, np.random.default_rng(0), SGD(lr=0.1))
     assert np.array_equal(cb.codes, codes_before)
     changed = any(not np.array_equal(model.params[k], params_before[k])
                   for k in params_before)
@@ -284,10 +286,10 @@ def test_alternating_gap_is_taken_after_the_inner_steps():
         before = gradient_gap(model, cb, cfg, batch)
         z = model.encode_values(batch[:32])
         for i in range(2):
-            _inner_step(model, cb, cfg, z[i * 16:(i + 1) * 16], 0.1, t, rng, opt)
+            _inner_step(model, cb, cfg, z[i * 16:(i + 1) * 16], t, rng, opt)
         after = gradient_gap(model, cb, cfg, batch)
         assert record.grad_gap == after != before
-        _outer_step(model, cb, cfg, batch[32:], 0.1, t, rng, opt)
+        _outer_step(model, cb, cfg, batch[32:], t, rng, opt)
     assert np.array_equal(cb.codes, result.codebook.codes)
 
 
