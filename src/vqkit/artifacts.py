@@ -8,7 +8,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import NumericFailure
@@ -18,15 +18,21 @@ from .errors import NumericFailure
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary file beside `path` for writing. When the block ends
     normally the file replaces `path` (`os.replace`); when it raises, the
-    temporary file is removed and `path` is left as it was."""
+    temporary file is removed and `path` is left as it was. An OSError is
+    raised again with its errno and reason but naming `path`, not the
+    temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        # under a regular file, unlinking fails as the open did
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
         raise
 
 

@@ -4,8 +4,8 @@ Usage: vqkit <subcommand> --config <path> --out <dir> [--seed N]
 
 Subcommands: toy-trajectory, affine-toy, ablation, train, init-study,
 metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure.
-A run that exits 2 leaves no directory it created; one that exits 3 leaves
-its `config.json`.
+A run that exits 2, also when its `--out` or an artifact cannot be written,
+leaves no directory it created; one that exits 3 leaves its `config.json`.
 Given the same config and seed, outputs are byte-identical across runs.
 """
 from __future__ import annotations
@@ -169,9 +169,14 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except VQKitError as exc:
-        kind = "config error" if isinstance(exc, ConfigError) else "error"
-        print(f"{kind}: {exc}", file=sys.stderr)
+    except (VQKitError, OSError) as exc:
+        if isinstance(exc, OSError):
+            # every read reports its own ConfigError, so this is an --out
+            # level or an artifact, which `atomic_open` names
+            print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        else:
+            kind = "config error" if isinstance(exc, ConfigError) else "error"
+            print(f"{kind}: {exc}", file=sys.stderr)
         for level in reversed(created):
             shutil.rmtree(level, ignore_errors=True)
         return EXIT_CONFIG

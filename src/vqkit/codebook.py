@@ -156,8 +156,8 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 # Queries are taken CHUNK_ROWS rows at a time. A chunk is cut by rows into
 # pieces of at least PIECE_CELLS cells when it holds two or more, so that
-# each piece's passes (the matmul, the in-place passes and, in `assign`,
-# the argmin or the sampling) find it in the core's cache instead of in
+# each piece's passes (the clip and, in `assign`, the argmin or the
+# sampling) find the product's block in the core's cache instead of in
 # memory. Every cut is a multiple of PIECE_ALIGN rows from the chunk
 # start: that keeps every row in the same position, relative to the BLAS
 # kernel's row groups, that it has in the whole chunk, so a row's bits do not
@@ -207,18 +207,28 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
     euclidean: (i,j) = 0.5 * ||q_i - c_j||^2
     cosine:    (i,j) = 0.5 * ||q_i/||q_i|| - c_j/||c_j||||^2
 
-    Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2, evaluated
-    in place so no block-sized temporary is allocated: a matmul and two
-    passes, then the clip. Halving is exact outside the subnormal and
-    overflow ranges, so this has the bits of
-    0.5 * ((||q||^2 - (2q).c) + ||c||^2). The result is written into `out`
-    when given (an n x m float64 array, such as a block buffer the caller
-    reuses) and returned. `query_half_sq` and `code_half_sq` (euclidean
-    only) are `half_sq_norms` of the queries and of the codes, for a caller
-    that queries the same rows or codes many times. With clip False the
-    entries stay (h_q - q.c) + h_c, negative where rounding takes a query on
-    a code below 0, for `assign` to clip during its reduction. A query or
-    code half squared norm that is not finite is a NumericFailure."""
+    Each entry is max(0, (h_q - q.c) + h_c) with h = 0.5 * ||.||^2, which
+    outside the subnormal and overflow ranges (halving is exact) has the
+    bits of 0.5 * ((||q||^2 - (2q).c) + ||c||^2). A row piece is one matrix
+    product, [q | h_q | 1] @ [-c | 1 | h_c]^T, written into its block of the
+    result, then the clip; the codes' operand is built once per call and
+    the queries' in one piece-sized buffer, so no block-sized temporary is
+    made. BLAS's GEMM kernel adds an entry's d + 2 terms in order, which
+    gives the bits of the matmul q.c followed by the passes h_q - q.c and
+    + h_c (negating c is exact). A one-row piece or a single code makes
+    numpy hand BLAS a vector, and gemv keeps no such order, so that block
+    takes the matmul and the two passes. Where an OpenBLAS edge kernel
+    orders the terms otherwise (some ragged code counts, d of 32 or more),
+    an entry is within 2 (d + 2) 2^-53 (h_q + |q|.|c| + h_c) of the passes'.
+
+    The result is written into `out` when given (an n x m float64 array,
+    such as a block buffer the caller reuses) and returned. `query_half_sq`
+    and `code_half_sq` (euclidean only) are `half_sq_norms` of the queries
+    and of the codes, for a caller that queries the same rows or codes many
+    times. With clip False the entries stay (h_q - q.c) + h_c, negative
+    where rounding takes a query on a code below 0, for `assign` to clip
+    during its reduction. A query or code half squared norm that is not
+    finite is a NumericFailure."""
     if kind not in DISTANCE_KINDS:
         raise ContractViolation(f"unknown distance kind {kind!r}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -244,12 +254,29 @@ def pairwise_distances_chunked(queries, codes, kind: str = "euclidean", *,
     # an infinite norm would make inf - inf = NaN entries
     if not (np.isfinite(query_half_sq).all() and np.isfinite(code_half_sq).all()):
         raise NumericFailure("non-finite half squared norm in the distance kernel")
-    for lo, hi in _row_blocks(n, m):
-        # a strided block could make numpy leave BLAS, and with it the bits
+    blocks = _row_blocks(n, m)
+    d = codes.shape[1]
+    if m != 1:
+        code_side = np.empty((m, d + 2))
+        np.negative(codes, out=code_side[:, :d])
+        code_side[:, d] = 1.0
+        code_side[:, d + 1] = code_half_sq
+        query_side = np.empty((max((hi - lo for lo, hi in blocks), default=0), d + 2))
+        query_side[:, d + 1] = 1.0
+    for lo, hi in blocks:
         block = out[lo:hi]
-        np.matmul(np.ascontiguousarray(queries[lo:hi]), codes.T, out=block)
-        np.subtract(query_half_sq[lo:hi, None], block, out=block)
-        block += code_half_sq
+        if m == 1 or hi - lo == 1:
+            # numpy hands BLAS a vector, and gemv keeps no term order: the
+            # matmul and two passes (a strided block could make numpy leave
+            # BLAS, and with it the bits)
+            np.matmul(np.ascontiguousarray(queries[lo:hi]), codes.T, out=block)
+            np.subtract(query_half_sq[lo:hi, None], block, out=block)
+            block += code_half_sq
+        else:
+            operand = query_side[:hi - lo]
+            operand[:, :d] = queries[lo:hi]
+            operand[:, d] = query_half_sq[lo:hi]
+            np.matmul(operand, code_side.T, out=block)
         if clip:
             np.maximum(block, 0.0, out=block)
     return out
@@ -273,15 +300,17 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
            query_half_sq: np.ndarray | None = None):
     """Per-query (code index, half squared distance to that code).
 
-    Each of the `_row_blocks` has its distances written into one reused
-    min(n, CHUNK_ROWS) x m buffer and reduced while they are still in cache,
-    so no n x m array is held. The kernel leaves them unclipped and the
-    reduction clips, with the clipped block's result. With tau None the index
-    is the nearest code, ties breaking toward the lowest index; only a row
-    whose minimum is not > 0 can change under the clip, so only such a row
-    is reduced again, clipped. Otherwise it is drawn by
-    `sample_code_stochastic` from the block, which consumes one uniform draw
-    of `rng` per query (block by block, the same stream as one draw of n).
+    Each of the `_row_blocks` has its distances written by one kernel call
+    (one matrix product, or the matmul and two passes on a one-row piece or
+    a single code) into one reused min(n, CHUNK_ROWS) x m buffer and
+    reduced while they are still in cache, so no n x m array is held. The
+    kernel leaves them unclipped and the reduction clips, with the clipped
+    block's result. With tau None the index is the nearest code, ties
+    breaking toward the lowest index; only a row whose minimum is not > 0
+    can change under the clip, so only such a row is reduced again,
+    clipped. Otherwise it is drawn by `sample_code_stochastic` from the
+    block, which consumes one uniform draw of `rng` per query (block by
+    block, the same stream as one draw of n).
     The codes' norms are taken once per call, the queries' per piece unless
     `query_half_sq` (euclidean, `half_sq_norms(queries)`) gives them."""
     if tau is not None:

@@ -836,6 +836,74 @@ def test_kernel_bit_equals_the_two_norm_formula(row_pieces, monkeypatch, case, k
         assert (want[::3].min(axis=1) == 0.0).sum() > 50 and (want >= 0.0).all()
 
 
+def three_pass_distances(q, c, kind="euclidean"):
+    """The kernel as it was before a row piece became one matrix product:
+    per piece of `_row_blocks`, the matmul q @ c.T, then h_q minus it, then
+    plus h_c, unclipped."""
+    if kind != "euclidean":
+        q, c = normalize_rows(q), normalize_rows(c)
+    h_q, h_c = cbk_mod.half_sq_norms(q), cbk_mod.half_sq_norms(c)
+    out = np.empty((q.shape[0], c.shape[0]))
+    for lo, hi in cbk_mod._row_blocks(*out.shape):
+        block = out[lo:hi]
+        np.matmul(np.ascontiguousarray(q[lo:hi]), c.T, out=block)
+        np.subtract(h_q[lo:hi, None], block, out=block)
+        block += h_c
+    return out
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize("m", [32, 40, 136, 256])
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_kernel_product_bit_equals_the_three_pass_composite(row_pieces, d, m, n, split):
+    """The code dimensions, code counts and block rows that the CI configs
+    and the benchmark run. Unforced, 2048 x 256 and 2048 x 136 blocks are
+    cut into 512- and 1024-row pieces; forced, blocks from 384 rows up are
+    cut into 192-row pieces, the last taking a ragged remainder."""
+    row_pieces.force(split, cells=192 * m)
+    rng = np.random.default_rng(d * m + n)
+    c = rng.standard_normal((m, d))
+    q = rng.standard_normal((n, d))
+    q[::5] = c[rng.integers(m, size=q[::5].shape[0])]  # queries on codes: raw entries below 0
+    for kind in DISTANCE_KINDS:
+        want = three_pass_distances(q, c, kind)
+        assert np.array_equal(pairwise_distances_chunked(q, c, kind, clip=False), want)
+        assert np.array_equal(pairwise_distances_chunked(q, c, kind), np.maximum(want, 0.0))
+    assert (row_pieces.cut > 0) == (split and n > 64 or n * m >= 2 * cbk_mod.PIECE_CELLS)
+
+
+@pytest.mark.parametrize("n,d,m", [(256, 4, 218), (256, 2, 218), (512, 4, 252), (256, 16, 300),
+                                   (63, 32, 7), (65, 64, 7), (3, 32, 256), (2, 64, 136)])
+def test_kernel_product_stays_within_a_rounding_bound_of_the_composite(n, d, m):
+    """On ragged and wide shapes an OpenBLAS edge kernel may add an entry's
+    d + 2 terms in another order than the composite. Two sums of the same
+    d + 2 terms differ by at most 2 (d + 2) 2^-53 times the sum of the
+    terms' magnitudes, h_q + |q|.|c| + h_c."""
+    rng = np.random.default_rng(n + d + m)
+    q, c = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    got = pairwise_distances_chunked(q, c, clip=False)
+    magnitude = (cbk_mod.half_sq_norms(q)[:, None] + np.abs(q) @ np.abs(c).T
+                 + cbk_mod.half_sq_norms(c))
+    assert (np.abs(got - three_pass_distances(q, c)) <= 2 * (d + 2) * 2.0 ** -53 * magnitude).all()
+
+
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_one_row_pieces_and_single_codes_keep_the_three_pass_bits(monkeypatch, kind):
+    """numpy hands BLAS a vector for a one-row piece or a single code (as in
+    k-means++ seeding), and gemv's sum over d + 2 terms would not keep the
+    order of the d-term product: these blocks take the matmul and the two
+    passes, so their bits are the composite's."""
+    rng = np.random.default_rng(5)
+    q, c = rng.standard_normal((300, 32)), rng.standard_normal((40, 32))
+    for rows, codes in [(q[:1], c), (q, c[:1]), (q[:1], c[:1])]:
+        assert np.array_equal(pairwise_distances_chunked(rows, codes, kind, clip=False),
+                              three_pass_distances(rows, codes, kind))
+    monkeypatch.setattr(cbk_mod, "CHUNK_ROWS", 1)  # every piece one row
+    assert np.array_equal(pairwise_distances_chunked(q, c, kind, clip=False),
+                          three_pass_distances(q, c, kind))
+
+
 def test_query_half_sq_gives_the_kernel_bits_and_is_checked():
     """So do the codes' half norms, and assign's query norms."""
     rng = np.random.default_rng(8)

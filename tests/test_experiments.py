@@ -1027,6 +1027,29 @@ def test_a_run_that_exits_2_removes_each_directory_it_made_past_a_dotdot(tmp_pat
     assert not any((tmp_path / "kept").iterdir())
 
 
+@pytest.mark.parametrize("out,directory,path,reason", [
+    ("afile/x", None, "afile/x", "Not a directory"),
+    ("afile", None, "afile/config.json", "Not a directory"),
+    ("od", "od/metrics.csv", "od/metrics.csv", "Is a directory"),
+    ("od", "od/config.json", "od/config.json", "Is a directory")])
+def test_an_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                          out, directory, path, reason):
+    """`--out` under a regular file or a regular file itself, and an artifact
+    name that is already a directory: one line naming the path, exit 2,
+    every path that existed before the run kept and no temporary file left."""
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_cfg(tmp_path, "c.json", minimal(steps=2))
+    Path("afile").write_text("mine")
+    if directory:
+        Path(directory).mkdir(parents=True)
+    before = set(tmp_path.rglob("*"))
+    assert cli_main(["train", "--config", cfgp, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {path}: {reason}\n"
+    after = set(tmp_path.rglob("*"))
+    assert before <= after and not any(p.name.endswith(".tmp") for p in after)
+    assert Path("afile").read_text() == "mine"
+
+
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     cfgp = tmp_path / "c.json"
     cfgp.write_bytes(b'{"scenario": "train", "seed": 0\xff}')
