@@ -5,7 +5,8 @@ Usage: vqkit <subcommand> --config <path> --out <dir> [--seed N]
 Subcommands: toy-trajectory, affine-toy, ablation, train, init-study,
 metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure.
 A run that exits 2, also when its `--out` or an artifact cannot be written,
-leaves no directory it created; one that exits 3 leaves its `config.json`.
+leaves no directory or file it created; one that exits 3 leaves its
+`config.json`.
 Given the same config and seed, outputs are byte-identical across runs.
 """
 from __future__ import annotations
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
             p.add_argument(flag, required=True, help=help_text)
     args = parser.parse_args(argv)
     scenario, run, _ = COMMANDS[args.command]
-    created = []
+    out, created, entries = Path(args.out), [], None
 
     try:
         # numpy's floating-point warnings would precede the one-line report;
@@ -157,13 +158,14 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
-            out = Path(args.out)
-            # each directory the run makes, outermost first: a run that exits 2
-            # removes them, one that exits 3 keeps its config.json
+            # each directory the run makes, outermost first, and what --out
+            # held before: a run that exits 2 removes the directories and every
+            # file it added, one that exits 3 keeps its config.json
             for level in reversed((out, *out.parents)):
                 if not level.exists():
                     level.mkdir()
                     created.append(level)
+            entries = set(out.iterdir()) if out.is_dir() else None
             write_json(out / "config.json", cfg)
             run(cfg, out, args)
     except NumericFailure as exc:
@@ -177,6 +179,9 @@ def main(argv=None) -> int:
         else:
             kind = "config error" if isinstance(exc, ConfigError) else "error"
             print(f"{kind}: {exc}", file=sys.stderr)
+        if entries is not None:
+            for path in set(out.iterdir()) - entries:
+                path.unlink()
         for level in reversed(created):
             shutil.rmtree(level, ignore_errors=True)
         return EXIT_CONFIG

@@ -86,14 +86,6 @@ class SGD:
             params[name] = theta - eta * v
 
 
-def smoothness_loss(tape: Tape, model, nodes, z_e: Node, z_q: Node,
-                    gamma: float) -> Node:
-    """gamma * mean-row half squared distance between decoder outputs on z_q
-    and z_e; requires the second decoder forward pass."""
-    return tape.scale(tape.mse(model.decode(tape, z_q, nodes),
-                               model.decode(tape, z_e, nodes)), gamma)
-
-
 @dataclass
 class TrainResult:
     records: list
@@ -186,7 +178,7 @@ def _train_loop(model, cb: cbk.Codebook, config: vql.VQConfig, data, step_fn, *,
 
 def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
                 steps: int, batch_size: int, optimizer: Optional[SGD] = None, seed: int = 0,
-                track_grad_gap: bool = True, smooth_gamma: float = 0.0) -> TrainResult:
+                track_grad_gap: bool = True) -> TrainResult:
     """Joint training: optimizer step t (its `lr` as its `schedule` scales it)
     on mini-batch t over the encoder, decoder, and codebook simultaneously,
     followed by the replacement / affine-EMA hooks."""
@@ -194,12 +186,9 @@ def train_joint(model, cb: cbk.Codebook, config: vql.VQConfig, data, *,
 
     def step(batch, t, rng):
         forward = mtr.record_forward(model, cb, config, batch, step=t, rng=rng)
-        tape, nodes, _, z_e, out, task = forward
+        tape, nodes, _, _, out, task = forward
         cb.mark_used(out.indices, t)
         loss = tape.add(task, out.commit_loss)
-        if smooth_gamma:
-            loss = tape.add(loss, smoothness_loss(tape, model, nodes, z_e, out.z_q,
-                                                  smooth_gamma))
         # at the pre-step parameters
         gap = (mtr.gradient_gap(model, cb, config, batch, forward=forward)
                if track_grad_gap else 0.0)

@@ -136,7 +136,7 @@ def test_each_cli_default_is_the_default_of_the_library_call_it_feeds():
     model = inspect.signature(MLPAutoencoder).parameters
     assert _DEFAULTS["model"] == {key: model[key].default for key in _DEFAULTS["model"]}
     for trainer, keys in ((training.train_alternating, ("inner_k", "outer_k", "track_grad_gap")),
-                          (training.train_joint, ("track_grad_gap", "smooth_gamma"))):
+                          (training.train_joint, ("track_grad_gap",))):
         assert {key: _DEFAULTS[key] for key in keys} == \
             {key: trainer.__kwdefaults__[key] for key in keys}
 
@@ -544,6 +544,29 @@ def test_cli_train_outputs_and_config_roundtrip(tmp_path):
     assert run_dirs_identical(a, b)
 
 
+def test_a_config_with_the_legacy_smooth_gamma_key_at_0_trains_the_same_bytes(tmp_path):
+    """Every config.json written while the key set a decoder term holds
+    `"smooth_gamma": 0.0`: such a config trains exactly as one without the
+    key, its config.json echoes the key, and a re-run from it reproduces
+    every byte."""
+    resolved = resolve_config(minimal(steps=10))
+    assert "smooth_gamma" not in resolved
+    runs = {}
+    for name, raw in (("plain", resolved), ("legacy", {**resolved, "smooth_gamma": 0.0})):
+        runs[name] = tmp_path / name
+        assert cli_main(["train", "--config", write_cfg(tmp_path, f"{name}.json", raw),
+                         "--out", str(runs[name])]) == 0
+    for artifact in ("metrics.csv", "codebook.bin", "codebook.bin.json", "summary.json"):
+        assert (runs["plain"] / artifact).read_bytes() == \
+            (runs["legacy"] / artifact).read_bytes()
+    assert json.loads((runs["legacy"] / "config.json").read_text())["smooth_gamma"] == 0.0
+    assert "smooth_gamma" not in json.loads((runs["plain"] / "config.json").read_text())
+    rerun = tmp_path / "rerun"
+    assert cli_main(["train", "--config", str(runs["legacy"] / "config.json"),
+                     "--out", str(rerun)]) == 0
+    assert run_dirs_identical(runs["legacy"], rerun)
+
+
 def test_artifact_writer_failing_mid_file_leaves_nothing_behind(tmp_path, monkeypatch):
     target = tmp_path / "a.csv"
     with pytest.raises(ValueError, match="mid-file"):
@@ -800,7 +823,8 @@ _FUZZ_BASE = {
     "toy": {"steps": 5}, "affine_toy": {"n_points": 8, "m": 4, "updates": 2},
     "init_study": {"n": 16, "d": 2, "m": 4, "n_seeds": 1}, "grid": {"inner_k": [0, 1]},
 }
-_FUZZ_KEYS = sorted({(key,) for key in _DEFAULTS}
+# every key a config may set, the legacy smooth_gamma included
+_FUZZ_KEYS = sorted({(key,) for key in {*_TOP_LEVEL, *_DEFAULTS} - {"scenario", "seed"}}
                     | {(section, key) for section, keys in _SECTIONS.items() for key in keys}
                     | {("vq", field) for field in VQConfig.__dataclass_fields__})
 _FUZZ_VALUES = [True, False, None, 0, 1, 2, -1, -0.5, 0.5, 1e154, -1e154, 1e308, "", "x",
@@ -1048,6 +1072,82 @@ def test_an_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monke
     after = set(tmp_path.rglob("*"))
     assert before <= after and not any(p.name.endswith(".tmp") for p in after)
     assert Path("afile").read_text() == "mine"
+
+
+def test_a_run_that_exits_2_removes_each_file_it_wrote_into_an_existing_out(tmp_path, capsys):
+    """A run that fails after it wrote config.json into an `--out` that
+    existed before removes that file and keeps what the directory held; a run
+    that exits 3 keeps its config.json there."""
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    zero = write_cfg(tmp_path, "zero.json", minimal(
+        steps=2, vq={"distance": "cosine_unit_norm"},
+        codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
+    assert cli_main(["train", "--config", zero, "--out", str(kept)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+    overflow = write_cfg(tmp_path, "overflow.json", minimal(
+        steps=2, codebook={"init": "uniform", "low": -1e154, "high": 1e154}))
+    assert cli_main(["train", "--config", overflow, "--out", str(kept)]) == 3
+    assert sorted(p.name for p in kept.iterdir()) == ["config.json", "notes.txt"]
+
+
+def _tree(root):
+    """Each path under `root` with its kind, symlinks not followed."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for path in (Path(dirpath, name) for name in dirnames + filenames):
+            tree[path] = "symlink" if path.is_symlink() else "dir" if path.is_dir() else "file"
+    return tree
+
+
+# --out shapes: the --out argument, and the paths that exist before the run
+# (a name ending in "/" is a directory, "name->target" a symlink)
+_OUT_SHAPES = {
+    "new": ("made/deeper", []),
+    "existing-dir": ("odir", ["odir/"]),
+    "regular-file": ("afile", ["afile"]),
+    "under-a-file": ("afile/x", ["afile"]),
+    "dotdot-past-a-missing-level": ("gone/../made", []),
+    "metrics-csv-is-a-dir": ("od", ["od/metrics.csv/", "od/notes.txt"]),
+    "config-json-is-a-dir": ("od", ["od/config.json/"]),
+    "dangling-symlink": ("link", ["link->nowhere"]),
+    "under-a-dangling-symlink": ("link/x", ["link->nowhere"]),
+    "symlink-to-a-file": ("link", ["afile", "link->afile"]),
+    "under-a-symlink-to-a-file": ("link/x", ["afile", "link->afile"]),
+    "symlink-to-a-dir": ("link", ["odir/", "link->odir"]),
+}
+
+
+@pytest.mark.parametrize("shape", _OUT_SHAPES)
+def test_cli_fuzzed_out_exits_0_or_2_and_keeps_every_path_it_found(tmp_path, monkeypatch,
+                                                                  capsys, shape):
+    """Each --out shape of the pool exits 0 or 2. On exit 2 the run prints one
+    `config error:` line and leaves the tree as it found it; on either, every
+    path that existed before keeps its kind."""
+    monkeypatch.chdir(tmp_path)
+    out, paths = _OUT_SHAPES[shape]
+    for spec in paths:
+        name, _, target = spec.partition("->")
+        if target:
+            Path(name).symlink_to(target)
+        elif name.endswith("/"):
+            Path(name).mkdir(parents=True)
+        else:
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            Path(name).write_text("mine")
+    cfgp = write_cfg(tmp_path, "c.json", minimal(steps=2))
+    before = _tree(tmp_path)
+    code = cli_main(["train", "--config", cfgp, "--out", out])
+    after, err = _tree(tmp_path), capsys.readouterr().err
+    assert code in (0, 2)
+    assert {path: after.get(path) for path in before} == before
+    if code == 2:
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert after == before
+    else:
+        assert err == ""
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):

@@ -217,9 +217,9 @@ def test_gradient_gap_on_step_forward_matches_standalone(monkeypatch, affine_mod
     model = MLPAutoencoder(rng=np.random.default_rng(41))
     cb = Codebook(rng.standard_normal((8, 8 // n_group)) * 0.3)
     cfg = VQConfig(alpha=1.0, affine_mode=affine_mode, distance=distance, n_group=n_group)
-    # the smoothness term on the same tape must not leak into the gap
+    # the step's loss, recorded on the same tape first, must not leak into the gap
     train_joint(model, cb, cfg, data, steps=12, batch_size=32,
-                optimizer=SGD(lr=0.1, momentum=0.5), smooth_gamma=0.1)
+                optimizer=SGD(lr=0.1, momentum=0.5))
     assert len(pairs) == 12
     for reused, standalone in pairs:
         assert standalone > 0.0

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vqkit import Codebook, ContractViolation, NumericFailure, Tape, VQConfig
+from vqkit import Codebook, ContractViolation, NumericFailure, VQConfig
 from vqkit.metrics import gradient_gap
 from vqkit.models import MLPAutoencoder
-from vqkit.training import SGD, Schedule, lr_at, smoothness_loss, train_alternating, train_joint
+from vqkit.training import SGD, Schedule, lr_at, train_alternating, train_joint
 
 
 def toy_setup(seed=0, m=8, n=256):
@@ -115,17 +115,6 @@ def test_schedule_from_dict_strict():
     assert s.milestones == (3,)
 
 
-def test_smoothness_loss_value():
-    data, model, _ = toy_setup()
-    tape = Tape()
-    nodes = model.make_nodes(tape)
-    z_e = model.encode(tape, tape.leaf(data[:4]), nodes)
-    z_q = tape.leaf(z_e.value + 0.1)
-    loss = smoothness_loss(tape, model, nodes, z_e, z_q, gamma=2.0)
-    ya = model.decode(Tape(), Tape().leaf(z_e.value), {k: Tape().leaf(v) for k, v in model.params.items()})
-    assert loss.value.shape == (1, 1) and loss.value[0, 0] >= 0.0
-
-
 # -- joint training ---------------------------------------------------------------
 
 def test_train_joint_is_deterministic(metrics_bytes):
@@ -223,7 +212,7 @@ def test_train_joint_gap_never_touches_the_trajectory(trainer, sampling):
         common = dict(steps=15, batch_size=32, optimizer=SGD(lr=0.1, momentum=0.9),
                       track_grad_gap=track)
         if trainer == "joint":
-            runs.append(train_joint(model, cb, cfg, data, smooth_gamma=0.1, **common))
+            runs.append(train_joint(model, cb, cfg, data, **common))
         else:
             runs.append(train_alternating(model, cb, cfg, data, inner_k=2, outer_k=2,
                                           **common))
