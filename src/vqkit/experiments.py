@@ -11,7 +11,7 @@ import numpy as np
 from . import initialization, metrics as mtr, vqlayer as vql
 from .artifacts import read_json
 from .autodiff import Tape
-from .codebook import Codebook, nearest_code
+from .codebook import Codebook, assign
 from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError,
                      ContractViolation, check_kinds, from_strict_dict, is_finite_number,
                      list_of, one_of, strict_keys)
@@ -357,7 +357,7 @@ def run_affine_toy(seed: int, *, n_points: int = 512, m: int = 128,
         for _ in range(updates):
             eff = cb.effective_codes(affine_mode)
             gap_history.append(float(np.linalg.norm(eff.mean(axis=0) - points.mean(axis=0))))
-            indices = nearest_code(points, eff, "euclidean")[0]
+            indices = assign(points, eff, "euclidean")[0]
             vql.ema_update(cb, points, indices, lr)
             if affine:
                 vql.affine_update_ema(cb, points, cb.codes, momentum)

@@ -153,27 +153,18 @@ def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
                  forward: Optional[Forward] = None) -> float:
     """Sum over encoder parameters of ||g - g_hat||^2 where g is the task-loss
     gradient with quantization bypassed (z_q := z_e) and g_hat the gradient
-    through the straight-through quantizer.
-
-    Both are J^T u for the encoder Jacobian J at the same z_e, with u the task
-    gradient at the decoder input: u_e at z_e, u_q at the quantized z. The
-    encoder pull-back is linear, so the gap is ||J^T (u_e - u_q)||^2: one
-    decoder pass on a constant copy of z_e and three `Tape.vjp` calls. The gap
-    is defined on deterministic assignment: under it, a training step's own
-    recorded `forward` serves, and nothing but that decoder pass is recorded;
-    without `forward`, or under stochastic sampling, the forward is recorded
-    here with deterministic assignment."""
+    through the straight-through quantizer: the encoder gradient of the bypass
+    loss mse(decode(z_e), target) minus the task loss, in one `Tape.vjp` walk.
+    The gap is defined on deterministic assignment: under it, a training
+    step's own recorded `forward` serves, and only the bypass loss and the
+    difference are recorded on its tape; without `forward`, or under
+    stochastic sampling, the forward is recorded here with deterministic
+    assignment."""
     if forward is None or config.sampling != "deterministic":
         forward = record_forward(model, cb, replace(config, sampling="deterministic"),
                                  batch, targets)
-    tape, nodes, target, z_e, out, task = forward
-    z_e_const = tape.leaf(z_e.value)
-    task_e = tape.mse(model.decode(tape, z_e_const, nodes), target)
-    one = np.ones((1, 1))
-    [u_q] = tape.vjp(task, one, [out.z_q])
-    [u_e] = tape.vjp(task_e, one, [z_e_const])
+    tape, nodes, target, z_e, _, task = forward
+    task_e = tape.mse(model.decode(tape, z_e, nodes), target)
     encoder = [nodes[name] for name in model.encoder_param_names]
-    gap = 0.0
-    for g in tape.vjp(z_e, u_e - u_q, encoder):
-        gap += float((g * g).sum())
-    return gap
+    return sum(float((g * g).sum())
+               for g in tape.vjp(tape.sub(task_e, task), np.ones((1, 1)), encoder))

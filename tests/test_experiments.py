@@ -1093,6 +1093,21 @@ def test_a_run_that_exits_2_removes_each_file_it_wrote_into_an_existing_out(tmp_
     assert sorted(p.name for p in kept.iterdir()) == ["config.json", "notes.txt"]
 
 
+def test_a_run_that_exits_2_puts_back_the_config_json_of_an_earlier_run(tmp_path, capsys):
+    """An earlier run's directory keeps its config.json bytes, so the file
+    still matches the metrics.csv and codebook.bin beside it."""
+    od = tmp_path / "od"
+    two = write_cfg(tmp_path, "two.json", minimal(steps=2))
+    assert cli_main(["train", "--config", two, "--out", str(od)]) == 0
+    before = {p.name: p.read_bytes() for p in od.iterdir()}
+    zero = write_cfg(tmp_path, "zero.json", minimal(
+        steps=2, vq={"distance": "cosine_unit_norm"},
+        codebook={"init": "uniform", "low": 0.0, "high": 0.0}))
+    assert cli_main(["train", "--config", zero, "--out", str(od)]) == 2
+    assert capsys.readouterr().err == "error: zero-norm vector under cosine distance\n"
+    assert {p.name: p.read_bytes() for p in od.iterdir()} == before
+
+
 def _tree(root):
     """Each path under `root` with its kind, symlinks not followed."""
     tree = {}

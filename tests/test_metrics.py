@@ -1,6 +1,7 @@
 """Diagnostics: perplexity, divergence, activation probability, gradient gap,
 and the metrics CSV layout."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -192,38 +193,65 @@ def test_gradient_gap_grows_with_quantization_error():
         gradient_gap(model, far, VQConfig(), batch, targets=targets)
 
 
-@pytest.mark.parametrize("n_group", [1, 2])
-@pytest.mark.parametrize("distance", ["euclidean", "cosine_renorm"])
-@pytest.mark.parametrize("affine_mode", ["off", "learnable", "ema"])
-def test_gradient_gap_on_step_forward_matches_standalone(monkeypatch, affine_mode,
-                                                          distance, n_group):
-    """train_joint hands its own tape to gradient_gap; the gap taken there
-    equals the one gradient_gap records by itself at the same parameters."""
+def _three_walk_gap(model, forward):
+    """The gap composite `gradient_gap` replaces: u_q, the task gradient at
+    the quantized z, u_e, the bypass task gradient at a constant copy of z_e,
+    then J^T (u_e - u_q) pulled back from z_e to the encoder parameters."""
+    tape, nodes, target, z_e, out, task = forward
+    z_e_const = tape.leaf(z_e.value)
+    task_e = tape.mse(model.decode(tape, z_e_const, nodes), target)
+    one = np.ones((1, 1))
+    [u_q] = tape.vjp(task, one, [out.z_q])
+    [u_e] = tape.vjp(task_e, one, [z_e_const])
+    encoder = [nodes[name] for name in model.encoder_param_names]
+    gap = 0.0
+    for g in tape.vjp(z_e, u_e - u_q, encoder):
+        gap += float((g * g).sum())
+    return gap
+
+
+# affine mode x distance x n_group x nu, and one stochastic case, where the
+# gap records its own forward
+_GAP_CASES = [
+    pytest.param({"affine_mode": a, "distance": d, "n_group": g, "nu": nu},
+                 id=f"{a}-{d}-{g}" + (f"-nu{nu}" if nu else ""))
+    for a in ("ema", "learnable", "off") for d in ("cosine_renorm", "euclidean")
+    for g in (1, 2) for nu in (0.0, 0.5)
+] + [pytest.param({"sampling": "stochastic"}, id="off-euclidean-1-stochastic")]
+
+
+@pytest.mark.parametrize("vq", _GAP_CASES)
+def test_gradient_gap_on_step_forward_matches_standalone(monkeypatch, vq):
+    """train_joint hands its own tape to gradient_gap; the gap taken there and
+    the one gradient_gap records by itself at the same parameters both have
+    the bits of the three-walk composite."""
     import vqkit.metrics as mtr
 
     real = mtr.gradient_gap
-    pairs = []
+    triples = []
 
     def both(model, cb, config, batch, targets=None, *, forward=None):
         assert forward is not None
         standalone = real(model, cb, config, batch, targets)
         reused = real(model, cb, config, batch, targets, forward=forward)
-        pairs.append((reused, standalone))
+        reference = _three_walk_gap(model, mtr.record_forward(
+            model, cb, replace(config, sampling="deterministic"), batch, targets))
+        triples.append((reused, standalone, reference))
         return reused
 
     monkeypatch.setattr(mtr, "gradient_gap", both)
     rng = np.random.default_rng(40)
     data = rng.standard_normal((128, 16)) * 0.5
     model = MLPAutoencoder(rng=np.random.default_rng(41))
-    cb = Codebook(rng.standard_normal((8, 8 // n_group)) * 0.3)
-    cfg = VQConfig(alpha=1.0, affine_mode=affine_mode, distance=distance, n_group=n_group)
+    cb = Codebook(rng.standard_normal((8, 8 // vq.get("n_group", 1))) * 0.3)
+    cfg = VQConfig(alpha=1.0, **vq)
     # the step's loss, recorded on the same tape first, must not leak into the gap
     train_joint(model, cb, cfg, data, steps=12, batch_size=32,
                 optimizer=SGD(lr=0.1, momentum=0.5))
-    assert len(pairs) == 12
-    for reused, standalone in pairs:
+    assert len(triples) == 12
+    for reused, standalone, reference in triples:
         assert standalone > 0.0
-        assert abs(reused - standalone) <= 1e-12 * standalone
+        assert reused == reference and standalone == reference
 
 
 # -- CSV format -------------------------------------------------------------------
