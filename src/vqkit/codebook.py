@@ -311,8 +311,10 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     clipped. Otherwise it is drawn by `sample_code_stochastic` from the
     block, which consumes one uniform draw of `rng` per query (block by
     block, the same stream as one draw of n).
-    The codes' norms are taken once per call, the queries' per piece unless
-    `query_half_sq` (euclidean, `half_sq_norms(queries)`) gives them."""
+    Euclidean codes' norms are taken once per call, the queries' per piece
+    unless `query_half_sq` (euclidean, `half_sq_norms(queries)`) gives them;
+    under cosine the kernel normalizes each piece and the codes, so with no
+    query rows the codes are not checked."""
     if tau is not None:
         if rng is None:
             raise ContractViolation("stochastic sampling requires an rng")
@@ -325,10 +327,7 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     if kind not in DISTANCE_KINDS:
         raise ContractViolation(f"unknown distance kind {kind!r}")
     query_half_sq = _given_half_sq("query_half_sq", query_half_sq, n, kind)
-    if kind != "euclidean":
-        # the kernel is called on unit rows, as euclidean
-        codes = normalize_rows(codes)
-    code_half_sq = half_sq_norms(codes)
+    code_half_sq = half_sq_norms(codes) if kind == "euclidean" else None
     # Every piece is written to the start of a buffer sized for a whole chunk.
     # A piece-sized one would do, but glibc returns freed heap memory to the
     # system above a threshold that follows the largest buffer freed so far:
@@ -339,11 +338,9 @@ def assign(queries, codes, kind: str = "euclidean", *, tau: float | None = None,
     indices = np.empty(n, dtype=np.int64)
     row_dists = np.empty(n)
     for lo, hi in _row_blocks(n, m):
-        piece = queries[lo:hi]
-        if kind != "euclidean":
-            piece = normalize_rows(piece)
         block = pairwise_distances_chunked(
-            piece, codes, out=buf[:hi - lo], clip=False, code_half_sq=code_half_sq,
+            queries[lo:hi], codes, kind, out=buf[:hi - lo], clip=False,
+            code_half_sq=code_half_sq,
             query_half_sq=None if query_half_sq is None else query_half_sq[lo:hi])
         rows = np.arange(hi - lo)
         if tau is None:

@@ -16,7 +16,8 @@ from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError
                      ContractViolation, check_kinds, from_strict_dict, is_finite_number,
                      list_of, one_of, strict_keys)
 from .models import MLPAutoencoder
-from .training import SGD, Schedule, TrainResult, _inner_step, train_alternating, train_joint
+from .training import (SGD, Schedule, TrainResult, _inner_step, lr_at, train_alternating,
+                       train_joint)
 
 TOY_MODES = ("no_vq", "joint", "alternated", "lookahead")
 SCENARIOS = ("train", "toy-trajectory", "affine-toy", "ablation", "init-study")
@@ -61,12 +62,12 @@ def gen_mixture(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
     return means[comps] + stds[comps, None] * noise
 
 
-def _default_mixture(dim: int = 16, n: int = 1024) -> dict:
+def _default_mixture(dim: int) -> dict:
     half = dim // 2
     base = np.full(dim, 0.8)
     split = np.concatenate([np.full(half, 0.8), np.full(dim - half, -0.8)])
     means = [base.tolist(), (-base).tolist(), split.tolist(), (-split).tolist()]
-    return {"dim": dim, "n": n, "means": means,
+    return {"dim": dim, "n": 1024, "means": means,
             "cov_scales": [0.1, 0.1, 0.1, 0.1], "weights": [0.25, 0.25, 0.25, 0.25]}
 
 
@@ -152,11 +153,17 @@ def resolve_config(raw: dict) -> dict:
         if cfg["scenario"] == "ablation" and not cfg["grid"]:
             raise ConfigError("ablation grid must be nonempty")
         if cfg["data"] is None:
-            cfg["data"] = _default_mixture(dim=cfg["model"]["d_in"])
-        cfg["vq"] = asdict(vql.VQConfig.from_dict(cfg["vq"]))
+            cfg["data"] = _default_mixture(cfg["model"]["d_in"])
+        vq = vql.VQConfig.from_dict(cfg["vq"])
+        cfg["vq"] = asdict(vq)
         MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             cfg["schedule"] = asdict(Schedule.from_dict(cfg["schedule"]))
+        # the temperature and a step schedule's rate are monotone in the step
+        # (the other schedules stay within optimizer.lr), so the last step's
+        # stand for every step's
+        vq.sampling_tau(cfg["steps"] - 1)
+        lr_at(Schedule.from_dict(cfg["schedule"] or {}), cfg["optimizer"]["lr"], cfg["steps"] - 1)
         if cfg["data"]["dim"] != cfg["model"]["d_in"]:
             raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
                               f"model.d_in={cfg['model']['d_in']}")

@@ -2,6 +2,8 @@
 and k-means++ seeded Lloyd iterations."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import scatter_add_rows
@@ -14,23 +16,18 @@ INIT_METHODS = ("normal_kaiming", "uniform", "data_subset", "kmeans")
 
 
 def lloyd_step(centers: np.ndarray, sample: np.ndarray, *,
-               sample_half_sq: np.ndarray | None = None):
-    """One Lloyd iteration.
-
-    Returns (new_centers, assignment, inertia) where inertia is the mean
-    min squared distance of the sample to the *input* centers. Centers that end
-    up with no members are re-seeded to the sample point farthest from its
-    nearest center. `sample_half_sq` is `half_sq_norms(sample)`, for a caller
-    that steps on the same sample many times."""
+               sample_half_sq: np.ndarray | None = None) -> np.ndarray:
+    """One Lloyd iteration: the new centers, each the mean of the sample rows
+    `assign` gives it. Centers that end up with no members are re-seeded to
+    the sample points farthest from their nearest center. `sample_half_sq` is
+    `half_sq_norms(sample)`, for a caller that steps on the same sample many
+    times."""
     centers = np.asarray(centers, dtype=np.float64)
     sample = np.asarray(sample, dtype=np.float64)
     if centers.shape[0] < 1:
         raise ContractViolation("lloyd_step requires at least one center")
 
-    # half squared distances; doubling them is exact, so argmin and order agree
     assignment, min_half = assign(sample, centers, "euclidean", query_half_sq=sample_half_sq)
-    inertia = float((2.0 * min_half).mean())
-
     m = centers.shape[0]
     sums = scatter_add_rows(assignment, sample, m)
     counts = np.bincount(assignment, minlength=m)
@@ -43,7 +40,7 @@ def lloyd_step(centers: np.ndarray, sample: np.ndarray, *,
         order = np.argsort(min_half)[::-1]
         for j, point_idx in zip(empty, order):
             new_centers[j] = sample[point_idx]
-    return new_centers, assignment, inertia
+    return new_centers
 
 
 def kmeans_pp_seed(sample: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,7 +90,7 @@ def lloyd(centers: np.ndarray, sample: np.ndarray, iters: int) -> np.ndarray:
     # the sample's norms do not change between the steps
     sample_half_sq = half_sq_norms(sample)
     for _ in range(iters):
-        new_centers, _, _ = lloyd_step(centers, sample, sample_half_sq=sample_half_sq)
+        new_centers = lloyd_step(centers, sample, sample_half_sq=sample_half_sq)
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
         if shift < LLOYD_TOL:
@@ -115,6 +112,8 @@ def init_codebook(method: str, m: int, d: int, sample=None, *,
     if method == "uniform":
         if low > high:
             raise ContractViolation(f"uniform init needs low <= high, got {low} > {high}")
+        if not math.isfinite(high - low):
+            raise ContractViolation(f"uniform init needs a finite high - low, got {high} - {low}")
         return rng.uniform(low, high, size=(m, d))
     if method == "data_subset":
         sample = _require_sample(sample, m, method)

@@ -135,21 +135,19 @@ class Forward(NamedTuple):
     task: Node
 
 
-def record_forward(model, cb, config: VQConfig, batch, targets=None, *, step: int = 0,
+def record_forward(model, cb, config: VQConfig, batch, *, step: int = 0,
                    rng: Optional[np.random.Generator] = None) -> Forward:
-    """Record encode -> quantize -> decode -> task loss on a new tape, with
-    `targets` defaulting to the batch itself. Codebook usage is not marked."""
+    """Record encode -> quantize -> decode -> task loss on a new tape, the
+    target being the batch itself. Codebook usage is not marked."""
     tape = Tape()
     nodes = model.make_nodes(tape)
     x = tape.leaf(batch)
-    target = x if targets is None else tape.leaf(targets)
     z_e = model.encode(tape, x, nodes)
     out = quantize(tape, z_e, cb, config, step=step, rng=rng)
-    return Forward(tape, nodes, target, z_e, out,
-                   tape.mse(model.decode(tape, out.z_q, nodes), target))
+    return Forward(tape, nodes, x, z_e, out, tape.mse(model.decode(tape, out.z_q, nodes), x))
 
 
-def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
+def gradient_gap(model, cb, config: VQConfig, batch, *,
                  forward: Optional[Forward] = None) -> float:
     """Sum over encoder parameters of ||g - g_hat||^2 where g is the task-loss
     gradient with quantization bypassed (z_q := z_e) and g_hat the gradient
@@ -161,8 +159,7 @@ def gradient_gap(model, cb, config: VQConfig, batch, targets=None, *,
     stochastic sampling, the forward is recorded here with deterministic
     assignment."""
     if forward is None or config.sampling != "deterministic":
-        forward = record_forward(model, cb, replace(config, sampling="deterministic"),
-                                 batch, targets)
+        forward = record_forward(model, cb, replace(config, sampling="deterministic"), batch)
     tape, nodes, target, z_e, _, task = forward
     task_e = tape.mse(model.decode(tape, z_e, nodes), target)
     encoder = [nodes[name] for name in model.encoder_param_names]

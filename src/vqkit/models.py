@@ -10,9 +10,8 @@ class MLPAutoencoder:
     """Two-layer tanh autoencoder. The default desk-scale task quantizes the
     bottleneck of a 16 -> 32 -> 8 -> 32 -> 16 reconstruction network."""
 
-    def __init__(self, d_in: int = 16, hidden: int = 32, d_code: int = 8,
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, d_in: int = 16, hidden: int = 32, d_code: int = 8, *,
+                 rng: np.random.Generator):
         self.d_in, self.hidden, self.d_code = d_in, hidden, d_code
 
         def init(fan_in, fan_out):

@@ -2,6 +2,7 @@
 loops for the desk-scale quantized autoencoder."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,14 +44,22 @@ class Schedule:
 
 
 def lr_at(schedule: Schedule, base_lr: float, t: int) -> float:
-    """The learning rate of step `t`: `base_lr` as `schedule` scales it."""
+    """The learning rate of step `t`: `base_lr` as `schedule` scales it. A
+    step schedule's rate past the float range is a ContractViolation."""
     if t < 0:
         raise ContractViolation("t must be >= 0")
     if schedule.kind == "constant":
         return base_lr
     if schedule.kind == "step":
         hits = sum(1 for ms in schedule.milestones if t >= ms)
-        return base_lr * schedule.factor ** hits
+        try:
+            rate = base_lr * schedule.factor ** hits
+        except OverflowError:
+            rate = math.inf
+        if not math.isfinite(rate):
+            raise ContractViolation(f"optimizer.lr * schedule.factor ** {hits} at step {t} "
+                                    f"is past the float range")
+        return rate
     # cosine_warmup: linear ramp 0 -> base over warmup, then cosine to 0
     if schedule.warmup_steps > 0 and t < schedule.warmup_steps:
         return base_lr * t / schedule.warmup_steps

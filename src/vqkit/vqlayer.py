@@ -3,6 +3,7 @@ routing, commitment loss, EMA updates, affine reparameterization, LRU
 replacement, and K-means reset."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,8 +46,18 @@ class VQConfig:
 
     def sampling_tau(self, step: int) -> Optional[float]:
         """Temperature for `codebook.assign` at `step`, `tau0 · tau_decay^step`
-        under stochastic sampling; None selects the nearest code."""
-        return self.tau0 * self.tau_decay ** step if self.sampling == "stochastic" else None
+        under stochastic sampling; None selects the nearest code. A temperature
+        past the float range or rounded to 0 is a ContractViolation."""
+        if self.sampling != "stochastic":
+            return None
+        try:
+            tau = self.tau0 * self.tau_decay ** step
+        except OverflowError:
+            tau = math.inf
+        if not 0.0 < tau < math.inf:
+            raise ContractViolation(f"the temperature vq.tau0 * vq.tau_decay ** {step} is {tau}; "
+                                    f"stochastic sampling needs it finite and > 0")
+        return tau
 
     @classmethod
     def from_dict(cls, raw: dict) -> "VQConfig":
@@ -112,10 +123,9 @@ def codebook_param_grads(cb: cbk.Codebook, eff_grad, config: VQConfig) -> dict:
     return grads
 
 
-def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]:
+def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> None:
     """c <- (1 - gamma) * c + gamma * mean(assigned rows) for each code with at
-    least one assignment; unassigned codes are untouched. Returns the updated
-    code indices."""
+    least one assignment; unassigned codes are untouched."""
     if not 0.0 < gamma <= 1.0:
         raise ContractViolation("gamma must lie in (0, 1]")
     z_rows = np.asarray(z_rows, dtype=np.float64)
@@ -125,7 +135,6 @@ def ema_update(cb: cbk.Codebook, z_rows, assignments, gamma: float) -> list[int]
     updated = np.nonzero(counts > 0)[0]
     means = sums[updated] / counts[updated, None]
     cb.codes[updated] = (1.0 - gamma) * cb.codes[updated] + gamma * means
-    return updated.tolist()
 
 
 def affine_update_ema(cb: cbk.Codebook, z_e_rows, z_q_rows, momentum: float) -> None:

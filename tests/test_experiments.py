@@ -451,6 +451,15 @@ _WRONG_KINDS = _wrong_kind_cases()
     ("train", {"codebook": {"fan": 10 ** 400}}),
     ("train", {"schedule": {"kind": "cosine_warmup", "warmup_steps": 10 ** 400,
                             "total_steps": 10 ** 400}}),
+    # the temperature at the last step overflows, underflows to 0, or decays to 0
+    ("train", {"steps": 40, "vq": {"sampling": "stochastic", "tau_decay": 1e10}}),
+    ("train", {"steps": 40, "vq": {"sampling": "stochastic", "tau0": 1e-300,
+                                   "tau_decay": 1e-10}}),
+    ("train", {"steps": 3000, "vq": {"sampling": "stochastic", "tau_decay": 0.5}}),
+    ("train", {"steps": 5, "optimizer": {"lr": 0.0},
+               "schedule": {"kind": "step", "milestones": [1, 2], "factor": 1e300}}),
+    ("train", {"codebook": {"init": "uniform", "low": -1e308, "high": 1e308}}),
+    ("ablation", {"codebook": {"init": "uniform", "low": -1e308, "high": 1e308}}),
 ]] + _WRONG_KINDS, ids=[
         "steps-0", "empty-grid-list", "batch-size-0", "seeds-per-cell-0", "bool-seed",
         "removed-fused-key", "lr-string", "lr-nan", "lr-infinity", "momentum-bool",
@@ -486,6 +495,9 @@ _WRONG_KINDS = _wrong_kind_cases()
         "init-study-methods-repeated", "data-weights-negative", "reset-rows-below-m",
         "cosine-warmup-total-steps-0", "removed-schedule-base-lr-key",
         "codebook-fan-past-float-range", "schedule-warmup-steps-past-float-range",
+        "stochastic-tau-overflows", "stochastic-tau-underflows",
+        "stochastic-tau-decays-to-0", "step-schedule-rate-overflows",
+        "uniform-range-past-float-range", "grid-uniform-range-past-float-range",
         *(f"{named}-x" for _, _, named in _WRONG_KINDS)])
 def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides, named):
     """`named`, when given, is the key the one-line report must name."""
@@ -836,6 +848,11 @@ _FUZZ_HAZARDS = [
        (("codebook", "high"), 1e154), (("vq", "distance"), kind)] for kind in DISTANCE_KINDS],
     [(("affine_toy", "point_cov"), 1e308)],
     [(("optimizer", "lr"), 1e154), (("vq", "affine_mode"), "ema")],
+    [(("vq", "sampling"), "stochastic"), (("vq", "tau_decay"), 1e10), (("steps",), 40)],
+    [(("schedule", "kind"), "step"), (("schedule", "milestones"), [0, 1]),
+     (("schedule", "factor"), 1e300), (("optimizer", "lr"), 0)],
+    [(("codebook", "init"), "uniform"), (("codebook", "low"), -1e308),
+     (("codebook", "high"), 1e308)],
 ]
 
 

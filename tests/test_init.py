@@ -5,27 +5,30 @@ import pytest
 
 from vqkit import ContractViolation, NumericFailure
 from vqkit.autodiff import scatter_add_rows
-from vqkit.codebook import pairwise_distances_chunked
+from vqkit.codebook import assign, pairwise_distances_chunked
 from vqkit.initialization import LLOYD_TOL, init_codebook, kmeans, kmeans_pp_seed, lloyd, lloyd_step
 from vqkit.metrics import divergence
+
+
+def inertia(centers, sample) -> float:
+    """The mean min squared distance of the sample rows to the centers."""
+    return float((2.0 * assign(sample, centers)[1]).mean())
 
 
 def test_lloyd_step_moves_centers_to_member_means():
     sample = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
     centers = np.array([[0.0, 1.0], [10.0, 1.0]])
-    new_centers, assignment, inertia = lloyd_step(centers, sample)
-    assert np.array_equal(assignment, [0, 0, 1, 1])
-    assert np.allclose(new_centers, centers)  # already at the means
-    assert abs(inertia - 1.0) < 1e-12  # each point 1 away from its center
+    assert np.array_equal(assign(sample, centers)[0], [0, 0, 1, 1])
+    assert np.allclose(lloyd_step(centers, sample), centers)  # already at the means
+    assert abs(inertia(centers, sample) - 1.0) < 1e-12  # each point 1 away from its center
 
 
 def test_lloyd_inertia_is_the_mean_min_squared_distance():
     rng = np.random.default_rng(17)
     sample = rng.standard_normal((500, 6))
     centers = rng.standard_normal((12, 6))
-    _, _, inertia = lloyd_step(centers, sample)
     naive = ((sample[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1).mean()
-    assert abs(inertia - naive) <= 1e-12 * naive
+    assert abs(inertia(centers, sample) - naive) <= 1e-12 * naive
 
 
 def add_at_rows(indices, rows, m):
@@ -55,7 +58,8 @@ def test_lloyd_step_bit_equals_add_at_means():
         sample = rng.standard_normal((n, d))
         centers = sample[rng.choice(n, size=m, replace=False)] + 1e-3
         centers[-1] = 1e3  # an empty center, re-seeded
-        new_centers, assignment, _ = lloyd_step(centers, sample)
+        new_centers = lloyd_step(centers, sample)
+        assignment = assign(sample, centers)[0]
         counts = np.bincount(assignment, minlength=m)
         filled = counts > 0
         assert not filled[-1]
@@ -69,15 +73,15 @@ def test_lloyd_inertia_non_increasing():
     centers = rng.standard_normal((8, 3))
     last = np.inf
     for _ in range(10):
-        centers, _, inertia = lloyd_step(centers, sample)
-        assert inertia <= last + 1e-12
-        last = inertia
+        now = inertia(centers, sample)
+        assert now <= last + 1e-12
+        centers, last = lloyd_step(centers, sample), now
 
 
 def test_lloyd_reseeds_empty_centers():
     sample = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1]])
     centers = np.array([[0.4, 0.0], [100.0, 100.0]])  # second center is empty
-    new_centers, _, _ = lloyd_step(centers, sample)
+    new_centers = lloyd_step(centers, sample)
     # the empty center lands on a sample point (the farthest one)
     assert any(np.allclose(new_centers[1], p) for p in sample)
 
@@ -97,7 +101,7 @@ def test_kmeans_fixed_point_is_stable():
     sample = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [12.0, 0.0]])
     rng = np.random.default_rng(1)
     centers = kmeans(sample, 2, rng, iters=100)
-    again, _, _ = lloyd_step(centers, sample)
+    again = lloyd_step(centers, sample)
     assert np.abs(again - centers).max() < LLOYD_TOL
 
 
@@ -171,6 +175,8 @@ def test_init_errors():
     with pytest.raises(ContractViolation):
         # above the default high of 1
         init_codebook("uniform", 4, 2, low=1.5, rng=np.random.default_rng(0))
+    with pytest.raises(ContractViolation, match="finite high - low"):
+        init_codebook("uniform", 4, 2, low=-1e308, high=1e308, rng=np.random.default_rng(0))
 
 
 def kmeans_pp_one_call_per_centre(sample, m, rng):

@@ -134,13 +134,14 @@ def test_activation_probability_matches_exact_binomial_tail(h, w, b, m_codes, n_
 # -- gradient gap -----------------------------------------------------------------
 
 class LinearEncoderIdentityDecoder:
-    """Linear encoder, identity decoder: a model whose gradient gap has a
-    closed form, the oracle of the tests below."""
+    """Square linear encoder, identity decoder: a model whose gradient gap has
+    a closed form, the oracle of the tests below. The task target is the
+    batch, so the code dimension is the input's."""
 
     encoder_param_names = ("enc_w",)
 
-    def __init__(self, d_in: int, d_code: int, rng: np.random.Generator):
-        self.params = {"enc_w": rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_code))}
+    def __init__(self, d: int, rng: np.random.Generator):
+        self.params = {"enc_w": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))}
 
     def make_nodes(self, tape: Tape) -> dict:
         return {name: tape.leaf(value, name=name)
@@ -155,42 +156,40 @@ class LinearEncoderIdentityDecoder:
 
 def test_gradient_gap_zero_when_quantization_exact():
     rng = np.random.default_rng(1)
-    model = LinearEncoderIdentityDecoder(4, 3, rng=rng)
+    model = LinearEncoderIdentityDecoder(4, rng=rng)
     batch = rng.standard_normal((6, 4))
     z_e = batch @ model.params["enc_w"]
     cb = Codebook(z_e)  # every embedding is a code -> zero quantization error
-    gap = gradient_gap(model, cb, VQConfig(), batch, targets=np.zeros((6, 3)))
+    gap = gradient_gap(model, cb, VQConfig(), batch)
     assert gap <= 1e-20
 
 
 def test_gradient_gap_closed_form_linear_model():
-    # decoder = identity, loss = mean-row half sq error vs target t:
+    # decoder = identity, loss = mean-row half sq error vs the target T = X:
     # bypass grad = X^T (Z - T)/n, quantized grad = X^T (Zq - T)/n
-    # gap = || X^T (Z - Zq)/n ||_F^2
+    # gap = || X^T (Z - Zq)/n ||_F^2, whatever the target
     rng = np.random.default_rng(2)
-    model = LinearEncoderIdentityDecoder(5, 3, rng=rng)
+    model = LinearEncoderIdentityDecoder(5, rng=rng)
     batch = rng.standard_normal((8, 5))
-    targets = rng.standard_normal((8, 3))
-    cb = Codebook(rng.standard_normal((4, 3)))
+    cb = Codebook(rng.standard_normal((4, 5)))
     z = batch @ model.params["enc_w"]
     d = ((z[:, None, :] - cb.codes[None, :, :]) ** 2).sum(-1)
     idx = d.argmin(axis=1)
     z_q = cb.codes[idx]
     expected = ((batch.T @ (z - z_q) / 8) ** 2).sum()
-    got = gradient_gap(model, cb, VQConfig(), batch, targets=targets)
+    got = gradient_gap(model, cb, VQConfig(), batch)
     assert abs(got - expected) < 1e-12
 
 
 def test_gradient_gap_grows_with_quantization_error():
     rng = np.random.default_rng(3)
-    model = LinearEncoderIdentityDecoder(4, 2, rng=rng)
+    model = LinearEncoderIdentityDecoder(4, rng=rng)
     batch = rng.standard_normal((10, 4))
     z = batch @ model.params["enc_w"]
-    targets = rng.standard_normal((10, 2))
     near = Codebook(z + 0.01 * rng.standard_normal(z.shape))
     far = Codebook(z + 1.0 * rng.standard_normal(z.shape))
-    assert gradient_gap(model, near, VQConfig(), batch, targets=targets) < \
-        gradient_gap(model, far, VQConfig(), batch, targets=targets)
+    assert gradient_gap(model, near, VQConfig(), batch) < \
+        gradient_gap(model, far, VQConfig(), batch)
 
 
 def _three_walk_gap(model, forward):
@@ -230,12 +229,12 @@ def test_gradient_gap_on_step_forward_matches_standalone(monkeypatch, vq):
     real = mtr.gradient_gap
     triples = []
 
-    def both(model, cb, config, batch, targets=None, *, forward=None):
+    def both(model, cb, config, batch, *, forward=None):
         assert forward is not None
-        standalone = real(model, cb, config, batch, targets)
-        reused = real(model, cb, config, batch, targets, forward=forward)
+        standalone = real(model, cb, config, batch)
+        reused = real(model, cb, config, batch, forward=forward)
         reference = _three_walk_gap(model, mtr.record_forward(
-            model, cb, replace(config, sampling="deterministic"), batch, targets))
+            model, cb, replace(config, sampling="deterministic"), batch))
         triples.append((reused, standalone, reference))
         return reused
 

@@ -85,6 +85,10 @@ def test_step_schedule_milestones():
     assert lr_at(s, 1.0, 9) == 1.0
     assert abs(lr_at(s, 1.0, 10) - 0.1) < 1e-15
     assert abs(lr_at(s, 1.0, 25) - 0.01) < 1e-15
+    # a rate past the float range, in the power or in the product
+    for base_lr, milestones in ((0.0, (10, 20)), (1e200, (10,))):
+        with pytest.raises(ContractViolation, match="past the float range"):
+            lr_at(Schedule(kind="step", milestones=milestones, factor=1e200), base_lr, 20)
 
 
 def test_cosine_warmup_endpoints():

@@ -57,6 +57,11 @@ def test_tau_schedule_is_geometric():
     assert cfg.sampling_tau(0) == 2.0
     assert cfg.sampling_tau(3) == 2.0 * 0.5 ** 3
     assert VQConfig(tau0=2.0, tau_decay=0.5).sampling_tau(3) is None
+    # a temperature past the float range, or rounded to 0, is no temperature
+    with pytest.raises(ContractViolation, match=r"\*\* 39 is inf;"):
+        VQConfig(sampling="stochastic", tau_decay=1e10).sampling_tau(39)
+    with pytest.raises(ContractViolation, match=r"\*\* 2999 is 0.0;"):
+        cfg.sampling_tau(2999)
 
 
 # -- commitment loss ----------------------------------------------------------
@@ -210,8 +215,7 @@ def test_codebook_param_grads_rejects_an_unknown_affine_mode():
 def test_ema_update_moves_to_per_code_means():
     cb = Codebook(np.zeros((3, 2)))
     z = np.array([[1.0, 1.0], [3.0, 3.0], [10.0, 0.0]])
-    updated = ema_update(cb, z, [0, 0, 2], gamma=0.5)
-    assert updated == [0, 2]
+    ema_update(cb, z, [0, 0, 2], gamma=0.5)
     assert np.allclose(cb.codes[0], [1.0, 1.0])   # halfway to mean (2,2) from 0
     assert np.allclose(cb.codes[1], [0.0, 0.0])   # unassigned, untouched
     assert np.allclose(cb.codes[2], [5.0, 0.0])
