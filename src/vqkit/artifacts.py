@@ -1,7 +1,7 @@
 """Artifact files, the one module that serializes them and reads strict JSON:
 each is written whole or not at all, and a NaN or infinite value is a
 NumericFailure before anything is written, so a run that exits 0 leaves only
-strict JSON and finite CSV."""
+strict JSON and finite CSV; inside `staged()`, only what `commit` names lands."""
 from __future__ import annotations
 
 import csv
@@ -13,20 +13,25 @@ from pathlib import Path
 
 from .errors import NumericFailure
 
+_stage = None   # inside `staged()`: each target written -> its temporary file
+
 
 @contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a temporary file beside `path` for writing. When the block ends
-    normally the file replaces `path` (`os.replace`); when it raises, the
-    temporary file is removed and `path` is left as it was. An OSError is
-    raised again with its errno and reason but naming `path`, not the
-    temporary file."""
+    """Open a temporary file `.<name>.<pid>.tmp` beside `path` for writing, which
+    replaces `path` (`os.replace`) when the block ends normally; under `staged()`
+    it waits for `commit`, unless `path` is a directory, which fails at once. When
+    the block raises, the file is removed and `path` is left as it was. An OSError
+    is raised again with its errno and reason but naming `path`, not the file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        if _stage is None or path.is_dir() and not path.is_symlink():
+            os.replace(tmp, path)
+        else:
+            _stage[path] = tmp
     except BaseException as exc:
         # under a regular file, unlinking fails as the open did
         with suppress(OSError):
@@ -34,6 +39,31 @@ def atomic_open(path, mode: str = "w", **kwargs):
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
         raise
+
+
+@contextmanager
+def staged():
+    """Hold back each `atomic_open` in the block for `commit`, yielding the
+    staged targets. However the block ends, each file not committed is removed;
+    a killed process leaves them, as it leaves any write it cut short."""
+    global _stage
+    _stage = {}
+    try:
+        yield _stage
+    finally:
+        for tmp in _stage.values():
+            tmp.unlink(missing_ok=True)
+        _stage = None
+
+
+def commit(targets) -> None:
+    """Replace each staged target in `targets` by its file, a directory among
+    them first, so that its failed `os.replace` leaves every target as it was."""
+    for path in sorted(map(Path, targets), key=lambda p: not p.is_dir() or p.is_symlink()):
+        try:
+            os.replace(_stage[path], path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
 
 
 def write_json(path, obj) -> None:

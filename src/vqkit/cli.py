@@ -3,11 +3,12 @@
 Usage: vqkit <subcommand> --config <path> --out <dir> [--seed N]
 
 Subcommands: toy-trajectory, affine-toy, ablation, train, init-study,
-metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure.
-A run that exits 2, also when its `--out` or an artifact cannot be written,
-leaves no directory or file it created and an earlier `config.json` in
-`--out` as it found it; one that exits 3 leaves its own `config.json`.
-Given the same config and seed, outputs are byte-identical across runs.
+metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure. A run
+stages its artifacts (`artifacts.staged`) and commits them once it ends, so one
+that does not exit 0 changes no file in `--out` except `config.json` on exit 3;
+an exit 2 also removes each directory it made. A killed process leaves
+`.<name>.<pid>.tmp` files. Given the same config and seed, outputs are
+byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import experiments as exp
 from . import metrics as mtr
-from .artifacts import atomic_open, write_csv, write_json, write_jsonl
+from .artifacts import commit, staged, write_csv, write_json, write_jsonl
 from .errors import ConfigError, NumericFailure, VQKitError
 
 EXIT_OK = 0
@@ -147,48 +148,40 @@ def main(argv=None) -> int:
             p.add_argument(flag, required=True, help=help_text)
     args = parser.parse_args(argv)
     scenario, run, _ = COMMANDS[args.command]
-    out, created, entries, kept = Path(args.out), [], None, None
+    out, created = Path(args.out), []
 
     try:
         # numpy's floating-point warnings would precede the one-line report;
         # ignoring them changes no value, and the finiteness checks still raise
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), staged() as written:
             cfg = exp.load_config(args.config, seed=args.seed)
             if cfg["scenario"] != scenario:
                 raise ConfigError(
                     f"config scenario {cfg['scenario']!r} does not match subcommand "
                     f"{args.command!r}")
-            # each directory the run makes, outermost first, what --out held
-            # before and the bytes of an earlier config.json: a run that exits
-            # 2 removes the directories and every file it added and puts those
-            # bytes back, one that exits 3 keeps its config.json
+            # each directory the run makes, outermost first: an exit 2 removes them
             for level in reversed((out, *out.parents)):
                 if not level.exists():
                     level.mkdir()
                     created.append(level)
-            entries = set(out.iterdir()) if out.is_dir() else None
-            config = out / "config.json"
-            earlier = config.read_bytes() if config.is_file() else None
-            write_json(config, cfg)
-            kept = earlier   # replaced now, so an exit 2 puts it back
-            run(cfg, out, args)
+            write_json(out / "config.json", cfg)
+            try:
+                run(cfg, out, args)
+            except NumericFailure:
+                commit([out / "config.json"])
+                raise
+            commit(written)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (VQKitError, OSError) as exc:
         if isinstance(exc, OSError):
             # every read reports its own ConfigError, so this is an --out
-            # level or an artifact, which `atomic_open` names
+            # level or an artifact, which `atomic_open` and `commit` name
             print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         else:
             kind = "config error" if isinstance(exc, ConfigError) else "error"
             print(f"{kind}: {exc}", file=sys.stderr)
-        if entries is not None:
-            for path in set(out.iterdir()) - entries:
-                path.unlink()
-        if kept is not None:
-            with atomic_open(out / "config.json", "wb") as fh:
-                fh.write(kept)
         for level in reversed(created):
             shutil.rmtree(level, ignore_errors=True)
         return EXIT_CONFIG

@@ -2,6 +2,7 @@
 entry point (exit codes and byte-identical reruns)."""
 import contextlib
 import copy
+import errno
 import filecmp
 import functools
 import inspect
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vqkit.cli as cli_mod
 import vqkit.experiments as exp
 import vqkit.training as training
 from vqkit import (
@@ -34,7 +36,7 @@ from vqkit import (
     run_toy_trajectory,
     run_training,
 )
-from vqkit.artifacts import atomic_open, write_csv, write_json, write_jsonl
+from vqkit.artifacts import atomic_open, commit, staged, write_csv, write_json, write_jsonl
 from vqkit.cli import main as cli_main
 from vqkit.codebook import DISTANCE_KINDS
 from vqkit.experiments import (
@@ -612,7 +614,7 @@ def test_artifact_writer_failing_mid_file_leaves_nothing_behind(tmp_path, monkey
     cfgp = write_cfg(tmp_path, "train.json", minimal(steps=4, track_grad_gap=False))
     with pytest.raises(ValueError, match="mid-file"):
         cli_main(["train", "--config", cfgp, "--out", str(out)])
-    assert [p.name for p in out.iterdir()] == ["config.json"]
+    assert [p.name for p in out.iterdir()] == []
 
 
 def test_cli_seed_flag_overrides_config(tmp_path):
@@ -1092,9 +1094,9 @@ def test_an_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys, monke
 
 
 def test_a_run_that_exits_2_removes_each_file_it_wrote_into_an_existing_out(tmp_path, capsys):
-    """A run that fails after it wrote config.json into an `--out` that
-    existed before removes that file and keeps what the directory held; a run
-    that exits 3 keeps its config.json there."""
+    """A run that fails after it staged config.json into an `--out` that
+    existed before commits no file there and keeps what the directory held; a
+    run that exits 3 commits its config.json there."""
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("mine")
@@ -1112,7 +1114,8 @@ def test_a_run_that_exits_2_removes_each_file_it_wrote_into_an_existing_out(tmp_
 
 def test_a_run_that_exits_2_puts_back_the_config_json_of_an_earlier_run(tmp_path, capsys):
     """An earlier run's directory keeps its config.json bytes, so the file
-    still matches the metrics.csv and codebook.bin beside it."""
+    still matches the metrics.csv and codebook.bin beside it: the failed run
+    committed nothing."""
     od = tmp_path / "od"
     two = write_cfg(tmp_path, "two.json", minimal(steps=2))
     assert cli_main(["train", "--config", two, "--out", str(od)]) == 0
@@ -1126,16 +1129,20 @@ def test_a_run_that_exits_2_puts_back_the_config_json_of_an_earlier_run(tmp_path
 
 
 def _tree(root):
-    """Each path under `root` with its kind, symlinks not followed."""
+    """Each path under `root` with its kind, a regular file with its bytes,
+    symlinks not followed."""
     tree = {}
     for dirpath, dirnames, filenames in os.walk(root):
         for path in (Path(dirpath, name) for name in dirnames + filenames):
-            tree[path] = "symlink" if path.is_symlink() else "dir" if path.is_dir() else "file"
+            tree[path] = ("symlink" if path.is_symlink() else "dir" if path.is_dir()
+                          else ("file", path.read_bytes()))
     return tree
 
 
-# --out shapes: the --out argument, and the paths that exist before the run
-# (a name ending in "/" is a directory, "name->target" a symlink)
+# --out shapes: the --out argument, and the paths that exist before the run,
+# made in order (a name ending in "/" is a directory, which replaces a file of
+# that name, "name->target" a symlink, and "name<-run" the --out of an earlier
+# 3-step run)
 _OUT_SHAPES = {
     "new": ("made/deeper", []),
     "existing-dir": ("odir", ["odir/"]),
@@ -1149,6 +1156,7 @@ _OUT_SHAPES = {
     "symlink-to-a-file": ("link", ["afile", "link->afile"]),
     "under-a-symlink-to-a-file": ("link/x", ["afile", "link->afile"]),
     "symlink-to-a-dir": ("link", ["odir/", "link->odir"]),
+    "earlier-run-summary-json-is-a-dir": ("od", ["od<-run", "od/summary.json/"]),
 }
 
 
@@ -1162,9 +1170,13 @@ def test_cli_fuzzed_out_exits_0_or_2_and_keeps_every_path_it_found(tmp_path, mon
     out, paths = _OUT_SHAPES[shape]
     for spec in paths:
         name, _, target = spec.partition("->")
-        if target:
+        if spec.endswith("<-run"):
+            earlier = write_cfg(tmp_path, "earlier.json", minimal(steps=3))
+            assert cli_main(["train", "--config", earlier, "--out", spec[:-len("<-run")]]) == 0
+        elif target:
             Path(name).symlink_to(target)
         elif name.endswith("/"):
+            Path(name).unlink(missing_ok=True)
             Path(name).mkdir(parents=True)
         else:
             Path(name).parent.mkdir(parents=True, exist_ok=True)
@@ -1180,6 +1192,75 @@ def test_cli_fuzzed_out_exits_0_or_2_and_keeps_every_path_it_found(tmp_path, mon
         assert after == before
     else:
         assert err == ""
+
+
+def test_a_failed_run_into_an_earlier_runs_out_changes_no_byte_of_it(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A seed-1, 5-step run into the --out of a seed-0, 3-step run whose
+    summary.json is now a directory fails on that name after it has rendered
+    metrics.csv and codebook.bin, and commits none of them."""
+    monkeypatch.chdir(tmp_path)
+    three = write_cfg(tmp_path, "three.json", minimal(steps=3))
+    assert cli_main(["train", "--config", three, "--out", "od"]) == 0
+    Path("od/summary.json").unlink()
+    Path("od/summary.json").mkdir()
+    before = _tree(tmp_path / "od")
+    five = write_cfg(tmp_path, "five.json", minimal(steps=5))
+    assert cli_main(["train", "--config", five, "--seed", "1", "--out", "od"]) == 2
+    assert capsys.readouterr().err == "config error: cannot write od/summary.json: Is a directory\n"
+    assert _tree(tmp_path / "od") == before
+
+
+def test_a_run_that_exits_3_into_an_earlier_runs_out_changes_only_config_json(
+        tmp_path, capsys, monkeypatch):
+    """A writer that fails numerically after metrics.csv and codebook.bin are
+    staged: the run commits its own config.json and nothing else."""
+    od = tmp_path / "od"
+    assert cli_main(["train", "--config", write_cfg(tmp_path, "two.json", minimal(steps=2)),
+                     "--out", str(od)]) == 0
+    before = {p.name: p.read_bytes() for p in od.iterdir()}
+
+    def fails(path, records):
+        assert (od / f".metrics.csv.{os.getpid()}.tmp").exists()
+        raise NumericFailure(f"{path.name}: non-finite value nan")
+
+    monkeypatch.setattr(cli_mod, "write_jsonl", fails)
+    three = write_cfg(tmp_path, "three.json", minimal(steps=3))
+    assert cli_main(["train", "--config", three, "--out", str(od)]) == 3
+    assert capsys.readouterr().err == "numeric failure: replacements.jsonl: non-finite value nan\n"
+    after = {p.name: p.read_bytes() for p in od.iterdir()}
+    assert json.loads(after.pop("config.json"))["steps"] == 3
+    before.pop("config.json")
+    assert after == before
+
+
+def test_a_stage_replaces_no_target_when_one_is_a_directory(tmp_path):
+    """`commit` replaces no chosen target when one has become a directory since
+    it was staged, raises the OSError a failed `os.replace` raises, naming that
+    target, and the stage's end removes every file it did not commit. A target
+    that is a directory when it is written fails at once, as outside a stage."""
+    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    a.write_text("old\n")
+    with pytest.raises(OSError) as raised, staged() as written:
+        write_json(a, [1])
+        write_json(b, [2])
+        assert a.read_text() == "old\n" and not b.exists()   # staged, not replaced
+        b.mkdir()
+        commit(written)
+    assert (raised.value.errno, raised.value.strerror, raised.value.filename) == \
+        (errno.EISDIR, "Is a directory", str(b))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+    assert a.read_text() == "old\n" and not any(b.iterdir())
+    with pytest.raises(OSError, match="Is a directory") as raised, staged():
+        write_json(a, [1])
+        write_json(b, [2])
+    assert raised.value.filename == str(b) and a.read_text() == "old\n"
+    with staged():
+        write_json(a, [1])
+        write_json(c, [3])
+        commit([a])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+    assert a.read_text() == "[\n  1\n]\n"
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
