@@ -7,15 +7,16 @@ Run:  python3 demos/01_toy_trajectory.py
 """
 import numpy as np
 
-from vqkit import run_toy_trajectory
+from vqkit import resolve_config, run_toy_trajectory
 from vqkit.experiments import TOY_MODES
 
 SEEDS = range(5)
+CONFIGS = {seed: resolve_config({"scenario": "toy-trajectory", "seed": seed}) for seed in SEEDS}
 
 print("mode        seed   path length   steps to 1e-3   final task loss")
 for mode in TOY_MODES:
     for seed in SEEDS:
-        traj = run_toy_trajectory(mode, seed)
+        traj = run_toy_trajectory(CONFIGS[seed], mode)
         print(f"{mode:<11} {seed:>4}   {traj.path_length:11.4f}   "
               f"{traj.steps_to_tol:>13}   {traj.rows[-1][4]:.3e}")
     print()
@@ -27,6 +28,6 @@ print("   does not spiral around the target chasing a stale code.")
 print(" * lookahead reaches tolerance fastest: the extra nu-weighted codebook")
 print("   step removes the one-step delay of the moving-average code.")
 
-path_joint = np.mean([run_toy_trajectory("joint", s).path_length for s in SEEDS])
-path_alt = np.mean([run_toy_trajectory("alternated", s).path_length for s in SEEDS])
+path_joint = np.mean([run_toy_trajectory(CONFIGS[s], "joint").path_length for s in SEEDS])
+path_alt = np.mean([run_toy_trajectory(CONFIGS[s], "alternated").path_length for s in SEEDS])
 print(f"\nmean path length: joint {path_joint:.3f} vs alternated {path_alt:.3f}")

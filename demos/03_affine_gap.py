@@ -5,9 +5,9 @@ scale/bias, closing the mean gap in a few updates.
 
 Run:  python3 demos/03_affine_gap.py
 """
-from vqkit import run_affine_toy
+from vqkit import resolve_config, run_affine_toy
 
-out = run_affine_toy(seed=0)
+out = run_affine_toy(resolve_config({"scenario": "affine-toy", "seed": 0}))
 
 for name in ("standard", "affine"):
     r = out[name]

@@ -3,12 +3,12 @@
 Usage: vqkit <subcommand> --config <path> --out <dir> [--seed N]
 
 Subcommands: toy-trajectory, affine-toy, ablation, train, init-study,
-metrics-replay. Exit codes: 0 success, 2 config error, 3 numeric failure. A run
-stages its artifacts (`artifacts.staged`) and commits them once it ends, so one
-that does not exit 0 changes no file in `--out` except `config.json` on exit 3;
-an exit 2 also removes each directory it made. A killed process leaves
-`.<name>.<pid>.tmp` files. Given the same config and seed, outputs are
-byte-identical across runs.
+metrics-replay. Exit codes: 0 success, 2 config error (an array too large to
+allocate included), 3 numeric failure. A run stages its artifacts
+(`artifacts.staged`) and commits them once it ends, so one that does not exit 0
+changes no file in `--out` except `config.json` on exit 3; an exit 2 also
+removes each directory it made. A killed process leaves `.<name>.<pid>.tmp`
+files. Given the same config and seed, outputs are byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ EXIT_NUMERIC = 3
 def cmd_toy_trajectory(cfg: dict, out: Path, args) -> None:
     summary = {}
     for mode in exp.TOY_MODES:
-        traj = exp.run_toy_trajectory(mode, cfg["seed"], **cfg["toy"])
+        traj = exp.run_toy_trajectory(cfg, mode)
         rows = [[step, *row] for step, row in enumerate(traj.rows)]
         write_csv(out / f"trajectory_{mode}.csv",
                   ["step", "z_e_x", "z_e_y", "z_q_x", "z_q_y", "task_loss"], rows)
@@ -45,7 +45,7 @@ def cmd_toy_trajectory(cfg: dict, out: Path, args) -> None:
 
 
 def cmd_affine_toy(cfg: dict, out: Path, args) -> None:
-    result = exp.run_affine_toy(cfg["seed"], **cfg["affine_toy"])
+    result = exp.run_affine_toy(cfg)
     for variant in ("standard", "affine"):
         rows = [[i, g] for i, g in enumerate(result[variant]["gap_history"])]
         write_csv(out / f"gap_{variant}.csv", ["update", "codebook_mean_gap"], rows)
@@ -107,6 +107,9 @@ def cmd_metrics_replay(cfg: dict, out: Path, args) -> None:
                 if bad is not None:
                     raise ConfigError(f"metrics CSV line {reader.line_num}: "
                                       f"non-finite {bad} {row[bad]!r}")
+                if values["step"] < 0 or not values["step"].is_integer():
+                    raise ConfigError(f"metrics CSV line {reader.line_num}: step "
+                                      f"{row['step']!r} is not an integer >= 0")
                 rows.append(values)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read metrics CSV: {exc}") from exc
@@ -154,6 +157,8 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would precede the one-line report;
         # ignoring them changes no value, and the finiteness checks still raise
         with np.errstate(all="ignore"), staged() as written:
+            if not args.out:
+                raise ConfigError("--out is empty")
             cfg = exp.load_config(args.config, seed=args.seed)
             if cfg["scenario"] != scenario:
                 raise ConfigError(
@@ -174,13 +179,14 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (VQKitError, OSError) as exc:
+    except (VQKitError, OSError, MemoryError) as exc:
         if isinstance(exc, OSError):
             # every read reports its own ConfigError, so this is an --out
             # level or an artifact, which `atomic_open` and `commit` name
             print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         else:
-            kind = "config error" if isinstance(exc, ConfigError) else "error"
+            # a MemoryError: the config sizes an array the machine cannot hold
+            kind = "config error" if isinstance(exc, (ConfigError, MemoryError)) else "error"
             print(f"{kind}: {exc}", file=sys.stderr)
         for level in reversed(created):
             shutil.rmtree(level, ignore_errors=True)

@@ -1,6 +1,5 @@
 """The vqkit exception hierarchy, and the value kinds and checks that config
 and argument validation share."""
-import dataclasses
 import numbers
 import sys
 
@@ -40,6 +39,8 @@ def is_finite_number(value) -> bool:
 # A kind is a (what, test) pair: the values `test` accepts, as `what` names them.
 INT = ("an integer in [1, float max]", lambda v: is_int(v) and is_finite_number(v) and v >= 1)
 COUNT = ("an integer in [0, float max]", lambda v: is_int(v) and is_finite_number(v) and v >= 0)
+# an array size: numpy can hold an array of any two of them (2^56 float64s)
+SIZE = ("an integer in [1, 2^28]", lambda v: is_int(v) and 1 <= v <= 2 ** 28)
 REAL = ("a finite number", is_finite_number)
 NONNEG = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0)
 FRACTION = ("a number in (0, 1]", lambda v: is_finite_number(v) and 0 < v <= 1)
@@ -84,8 +85,6 @@ def strict_keys(raw, allowed, name: str, required=()) -> dict:
 
 
 def from_strict_dict(cls, raw, name: str):
-    """`cls(**raw)` for a dataclass `cls`, when `raw` passes `strict_keys` and
-    sets every field that has no default; otherwise a ContractViolation."""
-    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING]
-    return cls(**strict_keys(raw, cls.__dataclass_fields__, name, required))
+    """`cls(**raw)` for a dataclass `cls` when `raw` passes `strict_keys`;
+    otherwise a ContractViolation."""
+    return cls(**strict_keys(raw, cls.__dataclass_fields__, name))

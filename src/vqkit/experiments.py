@@ -1,5 +1,5 @@
-"""Scenario definitions, JSON config parsing, synthetic data generation, and
-artifact emission for the desk-scale experiments."""
+"""Scenario definitions, JSON config parsing and synthetic data generation for
+the desk-scale experiments: each scenario runner reads the resolved config."""
 from __future__ import annotations
 
 import copy
@@ -12,9 +12,9 @@ from . import initialization, metrics as mtr, vqlayer as vql
 from .artifacts import read_json
 from .autodiff import Tape
 from .codebook import Codebook, assign
-from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, UNIT, ConfigError,
-                     ContractViolation, check_kinds, from_strict_dict, is_finite_number,
-                     list_of, one_of, strict_keys)
+from .errors import (BOOL, COUNT, FRACTION, INT, NONNEG, REAL, SIZE, UNIT, ConfigError,
+                     ContractViolation, check_kinds, is_finite_number, list_of, one_of,
+                     strict_keys)
 from .models import MLPAutoencoder
 from .training import (SGD, Schedule, TrainResult, _inner_step, lr_at, train_alternating,
                        train_joint)
@@ -26,39 +26,13 @@ SCENARIOS = ("train", "toy-trajectory", "affine-toy", "ablation", "init-study")
 # ---------------------------------------------------------------------------
 # synthetic data
 
-@dataclass
-class MixtureSpec:
-    dim: int
-    n: int
-    means: list
-    cov_scales: list
-    weights: list
-
-    _KINDS = {"dim": INT, "n": INT, "means": list_of(list_of(REAL)),
-              "cov_scales": list_of(NONNEG), "weights": list_of(NONNEG)}
-
-    def __post_init__(self):
-        check_kinds(vars(self), self._KINDS, "data")
-        k = len(self.means)
-        if any(len(row) != self.dim for row in self.means):
-            raise ContractViolation("mixture means must be k x dim")
-        if len(self.cov_scales) != k or len(self.weights) != k:
-            raise ContractViolation("cov_scales and weights must have one entry per component")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ContractViolation("mixture weights must sum to 1")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MixtureSpec":
-        return from_strict_dict(cls, raw, "data")
-
-
-def gen_mixture(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
-    """Seeded draws from an isotropic Gaussian mixture; covariance of component
-    i is cov_scales[i] * I."""
-    means = np.asarray(spec.means, dtype=np.float64)
-    comps = rng.choice(means.shape[0], size=spec.n, p=np.asarray(spec.weights))
-    noise = rng.standard_normal((spec.n, spec.dim))
-    stds = np.sqrt(np.asarray(spec.cov_scales, dtype=np.float64))
+def gen_mixture(data: dict, rng: np.random.Generator) -> np.ndarray:
+    """Seeded draws from the isotropic Gaussian mixture of a resolved `data`
+    section; covariance of component i is cov_scales[i] * I."""
+    means = np.asarray(data["means"], dtype=np.float64)
+    comps = rng.choice(means.shape[0], size=data["n"], p=np.asarray(data["weights"]))
+    noise = rng.standard_normal((data["n"], data["dim"]))
+    stds = np.sqrt(np.asarray(data["cov_scales"], dtype=np.float64))
     return means[comps] + stds[comps, None] * noise
 
 
@@ -82,18 +56,18 @@ _CELLS = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)   # 
 _SECTIONS = {
     "optimizer": {"lr": (NONNEG, SGD.lr), "momentum": (REAL, SGD.momentum),
                   "weight_decay": (REAL, SGD.weight_decay)},
-    "model": {"d_in": (INT, 16), "hidden": (INT, 32), "d_code": (INT, 8)},
-    "codebook": {"m": (INT, 32), "init": (one_of(*initialization.INIT_METHODS), "normal_kaiming"),
+    "model": {"d_in": (SIZE, 16), "hidden": (SIZE, 32), "d_code": (SIZE, 8)},
+    "codebook": {"m": (SIZE, 32), "init": (one_of(*initialization.INIT_METHODS), "normal_kaiming"),
                  "fan": (INT,), "low": (REAL,), "high": (REAL,), "iters": (INT,)},
     "toy": {"steps": (INT, 500), "lr": (REAL, 0.1), "alpha": (REAL, 1.0),
             "beta": (UNIT, 0.95), "nu": (NONNEG, 0.5),
             "target": (("a list of two finite numbers", lambda v: isinstance(v, list)
                         and len(v) == 2 and all(map(is_finite_number, v))), [2.0, 1.0]),
             "tol": (REAL, 1e-3)},
-    "affine_toy": {"n_points": (INT, 512), "m": (INT, 128), "updates": (INT, 20),
+    "affine_toy": {"n_points": (SIZE, 512), "m": (SIZE, 128), "updates": (INT, 20),
                    "lr": (FRACTION, 0.1), "momentum": (FRACTION, 0.1),
                    "point_cov": (NONNEG, 0.1), "code_cov": (NONNEG, 0.05)},
-    "init_study": {"n": (INT, 2048), "d": (INT, 8), "m": (INT, 64), "n_seeds": (INT, 5),
+    "init_study": {"n": (SIZE, 2048), "d": (SIZE, 8), "m": (SIZE, 64), "n_seeds": (INT, 5),
                    "methods": (list_of(one_of(*initialization.INIT_METHODS), distinct=True),
                                ["kmeans", "data_subset", "normal_kaiming"])},
     "grid": {"affine_mode": (_CELLS, ["off", "learnable"]),
@@ -111,6 +85,11 @@ _TOP_LEVEL = {
     "seeds_per_cell": (INT, 5),
     "smooth_gamma": (("the number 0", lambda v: is_finite_number(v) and v == 0),),
 }
+
+# The data section's kinds: a `data` the config sets states every key, and a
+# `null` one is `_default_mixture` of model.d_in.
+_DATA = {"dim": SIZE, "n": SIZE, "means": list_of(list_of(REAL)),
+         "cov_scales": list_of(NONNEG), "weights": list_of(NONNEG)}
 
 _DEFAULTS = {
     **{key: spec[1] for key, spec in _TOP_LEVEL.items() if len(spec) == 2},
@@ -156,7 +135,6 @@ def resolve_config(raw: dict) -> dict:
             cfg["data"] = _default_mixture(cfg["model"]["d_in"])
         vq = vql.VQConfig.from_dict(cfg["vq"])
         cfg["vq"] = asdict(vq)
-        MixtureSpec.from_dict(cfg["data"])
         if cfg["schedule"] is not None:
             cfg["schedule"] = asdict(Schedule.from_dict(cfg["schedule"]))
         # the temperature and a step schedule's rate are monotone in the step
@@ -164,12 +142,19 @@ def resolve_config(raw: dict) -> dict:
         # stand for every step's
         vq.sampling_tau(cfg["steps"] - 1)
         lr_at(Schedule.from_dict(cfg["schedule"] or {}), cfg["optimizer"]["lr"], cfg["steps"] - 1)
-        if cfg["data"]["dim"] != cfg["model"]["d_in"]:
-            raise ConfigError(f"data.dim={cfg['data']['dim']} must equal "
+        data = cfg["data"]
+        check_kinds(strict_keys(data, _DATA, "data", required=_DATA), _DATA, "data")
+        if any(len(row) != data["dim"] for row in data["means"]):
+            raise ConfigError("mixture means must be k x dim")
+        if not len(data["means"]) == len(data["cov_scales"]) == len(data["weights"]):
+            raise ConfigError("cov_scales and weights must have one entry per component")
+        if abs(sum(data["weights"]) - 1.0) > 1e-9:
+            raise ConfigError("mixture weights must sum to 1")
+        if data["dim"] != cfg["model"]["d_in"]:
+            raise ConfigError(f"data.dim={data['dim']} must equal "
                               f"model.d_in={cfg['model']['d_in']}")
-        if cfg["batch_size"] > cfg["data"]["n"]:
-            raise ConfigError(
-                f"batch_size={cfg['batch_size']} exceeds data.n={cfg['data']['n']}")
+        if cfg["batch_size"] > data["n"]:
+            raise ConfigError(f"batch_size={cfg['batch_size']} exceeds data.n={data['n']}")
         # an alternating run splits each batch into inner_k + outer_k sub-batches
         sub_batches = cfg["inner_k"] + cfg["outer_k"]
         if cfg["train_mode"] == "alternating" and cfg["batch_size"] % sub_batches:
@@ -190,7 +175,7 @@ def resolve_config(raw: dict) -> dict:
             initialization.init_codebook("uniform", 1, 1, rng=np.random.default_rng(0),
                                          **_init_options(cb_cfg))
         # a data-driven init draws m distinct codes from data.n * n_group encoder rows
-        rows = cfg["data"]["n"] * n_group
+        rows = data["n"] * n_group
         if cb_cfg["init"] in _DATA_INITS and cb_cfg["m"] > rows:
             raise ConfigError(f"codebook.m={cb_cfg['m']} exceeds the {rows} encoder rows "
                               f"(data.n x n_group) a kmeans or data_subset init draws from")
@@ -241,10 +226,10 @@ def build_codebook(cfg: dict, data: np.ndarray, model: MLPAutoencoder,
     return Codebook(codes)
 
 
-def run_training(cfg: dict, seed: int | None = None) -> TrainResult:
+def run_training(cfg: dict) -> TrainResult:
     """Train the default toy autoencoder under the resolved config."""
-    seed = cfg["seed"] if seed is None else seed
-    data = gen_mixture(MixtureSpec.from_dict(cfg["data"]), _cell_rng(seed, 10))
+    seed = cfg["seed"]
+    data = gen_mixture(cfg["data"], _cell_rng(seed, 10))
     model = MLPAutoencoder(rng=_cell_rng(seed, 11), **cfg["model"])
     cb = build_codebook(cfg, data, model, _cell_rng(seed, 12))
     vq = vql.VQConfig.from_dict(cfg["vq"])
@@ -285,26 +270,27 @@ class ToyTrajectory:
     steps_to_tol: int     # first step after which task loss stays <= tol
 
 
-def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.1,
-                       alpha: float = 1.0, beta: float = 0.95, nu: float = 0.5,
-                       target=(2.0, 1.0), tol: float = 1e-3) -> ToyTrajectory:
+def run_toy_trajectory(cfg: dict, mode: str) -> ToyTrajectory:
     """Single 2-D embedding chasing a stationary target through the code of a
-    one-code codebook, SGD with a fixed learning rate; every update is a tape
-    pull-back through `quantize`. Modes: no_vq bypasses quantization; joint
-    descends task + commitment; alternated takes the alternating trainer's
-    inner commitment step on the code, then a task-only embedding step;
-    lookahead is joint with the synchronized (nu) codebook term."""
+    one-code codebook, under the resolved config's seed and `toy` section:
+    SGD with a fixed learning rate, every update a tape pull-back through
+    `quantize`. Modes: no_vq bypasses quantization; joint descends task +
+    commitment; alternated takes the alternating trainer's inner commitment
+    step on the code, then a task-only embedding step; lookahead is joint with
+    the synchronized (nu) codebook term."""
     if mode not in TOY_MODES:
         raise ContractViolation(f"unknown toy mode {mode!r}")
-    rng = _cell_rng(seed, 3)
+    toy, lr = cfg["toy"], cfg["toy"]["lr"]
+    rng = _cell_rng(cfg["seed"], 3)
     z_e = rng.normal(0.0, 1.0, size=(1, 2))
     cb = Codebook(rng.normal(0.0, 1.0, size=(1, 2)))
-    config = vql.VQConfig(alpha=alpha, beta=beta, nu=nu if mode == "lookahead" else 0.0)
-    tgt = np.asarray(target, dtype=np.float64).reshape(1, 2)
+    config = vql.VQConfig(alpha=toy["alpha"], beta=toy["beta"],
+                          nu=toy["nu"] if mode == "lookahead" else 0.0)
+    tgt = np.asarray(toy["target"], dtype=np.float64).reshape(1, 2)
 
     rows = []
     path_length = 0.0
-    for t in range(steps):
+    for t in range(toy["steps"]):
         z_q = cb.codes
         if mode == "alternated":
             # train_alternating's inner step: the code against a constant embedding
@@ -331,8 +317,8 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
         path_length += float(np.linalg.norm(z_e_new - z_e))
         z_e = z_e_new
 
-    for t in range(steps - 1, -1, -1):
-        if rows[t][4] > tol:
+    for t in range(toy["steps"] - 1, -1, -1):
+        if rows[t][4] > toy["tol"]:
             steps_to_tol = t + 1
             break
     else:
@@ -343,31 +329,31 @@ def run_toy_trajectory(mode: str, seed: int, *, steps: int = 500, lr: float = 0.
 # ---------------------------------------------------------------------------
 # distribution-mismatch toy for the affine reparameterization
 
-def run_affine_toy(seed: int, *, n_points: int = 512, m: int = 128,
-                   updates: int = 20, lr: float = 0.1, momentum: float = 0.1,
-                   point_cov: float = 0.1, code_cov: float = 0.05) -> dict:
-    """2-D moment-matching toy: embeddings around the origin, codes around
-    (-1, -1) (mean gap sqrt(2)). Runs the standard EMA codebook update and the
+def run_affine_toy(cfg: dict) -> dict:
+    """2-D moment-matching toy under the resolved config's seed and
+    `affine_toy` section: embeddings around the origin, codes around (-1, -1)
+    (mean gap sqrt(2)). Runs the standard EMA codebook update and the
     affine-EMA variant side by side for `updates` steps.
 
     The affine variant accumulates moments of the embedding batch and of the
     codebook itself, so the shared transform re-centers every code even though
     only the selected few receive the sparse EMA update."""
-    rng = _cell_rng(seed, 4)
-    points = rng.normal(0.0, np.sqrt(point_cov), size=(n_points, 2))
-    init_codes = rng.normal(-1.0, np.sqrt(code_cov), size=(m, 2))
+    toy = cfg["affine_toy"]
+    rng = _cell_rng(cfg["seed"], 4)
+    points = rng.normal(0.0, np.sqrt(toy["point_cov"]), size=(toy["n_points"], 2))
+    init_codes = rng.normal(-1.0, np.sqrt(toy["code_cov"]), size=(toy["m"], 2))
 
     def run(affine: bool):
         cb = Codebook(init_codes.copy())
         affine_mode = "ema" if affine else "off"
         gap_history = []
-        for _ in range(updates):
+        for _ in range(toy["updates"]):
             eff = cb.effective_codes(affine_mode)
             gap_history.append(float(np.linalg.norm(eff.mean(axis=0) - points.mean(axis=0))))
             indices = assign(points, eff, "euclidean")[0]
-            vql.ema_update(cb, points, indices, lr)
+            vql.ema_update(cb, points, indices, toy["lr"])
             if affine:
-                vql.affine_update_ema(cb, points, cb.codes, momentum)
+                vql.affine_update_ema(cb, points, cb.codes, toy["momentum"])
         eff_final = cb.effective_codes(affine_mode)
         # initial effective codes equal the raw init codes (identity transform)
         displacement = np.linalg.norm(eff_final - init_codes, axis=1)
@@ -418,7 +404,7 @@ def run_ablation(cfg: dict) -> list[dict]:
         lasts = []
         for s in range(cfg["seeds_per_cell"]):
             seed = int(np.random.SeedSequence([cfg["seed"], cell_id, s]).generate_state(1)[0])
-            lasts.append(run_training(cell_cfg, seed=seed).records[-1])
+            lasts.append(run_training({**cell_cfg, "seed": seed}).records[-1])
         row = dict(cell)
         for key in ("task_loss", "perplexity", "active_ratio"):
             values = [getattr(last, key) for last in lasts]

@@ -299,9 +299,10 @@ def test_criterion_08_trajectory_ordering():
     """Alternated updates take a shorter embedding path than joint updates, and
     the synchronized (lookahead) variant reaches tolerance at least as fast."""
     for seed in range(5):
-        joint = run_toy_trajectory("joint", seed)
-        alternated = run_toy_trajectory("alternated", seed)
-        lookahead = run_toy_trajectory("lookahead", seed)
+        cfg = resolve_config({"scenario": "toy-trajectory", "seed": seed})
+        joint = run_toy_trajectory(cfg, "joint")
+        alternated = run_toy_trajectory(cfg, "alternated")
+        lookahead = run_toy_trajectory(cfg, "lookahead")
         assert alternated.path_length < joint.path_length
         assert lookahead.steps_to_tol <= alternated.steps_to_tol <= joint.steps_to_tol
     _passed(8, "toy trajectory path-length and speed ordering")
@@ -311,7 +312,7 @@ def test_criterion_08_trajectory_ordering():
 
 def test_criterion_09_affine_recenters_static_codes():
     for seed in range(3):
-        out = run_affine_toy(seed)
+        out = run_affine_toy(resolve_config({"scenario": "affine-toy", "seed": seed}))
         std, aff = out["standard"], out["affine"]
         assert std["fraction_static"] > 0.90     # sparse EMA leaves most codes
         assert aff["fraction_moved"] == 1.0      # shared transform moves all

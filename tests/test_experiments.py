@@ -40,12 +40,12 @@ from vqkit.artifacts import atomic_open, commit, staged, write_csv, write_json, 
 from vqkit.cli import main as cli_main
 from vqkit.codebook import DISTANCE_KINDS
 from vqkit.experiments import (
+    _DATA,
     _DEFAULTS,
     _SECTIONS,
     _TOP_LEVEL,
     SCENARIOS,
     TOY_MODES,
-    MixtureSpec,
     gen_mixture,
     run_ablation,
 )
@@ -64,6 +64,12 @@ def mixture(**overrides):
     """A one-component data section that fits the default model (d_in = 16)."""
     return {"dim": 16, "n": 256, "means": [[0.0] * 16], "cov_scales": [0.1],
             "weights": [1.0], **overrides}
+
+
+def scenario_config(scenario, seed, **section):
+    """The resolved config of a toy scenario whose own section sets `section`."""
+    key = {"toy-trajectory": "toy", "affine-toy": "affine_toy"}[scenario]
+    return resolve_config(minimal(scenario, seed=seed, **{key: section}))
 
 
 # -- config resolution ------------------------------------------------------------
@@ -97,15 +103,28 @@ def test_config_rejects_unknown_keys_at_every_level():
 
 
 def test_every_from_dict_is_strict_and_raises_contract_violation():
-    for cls, name, raw in ((VQConfig, "vq", {"alpha": 1.0}), (Schedule, "schedule", {}),
-                           (MixtureSpec, "data", mixture())):
+    for cls, name, raw in ((VQConfig, "vq", {"alpha": 1.0}), (Schedule, "schedule", {})):
         assert cls.from_dict(raw) == cls(**raw)
         with pytest.raises(ContractViolation, match=rf"^unknown {name} keys: \['skew'\]$"):
             cls.from_dict({**raw, "skew": 3})
         with pytest.raises(ContractViolation, match=f"^{name} must be an object, got list$"):
             cls.from_dict([raw])
-    with pytest.raises(ContractViolation, match=r"^data keys missing: \['n', 'means'"):
-        MixtureSpec.from_dict({"dim": 16})
+
+
+def test_the_data_section_is_strict_and_states_every_key():
+    assert resolve_config(minimal(data=mixture()))["data"] == mixture()
+    with pytest.raises(ConfigError, match=r"^unknown data keys: \['skew'\]$"):
+        resolve_config(minimal(data={**mixture(), "skew": 3}))
+    with pytest.raises(ConfigError, match="^data must be an object, got list$"):
+        resolve_config(minimal(data=[mixture()]))
+    with pytest.raises(ConfigError, match=r"^data keys missing: \['n', 'means'"):
+        resolve_config(minimal(data={"dim": 16}))
+    for data, message in ((mixture(means=[[0.0] * 15]), "mixture means must be k x dim"),
+                          (mixture(cov_scales=[0.1, 0.1]),
+                           "cov_scales and weights must have one entry per component"),
+                          (mixture(weights=[0.5]), "mixture weights must sum to 1")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            resolve_config(minimal(data=data))
 
 
 def test_config_fills_defaults_and_keeps_overrides():
@@ -132,9 +151,6 @@ def test_the_library_optimizer_defaults_are_the_cli_defaults():
 def test_each_cli_default_is_the_default_of_the_library_call_it_feeds():
     """A key a config leaves out takes the default of the library argument it
     feeds (the optimizer section: the test above)."""
-    toy = run_toy_trajectory.__kwdefaults__
-    assert _DEFAULTS["toy"] == {**toy, "target": list(toy["target"])}
-    assert _DEFAULTS["affine_toy"] == run_affine_toy.__kwdefaults__
     model = inspect.signature(MLPAutoencoder).parameters
     assert _DEFAULTS["model"] == {key: model[key].default for key in _DEFAULTS["model"]}
     for trainer, keys in ((training.train_alternating, ("inner_k", "outer_k", "track_grad_gap")),
@@ -169,50 +185,50 @@ def test_collapse_config_shape():
 # -- mixture data ------------------------------------------------------------------
 
 def test_mixture_weights_must_sum_to_one():
-    with pytest.raises(ContractViolation):
-        MixtureSpec.from_dict({"dim": 2, "n": 10, "means": [[0, 0], [1, 1]],
-                               "cov_scales": [1.0, 1.0], "weights": [0.7, 0.7]})
+    with pytest.raises(ConfigError, match="^mixture weights must sum to 1$"):
+        resolve_config(minimal(data={"dim": 2, "n": 10, "means": [[0, 0], [1, 1]],
+                                     "cov_scales": [1.0, 1.0], "weights": [0.7, 0.7]}))
 
 
 def test_mixture_zero_covariance_pins_rows_to_means():
-    spec = MixtureSpec(dim=2, n=50, means=[[3.0, -1.0]], cov_scales=[0.0],
-                       weights=[1.0])
-    data = gen_mixture(spec, np.random.default_rng(0))
+    data = gen_mixture({"dim": 2, "n": 50, "means": [[3.0, -1.0]], "cov_scales": [0.0],
+                        "weights": [1.0]}, np.random.default_rng(0))
     assert np.allclose(data, [3.0, -1.0])
 
 
 def test_mixture_component_frequencies_follow_weights():
-    spec = MixtureSpec(dim=1, n=20000, means=[[-10.0], [10.0]],
-                       cov_scales=[0.01, 0.01], weights=[0.25, 0.75])
-    data = gen_mixture(spec, np.random.default_rng(1))
+    data = gen_mixture({"dim": 1, "n": 20000, "means": [[-10.0], [10.0]],
+                        "cov_scales": [0.01, 0.01], "weights": [0.25, 0.75]},
+                       np.random.default_rng(1))
     right = (data[:, 0] > 0).mean()
     assert abs(right - 0.75) < 0.02
 
 
 def test_mixture_generation_is_deterministic():
-    spec = MixtureSpec.from_dict(resolve_config(minimal())["data"])
-    a = gen_mixture(spec, np.random.default_rng(9))
-    b = gen_mixture(spec, np.random.default_rng(9))
+    section = resolve_config(minimal())["data"]
+    a = gen_mixture(section, np.random.default_rng(9))
+    b = gen_mixture(section, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
 # -- scenario runners ----------------------------------------------------------------
 
 def test_toy_trajectory_no_vq_converges():
-    traj = run_toy_trajectory("no_vq", seed=0)
+    traj = run_toy_trajectory(scenario_config("toy-trajectory", 0), "no_vq")
     assert traj.rows[-1][4] <= 1e-6
     assert 0 < traj.steps_to_tol < 500
     with pytest.raises(ContractViolation):
-        run_toy_trajectory("sideways", seed=0)
+        run_toy_trajectory(scenario_config("toy-trajectory", 0), "sideways")
 
 
 def test_toy_trajectory_within_tol_from_the_first_step_has_steps_to_tol_0():
-    assert run_toy_trajectory("joint", 0, tol=1e9).steps_to_tol == 0
+    assert run_toy_trajectory(scenario_config("toy-trajectory", 0, tol=1e9),
+                              "joint").steps_to_tol == 0
 
 
 def test_toy_trajectory_quantized_modes_track_target():
     for mode in ("joint", "alternated", "lookahead"):
-        traj = run_toy_trajectory(mode, seed=1)
+        traj = run_toy_trajectory(scenario_config("toy-trajectory", 1), mode)
         assert traj.rows[-1][4] < traj.rows[0][4]
         assert traj.path_length > 0.0
 
@@ -222,13 +238,14 @@ def test_every_toy_mode_that_overflows_is_a_numeric_failure(mode):
     """Every mode steps through the tape, so every mode meets its finiteness
     checks instead of returning rows of inf."""
     with np.errstate(all="ignore"), pytest.raises(NumericFailure):
-        run_toy_trajectory(mode, 0, lr=1e154)
+        run_toy_trajectory(scenario_config("toy-trajectory", 0, lr=1e154), mode)
 
 
 def test_the_toy_alternated_code_step_is_the_alternating_inner_step():
     """On a one-code codebook, the alternating trainer's inner step with plain
     SGD moves each recorded code to exactly the one the toy records next."""
-    traj = run_toy_trajectory("alternated", 3, steps=40, lr=0.3, alpha=2.0, beta=0.8)
+    traj = run_toy_trajectory(scenario_config("toy-trajectory", 3, steps=40, lr=0.3,
+                                              alpha=2.0, beta=0.8), "alternated")
     for before, after in zip(traj.rows, traj.rows[1:]):
         cb = Codebook([before[2:4]])
         training._inner_step(None, cb, VQConfig(alpha=2.0, beta=0.8), np.array([before[:2]]),
@@ -237,7 +254,7 @@ def test_the_toy_alternated_code_step_is_the_alternating_inner_step():
 
 
 def test_affine_toy_recloses_the_gap():
-    out = run_affine_toy(0, n_points=128, m=32, updates=10)
+    out = run_affine_toy(scenario_config("affine-toy", 0, n_points=128, m=32, updates=10))
     assert out["affine"]["final_gap"] < out["standard"]["final_gap"]
     assert out["affine"]["fraction_moved"] == 1.0
     assert out["standard"]["fraction_static"] > 0.5
@@ -324,7 +341,7 @@ def _wrong_kind_cases():
                for section, keys in _SECTIONS.items()]
     tables += [("vq", VQConfig._KINDS, lambda key: {"vq": {key: "x"}}),
                ("schedule", Schedule._KINDS, lambda key: {"schedule": {key: "x"}}),
-               ("data", MixtureSpec._KINDS, lambda key: {"data": mixture(**{key: "x"})})]
+               ("data", _DATA, lambda key: {"data": mixture(**{key: "x"})})]
     return [("train", override(key), f"{name}.{key}")
             for name, keys, override in tables for key in keys]
 
@@ -511,6 +528,41 @@ def test_cli_rejects_bad_config(tmp_path, capsys, command, overrides, named):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert named is None or f" {named} must be " in err
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("train", {"model": {"hidden": 10 ** 30}}),
+    ("train", {"codebook": {"m": 10 ** 30}}),
+    ("init-study", {"init_study": {"n": 10 ** 30}}),
+    ("init-study", {"init_study": {"d": 10 ** 30}}),
+    ("affine-toy", {"affine_toy": {"m": 10 ** 30}}),
+    ("train", {"data": mixture(n=10 ** 15)}),
+    # within the bound, but 2^48 float64s (2^51 bytes) that no allocator maps
+    ("init-study", {"init_study": {"n": 2 ** 24, "d": 2 ** 24}}),
+], ids=["model-hidden-1e30", "codebook-m-1e30", "init-study-n-1e30", "init-study-d-1e30",
+        "affine-toy-m-1e30", "data-n-1e15", "init-study-2-to-51-bytes"])
+def test_a_size_numpy_cannot_allocate_is_a_config_error(tmp_path, capsys, command, overrides):
+    cfgp = write_cfg(tmp_path, "big.json", minimal(command, **overrides))
+    assert cli_main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_array_size_key_stops_at_2_to_the_28():
+    """No two sizes multiply past numpy's 2^63-byte limit on one array."""
+    sizes = {"model": ("d_in", "hidden", "d_code"), "codebook": ("m",),
+             "init_study": ("n", "d", "m"), "affine_toy": ("n_points", "m")}
+    for section, keys in sizes.items():
+        for key in keys:
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be an integer in "
+                                                  rf"\[1, 2\^28\], got {2 ** 28 + 1}$"):
+                resolve_config(minimal(**{section: {key: 2 ** 28 + 1}}))
+    for key in ("dim", "n"):
+        with pytest.raises(ConfigError, match=rf"^data\.{key} must be an integer in \[1, 2\^28\]"):
+            resolve_config(minimal(data=mixture(**{key: 2 ** 28 + 1})))
+    assert resolve_config(minimal("init-study", init_study={"n": 2 ** 28}))["init_study"]["n"] \
+        == 2 ** 28
 
 
 @pytest.mark.parametrize("overrides", [
@@ -722,6 +774,21 @@ def test_cli_metrics_replay_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith("config error: cannot read metrics CSV: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("step", ["1.5", "-7"])
+def test_cli_metrics_replay_rejects_a_step_that_is_not_an_integer_at_least_0(tmp_path, capsys,
+                                                                           step):
+    cfgp = write_cfg(tmp_path, "train.json", minimal())
+    bad = tmp_path / "bad.csv"
+    values = ",".join(["0.5"] * (len(METRICS_HEADER) - 1))
+    bad.write_text(f"{','.join(METRICS_HEADER)}\n0,{values}\n{step},{values}\n")
+    out = tmp_path / "r"
+    assert cli_main(["metrics-replay", "--config", cfgp, "--out", str(out),
+                     "--metrics", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: metrics CSV line 3: step {step!r} is not an integer >= 0\n"
+    assert not out.exists()
+
+
 @functools.cache
 def _real_metrics_csv() -> bytes:
     """The metrics.csv of a six-step default run."""
@@ -798,7 +865,7 @@ def test_ablation_rows_equal_train_runs_of_hand_written_cell_configs():
         finals = []
         for s in range(2):
             seed = int(np.random.SeedSequence([7, cell_id, s]).generate_state(1)[0])
-            finals.append(run_training(cfg, seed=seed).records[-1])
+            finals.append(run_training({**cfg, "seed": seed}).records[-1])
         for key in ("task_loss", "perplexity", "active_ratio"):
             values = [getattr(final, key) for final in finals]
             assert row[f"{key}_mean"] == float(np.mean(values))
@@ -1192,6 +1259,16 @@ def test_cli_fuzzed_out_exits_0_or_2_and_keeps_every_path_it_found(tmp_path, mon
         assert after == before
     else:
         assert err == ""
+
+
+def test_an_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """`--out ""` would write every artifact into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_cfg(tmp_path, "c.json", minimal(steps=2))
+    before = _tree(tmp_path)
+    assert cli_main(["train", "--config", cfgp, "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out is empty\n"
+    assert _tree(tmp_path) == before
 
 
 def test_a_failed_run_into_an_earlier_runs_out_changes_no_byte_of_it(tmp_path, capsys,
